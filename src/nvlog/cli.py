@@ -16,9 +16,9 @@ import sys
 import time
 
 from .harness import (EXTRA_ALGORITHMS, ScriptError, parse_script,
-                      run_crash_suite)
+                      run_appends, run_crash_suite)
 from .logalg import ALGORITHMS
-from .logalg.base import HEADER_BYTES, LogError, UnrecoverableLogError
+from .logalg.base import LogError, UnrecoverableLogError
 from .pmem import SimMemory, SnapshotFormatError
 from .stps import PersistentHashMap
 
@@ -28,6 +28,7 @@ ENTRY_PAYLOAD = {"0.5": 24, "1": 56, "2": 112, "4": 240, "8": 496}
 
 BASE_NS_DEFAULT = 100     # fixed software cost per operation
 FENCE_NS_DEFAULT = 200    # ordering cost per fenced round trip
+BENCH_DRAIN = 512         # appends between full trims; the log holds two batches
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
@@ -44,32 +45,17 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
 # ----------------------------------------------------------------------- bench
 
 def _bench_one(algo: str, payload_len: int, latency_ns: int, ops: int,
-               seed: int, fence_ns: int, base_ns: int,
-               drain_interval: int = 512) -> list:
-    cls = ALGORITHMS[algo]
-    probe = cls.__new__(cls)
-    probe._check_payload_len(payload_len)
-    slot = probe._slot_size(payload_len)
-    region = HEADER_BYTES + 2 * drain_interval * slot
-    mem = SimMemory(region, latency_ns=latency_ns, fence_cost_ns=fence_ns)
-    log = cls(mem, 0, region, payload_len)
-    if mem.pending_flushes:
-        mem.sfence()
+               seed: int, fence_ns: int, base_ns: int) -> list:
+    log = ALGORITHMS[algo].fresh(payload_len, 2 * BENCH_DRAIN,
+                                 latency_ns=latency_ns, fence_cost_ns=fence_ns)
+    stats = log.mem.stats
     rng = random.Random(seed)
     payload = bytes(rng.randrange(256) for _ in range(payload_len))
-    t0_time = mem.stats.simulated_time_ns
-    append_rt = 0
-    handles = []
+    t0_time = stats.simulated_time_ns
     wall0 = time.perf_counter()
-    for i in range(ops):
-        before = mem.stats.fenced_roundtrips
-        handles.append(log.append(payload))
-        append_rt += mem.stats.fenced_roundtrips - before
-        if len(handles) >= drain_interval:
-            log.trim(handles[-1])
-            handles.clear()
+    append_rt = run_appends(log, payload, ops, BENCH_DRAIN)
     wall = time.perf_counter() - wall0
-    sim_ns = mem.stats.simulated_time_ns - t0_time
+    sim_ns = stats.simulated_time_ns - t0_time
     modeled_ns = ops * base_ns + sim_ns
     rtrips = append_rt / ops
     return [algo, payload_len, latency_ns,

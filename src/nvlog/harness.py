@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .crc import crc32c
 from .logalg import ALGORITHMS
-from .logalg.base import HEADER_BYTES, UnrecoverableLogError, words_of
+from .logalg.base import CircularLog, UnrecoverableLogError, words_of
 from .logalg.csovb import CsoVbLog
 from .pmem import SimMemory, WORD_SIZE
 from .stps import PersistentHashMap
@@ -138,16 +138,8 @@ def _quiesce(mem: SimMemory) -> None:
 class _LogTarget:
     def __init__(self, algo: str, payload_len: int, slots: int = 16,
                  registry: dict | None = None):
-        cls = (registry or ALGORITHMS)[algo]
-        probe = cls.__new__(cls)
-        probe._check_payload_len(payload_len)
-        slot = probe._slot_size(payload_len)
-        self.region = HEADER_BYTES + slots * slot
-        self.mem = SimMemory(self.region)
-        self.algo = algo
-        self.cls = cls
-        self.payload_len = payload_len
-        self.log = cls(self.mem, 0, self.region, payload_len)
+        self.log = (registry or ALGORITHMS)[algo].fresh(payload_len, slots)
+        self.mem = self.log.mem
         self.handles: list[int] = []
         self.live: list[bytes] = []
 
@@ -167,7 +159,8 @@ class _LogTarget:
         return tuple(self.live)
 
     def recovered_state(self, crashed: SimMemory):
-        log = self.cls.attach(crashed, 0, self.region, self.payload_len)
+        log = type(self.log).attach(crashed, 0, self.log.size,
+                                    self.log.payload_len)
         try:
             return tuple(e.payload for e in log.recover())
         except UnrecoverableLogError:
@@ -211,7 +204,7 @@ class _StpsTarget:
     def recovered_state(self, crashed: SimMemory):
         m = PersistentHashMap(crashed, 0, self.region,
                               node_lines=self.node_lines,
-                              nbuckets=self.nbuckets, create=False)
+                              nbuckets=self.nbuckets)
         m.recover()
         return m.items()
 
@@ -252,7 +245,6 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
         name = "stps"
     mem = target.mem
     report = Report(name, script.mode, len(script.ops))
-    _quiesce(mem)
     mem.checkpoint()   # formatting the region is not crashable history
 
     if script.mode in ("exhaustive", "at-op"):
@@ -294,30 +286,30 @@ class RoundTripAudit:
     init_flushes_per_entry: float
 
 
+def run_appends(log: CircularLog, payload: bytes, ops: int, drain: int) -> int:
+    """Append `payload` `ops` times, trimming the whole log after every
+    `drain` appends; returns the fenced round trips the appends took (trims
+    not counted)."""
+    stats = log.mem.stats
+    roundtrips = 0
+    handles = []
+    for _ in range(ops):
+        before = stats.fenced_roundtrips
+        handles.append(log.append(payload))
+        roundtrips += stats.fenced_roundtrips - before
+        if len(handles) >= drain:
+            log.trim(handles[-1])
+            handles.clear()
+    return roundtrips
+
+
 def audit_roundtrips(algo: str, n: int = 256, payload_len: int = 24) -> RoundTripAudit:
     """Measure fenced write round trips per append over a drained run."""
-    cls = ALGORITHMS[algo]
-    probe = cls.__new__(cls)
-    probe._check_payload_len(payload_len)
-    slot = probe._slot_size(payload_len)
-    batch = 8
-    region = HEADER_BYTES + (4 * batch) * slot
-    mem = SimMemory(region)
-    log = cls(mem, 0, region, payload_len)
-    init_flushes = mem.stats.clflushopt_count - 1  # minus the header line
-    _quiesce(mem)
+    drain = 8
+    log = ALGORITHMS[algo].fresh(payload_len, 4 * drain)
+    init_flushes = log.mem.stats.clflushopt_count - 1  # minus the header line
     payload = bytes((i % 251 for i in range(payload_len)))
-    total = 0
-    done = 0
-    handles = []
-    while done < n:
-        for _ in range(min(batch, n - done)):
-            before = mem.stats.fenced_roundtrips
-            handles.append(log.append(payload))
-            total += mem.stats.fenced_roundtrips - before
-            done += 1
-        log.trim(handles[-1])
-        handles.clear()
+    total = run_appends(log, payload, n, drain)
     return RoundTripAudit(algo, payload_len, n, total / n,
                           init_flushes / log.nslots)
 
@@ -420,13 +412,8 @@ def checksum_vulnerability_demo(algo: str, *, samples: int = 0,
     are expected to reject every torn state."""
     payload_len = 112
     cls = ALGORITHMS[algo]
-    probe = cls.__new__(cls)
-    probe._check_payload_len(payload_len)
-    slot = probe._slot_size(payload_len)
-    region = HEADER_BYTES + 4 * slot
-    mem = SimMemory(region)
-    log = cls(mem, 0, region, payload_len)
-    _quiesce(mem)
+    log = cls.fresh(payload_len, 4)
+    mem = log.mem
     mem.checkpoint()
 
     # craft against the 32-bit checksum's own framing: seq 1, len, payload
@@ -436,7 +423,7 @@ def checksum_vulnerability_demo(algo: str, *, samples: int = 0,
     v = crc32_collision_word(buf, 8 + 48)     # payload word 6
     payload = base_payload[:48] + v.to_bytes(8, "little") + base_payload[56:]
 
-    h = log.append(payload)
+    log.append(payload)
     states = mem.enumerate_crash_states()
     drawn = len(states)
     if samples:
@@ -451,7 +438,7 @@ def checksum_vulnerability_demo(algo: str, *, samples: int = 0,
             continue
         seen.add(st.cuts)
         checked += 1
-        attached = cls.attach(mem.apply_crash(st), 0, region, payload_len)
+        attached = cls.attach(mem.apply_crash(st), 0, log.size, payload_len)
         try:
             entries = attached.recover()
         except UnrecoverableLogError:
@@ -460,5 +447,4 @@ def checksum_vulnerability_demo(algo: str, *, samples: int = 0,
             if e.payload != payload:
                 false_valids += 1
                 break
-    del h
     return ChecksumDemo(algo, payload, checked, false_valids, drawn)

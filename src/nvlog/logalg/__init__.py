@@ -18,11 +18,11 @@ ALGORITHMS: dict[str, type[CircularLog]] = {
 }
 
 
-def make_log(name: str, mem, base: int, size: int, payload_len: int,
-             *, create: bool = True) -> CircularLog:
+def make_log(name: str, mem, base: int, size: int,
+             payload_len: int) -> CircularLog:
     try:
         cls = ALGORITHMS[name]
     except KeyError:
         raise LogError(f"unknown algorithm {name!r}; "
                        f"choose from {sorted(ALGORITHMS)}") from None
-    return cls(mem, base, size, payload_len, create=create)
+    return cls(mem, base, size, payload_len)

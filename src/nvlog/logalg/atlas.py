@@ -24,11 +24,10 @@ class AtlasLog(CircularLog):
         self._last_slot: int | None = None
         super().__init__(*args, **kwargs)
 
-    def _check_payload_len(self, payload_len: int) -> None:
+    @classmethod
+    def _slot_bytes(cls, payload_len: int) -> int:
         if payload_len != PAYLOAD_BYTES:
             raise PayloadError("the linked log holds 24-byte payloads only")
-
-    def _slot_size(self, payload_len: int) -> int:
         return ENTRY_BYTES
 
     def _prev_link_addr(self) -> int:

@@ -72,8 +72,9 @@ def words_of(data: bytes) -> list[int]:
 class CircularLog:
     """Base class for the slot-oriented log algorithms.
 
-    Subclasses implement `_slot_size`, `_write_entry` and `_read_entry`.
-    Payload length is fixed per log instance.
+    Subclasses implement `_slot_bytes`, `_write_entry` and `_read_entry`.
+    Payload length is fixed per log instance; the geometry classmethods size
+    a log without building one.
     """
 
     name = "?"
@@ -82,14 +83,11 @@ class CircularLog:
                  *, create: bool = True):
         if base % LINE_SIZE or size % LINE_SIZE:
             raise LogError("log region must be line-aligned")
-        if payload_len <= 0:
-            raise PayloadError("payload length must be positive")
         self.mem = mem
         self.base = base
         self.size = size
         self.payload_len = payload_len
-        self._check_payload_len(payload_len)
-        self.slot_size = self._slot_size(payload_len)
+        self.slot_size = self.slot_bytes(payload_len)
         self.nslots = (size - HEADER_BYTES) // self.slot_size
         if self.nslots < 2:
             raise LogError("log region too small for two entries")
@@ -106,12 +104,38 @@ class CircularLog:
         """Bind to an existing (e.g. crash-image) region without writing."""
         return cls(mem, base, size, payload_len, create=False)
 
+    # --------------------------------------------------------------- geometry
+
+    @classmethod
+    def slot_bytes(cls, payload_len: int) -> int:
+        """Bytes of one slot for `payload_len`-byte payloads; raises
+        PayloadError if this entry format cannot hold such a payload."""
+        if payload_len <= 0:
+            raise PayloadError("payload length must be positive")
+        return cls._slot_bytes(payload_len)
+
+    @classmethod
+    def region_bytes(cls, payload_len: int, nslots: int) -> int:
+        """Smallest line-aligned region holding the header and `nslots`
+        slots."""
+        size = HEADER_BYTES + nslots * cls.slot_bytes(payload_len)
+        return -(-size // LINE_SIZE) * LINE_SIZE
+
+    @classmethod
+    def fresh(cls, payload_len: int, nslots: int, **mem_options):
+        """A new log of at least `nslots` slots alone in a new
+        `SimMemory(region, **mem_options)`, its formatting writes fenced."""
+        region = cls.region_bytes(payload_len, nslots)
+        mem = SimMemory(region, **mem_options)
+        log = cls(mem, 0, region, payload_len)
+        if mem.pending_flushes:
+            mem.sfence()
+        return log
+
     # ------------------------------------------------------------------ hooks
 
-    def _check_payload_len(self, payload_len: int) -> None:
-        pass
-
-    def _slot_size(self, payload_len: int) -> int:
+    @classmethod
+    def _slot_bytes(cls, payload_len: int) -> int:
         raise NotImplementedError
 
     def _slots_needed(self, payload: bytes) -> int:

@@ -17,6 +17,7 @@ from .base import CircularLog, slot_size_for
 
 _HDR = struct.Struct("<II")  # seq, len
 _HEAD_MASK = (1 << 48) - 1
+_EPOCH_MASK = 0x7FFF
 
 
 class _CrcLog(CircularLog):
@@ -26,24 +27,26 @@ class _CrcLog(CircularLog):
         self.epoch = 0
         super().__init__(*args, **kwargs)
 
-    def _slot_size(self, payload_len: int) -> int:
+    @classmethod
+    def _slot_bytes(cls, payload_len: int) -> int:
         padded = (payload_len + WORD_SIZE - 1) // WORD_SIZE * WORD_SIZE
         return slot_size_for(WORD_SIZE + padded + WORD_SIZE)
 
     def _pack_header(self) -> int:
-        return ((self.head & _HEAD_MASK) | ((self.epoch & 0x7FFF) << 48)
+        return ((self.head & _HEAD_MASK) | ((self.epoch & _EPOCH_MASK) << 48)
                 | (self.polarity << 63))
 
     def _load_header(self, word: int) -> None:
         self.head = word & _HEAD_MASK
-        self.epoch = (word >> 48) & 0x7FFF
+        self.epoch = (word >> 48) & _EPOCH_MASK
         self.polarity = word >> 63
 
     def _on_wrap(self) -> None:
-        self.epoch += 1
+        self.epoch = (self.epoch + 1) & _EPOCH_MASK
 
     def _entry_seq(self, slot: int) -> int:
-        return self.epoch if slot >= self.head else self.epoch + 1
+        """The epoch as stored in the head word once the head passes `slot`."""
+        return self.epoch if slot >= self.head else (self.epoch + 1) & _EPOCH_MASK
 
     def _crc_off(self) -> int:
         padded = (self.payload_len + WORD_SIZE - 1) // WORD_SIZE * WORD_SIZE
@@ -52,7 +55,7 @@ class _CrcLog(CircularLog):
     def _write_entry(self, slot: int, payload: bytes) -> int:
         mem = self.mem
         addr = self.slot_addr(slot)
-        hdr = _HDR.pack(self._entry_seq(slot) & 0xFFFFFFFF, len(payload))
+        hdr = _HDR.pack(self._entry_seq(slot), len(payload))
         mem.store(addr, hdr)
         for i in range(0, len(payload), WORD_SIZE):
             mem.store(addr + WORD_SIZE + i, payload[i:i + WORD_SIZE])
@@ -67,7 +70,7 @@ class _CrcLog(CircularLog):
         addr = self.slot_addr(slot)
         hdr = mem.load(addr, _HDR.size)
         seq, length = _HDR.unpack(hdr)
-        if seq != self._entry_seq(slot) & 0xFFFFFFFF or length != self.payload_len:
+        if seq != self._entry_seq(slot) or length != self.payload_len:
             return None
         payload = mem.load(addr + WORD_SIZE, self.payload_len)
         if mem.load_word(addr + self._crc_off()) != self.crc_fn(hdr + payload):

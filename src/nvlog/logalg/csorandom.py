@@ -22,11 +22,10 @@ _S_BYTES = SENTINEL_VALUE.to_bytes(WORD_SIZE, "little")
 class CsoRandomLog(CircularLog):
     name = "cso-random"
 
-    def _check_payload_len(self, payload_len: int) -> None:
+    @classmethod
+    def _slot_bytes(cls, payload_len: int) -> int:
         if payload_len % WORD_SIZE:
             raise PayloadError("payload must be a multiple of 8 bytes")
-
-    def _slot_size(self, payload_len: int) -> int:
         return slot_size_for(payload_len)
 
     def _init_area(self) -> None:

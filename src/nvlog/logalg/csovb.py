@@ -34,11 +34,13 @@ def layout(payload_len: int) -> EntryLayout:
 class CsoVbLog(CircularLog):
     name = "cso-vb"
 
-    def _check_payload_len(self, payload_len: int) -> None:
-        self.layout = layout(payload_len)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.layout = layout(self.payload_len)
 
-    def _slot_size(self, payload_len: int) -> int:
-        return slot_size_for(self.layout.total_len)
+    @classmethod
+    def _slot_bytes(cls, payload_len: int) -> int:
+        return slot_size_for(layout(payload_len).total_len)
 
     def _write_entry(self, slot: int, payload: bytes) -> int:
         mem = self.mem

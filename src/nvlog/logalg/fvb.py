@@ -81,12 +81,16 @@ def entry_lines(payload_len: int) -> tuple[int, int]:
 class CsoFvbLog(CircularLog):
     name = "cso-fvb"
 
-    def _slot_size(self, payload_len: int) -> int:
-        if payload_len <= LINE_SIZE - WORD_SIZE:
-            self.lines, self.meta_words = 1, 1
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.lines, self.meta_words = entry_lines(self.payload_len)
+
+    @classmethod
+    def _slot_bytes(cls, payload_len: int) -> int:
+        lines, _ = entry_lines(payload_len)
+        if lines == 1:
             return slot_size_for(WORD_SIZE + payload_len)
-        self.lines, self.meta_words = entry_lines(payload_len)
-        return self.lines * LINE_SIZE
+        return lines * LINE_SIZE
 
     def _first_line_payload(self) -> int:
         if self.lines == 1:

@@ -29,7 +29,8 @@ def unpack(words: list[int], payload_len: int) -> bytes:
 class TornbitLog(CircularLog):
     name = "tornbit"
 
-    def _slot_size(self, payload_len: int) -> int:
+    @classmethod
+    def _slot_bytes(cls, payload_len: int) -> int:
         return (payload_len * 8 + 62) // 63 * WORD_SIZE
 
     @property

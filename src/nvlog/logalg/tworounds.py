@@ -14,7 +14,8 @@ from .base import CircularLog, slot_size_for, words_of
 class TwoRoundsLog(CircularLog):
     name = "two-rounds"
 
-    def _slot_size(self, payload_len: int) -> int:
+    @classmethod
+    def _slot_bytes(cls, payload_len: int) -> int:
         return slot_size_for(WORD_SIZE + payload_len)
 
     def _write_entry(self, slot: int, payload: bytes) -> int:

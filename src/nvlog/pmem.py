@@ -96,9 +96,6 @@ class CrashState:
                 return c
         return 0
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.cuts)
-
 
 class SimMemory:
     def __init__(self, capacity: int, line_size: int = LINE_SIZE,
@@ -212,9 +209,6 @@ class SimMemory:
     @property
     def pending_flushes(self) -> bool:
         return bool(self._pending)
-
-    def durable_floor(self, line: int) -> int:
-        return self._floors.get(line, 0)
 
     # ------------------------------------------------------------ crash states
 

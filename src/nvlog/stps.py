@@ -74,7 +74,7 @@ class ParsedEntry:
 class PersistentHashMap:
     def __init__(self, mem: SimMemory, base: int, size: int, *,
                  node_lines: int = 1, nbuckets: int = 1 << 16,
-                 create: bool = True, two_round_commit: bool = False):
+                 two_round_commit: bool = False):
         if base % LINE_SIZE or size % LINE_SIZE:
             raise StpsError("region must be line-aligned")
         if nbuckets & (nbuckets - 1):
@@ -92,14 +92,13 @@ class PersistentHashMap:
         self.capacity = self._run0 + (node_lines - 1) * self._runN
         self.max_key = min(self._run0 + (self._runN if node_lines > 1 else 0),
                            _KLEN_MASK)
-        # volatile structures
+        # volatile structures; a zeroed region already reads as all-dead
+        # slots, so a new map writes nothing (call recover() on an image)
         self._buckets = [-1] * nbuckets
         self._next = [-1] * self.nslots
         self._reuse: deque[int] = deque()
         self._bump = 0
         self._next_version = 1
-        if create:
-            pass  # zeroed memory is already the canonical all-dead state
 
     # ------------------------------------------------------------- addressing
 

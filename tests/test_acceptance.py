@@ -9,7 +9,6 @@ from nvlog.cli import _bench_one, _run_kv
 from nvlog.harness import (audit_roundtrips, checksum_vulnerability_demo,
                            run_crash_suite)
 from nvlog.logalg import ALGORITHMS
-from nvlog.logalg.base import HEADER_BYTES
 from nvlog.logalg.fvb import write_cacheline
 from nvlog.pmem import SimMemory
 from nvlog.stps import PersistentHashMap
@@ -90,7 +89,7 @@ def _interrupted_append_states(node_lines, old_kv, new_kv):
     for st in mem.enumerate_crash_states():
         clone = mem.apply_crash(st)
         r = PersistentHashMap(clone, 0, region, node_lines=node_lines,
-                              nbuckets=16, create=False)
+                              nbuckets=16)
         outcomes.append((st.cuts, r.parse_entry(0)))
     return outcomes
 
@@ -137,7 +136,7 @@ def test_transaction_atomicity():
     states = mem.enumerate_crash_states()
     for st in states:
         clone = mem.apply_crash(st)
-        r = PersistentHashMap(clone, 0, region, nbuckets=16, create=False)
+        r = PersistentHashMap(clone, 0, region, nbuckets=16)
         r.recover()
         if r.items() not in ({}, want_all):
             bad.append((st.cuts, r.items()))
@@ -232,11 +231,8 @@ def test_snapshot_round_trip_equivalence():
     for i in range(100):
         algo = algos[i % len(algos)]
         cls = ALGORITHMS[algo]
-        probe = cls.__new__(cls)
-        probe._check_payload_len(24)
-        region = HEADER_BYTES + 8 * probe._slot_size(24)
-        mem = SimMemory(region)
-        log = cls(mem, 0, region, 24)
+        log = cls.fresh(24, 8)
+        mem, region = log.mem, log.size
         handles = []
         for _ in range(rng.randint(0, 12)):
             if log.used + 2 > log.nslots and handles:

@@ -2,11 +2,14 @@
 
 import csv
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nvlog
 from nvlog.cli import ENTRY_PAYLOAD, main
 from nvlog.logalg import make_log
 from nvlog.pmem import SimMemory
@@ -153,7 +156,11 @@ def test_inspect_bad_snapshot(tmp_path, capsys):
 # ------------------------------------------------------------------ entry point
 
 def test_console_script_help():
+    # the child imports the package under test, installed or not
+    src = str(Path(nvlog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-m", "nvlog.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "bench" in proc.stdout and "crashtest" in proc.stdout

@@ -8,6 +8,7 @@ from nvlog.harness import (BrokenVbLog, EXTRA_ALGORITHMS, Script, ScriptError,
                            audit_roundtrips, checksum_vulnerability_demo,
                            crc32_collision_word, differential_recovery,
                            parse_script, run_crash_suite)
+from nvlog.logalg import ALGORITHMS
 
 THREE_APPENDS = """
 seed 1
@@ -139,6 +140,14 @@ def test_collision_word_is_in_kernel():
 def test_crc32_demo_finds_planted_false_valid():
     demo = checksum_vulnerability_demo("crc32")
     assert demo.false_valids == 1
+
+
+# every log that holds the demo's 112-byte payload (atlas takes 24 only)
+@pytest.mark.parametrize("algo", sorted(set(ALGORITHMS) - {"atlas"}))
+def test_checksum_demo_exhaustive(algo):
+    demo = checksum_vulnerability_demo(algo)
+    assert demo.states_checked > 1
+    assert demo.false_valids == (1 if algo == "crc32" else 0)
 
 
 def test_crc64_and_vb_reject_all_torn_states():

@@ -10,21 +10,14 @@ from nvlog.logalg.base import (HEADER_BYTES, LogFullError, PayloadError,
 from nvlog.logalg import csovb, tornbit
 from nvlog.logalg.atlas import ENTRY_BYTES
 from nvlog.logalg.csorandom import RANDOM_VALUE, SENTINEL_VALUE
-from nvlog.pmem import SimMemory
+from nvlog.pmem import LINE_SIZE, SimMemory
 
 ALL = sorted(ALGORITHMS)
 
 
 def fresh(algo, payload_len=24, slots=8):
-    cls = ALGORITHMS[algo]
-    probe = cls.__new__(cls)
-    probe._check_payload_len(payload_len)
-    region = HEADER_BYTES + slots * probe._slot_size(payload_len)
-    mem = SimMemory(region)
-    log = cls(mem, 0, region, payload_len)
-    if mem.pending_flushes:
-        mem.sfence()
-    return mem, log, region
+    log = ALGORITHMS[algo].fresh(payload_len, slots)
+    return log.mem, log, log.size
 
 
 def payloads(n, size=24):
@@ -131,6 +124,29 @@ def test_two_rounds_costs_two():
         assert mem.stats.fenced_roundtrips - before == 2
 
 
+# ------------------------------------------------------------------- geometry
+
+@pytest.mark.parametrize("payload_len", (24, 56, 112, 240, 496))
+@pytest.mark.parametrize("algo", ALL)
+def test_geometry_matches_construction(algo, payload_len):
+    cls = ALGORITHMS[algo]
+    region = HEADER_BYTES + 16 * LINE_SIZE   # two slots of the largest entry
+    try:
+        built = cls(SimMemory(region), 0, region, payload_len)
+    except PayloadError:
+        with pytest.raises(PayloadError):
+            cls.slot_bytes(payload_len)
+        return
+    assert cls.slot_bytes(payload_len) == built.slot_size
+    for n in range(2, 18):
+        size = cls.region_bytes(payload_len, n)
+        assert size % LINE_SIZE == 0
+        assert cls(SimMemory(size), 0, size, payload_len).nslots >= n
+        exact = HEADER_BYTES + n * built.slot_size
+        if exact % LINE_SIZE == 0:
+            assert size == exact
+
+
 # ------------------------------------------------------------- cso-vb layouts
 
 def test_csovb_layout_24():
@@ -204,6 +220,24 @@ def test_csorandom_init_flushes_batched():
     cls(mem, 0, region, 56)
     assert mem.stats.clflushopt_count > 32
     assert mem.stats.fenced_roundtrips <= 1
+
+
+# ------------------------------------------------------------------ checksums
+
+@pytest.mark.parametrize("algo", ["crc32", "crc64"])
+def test_crc_epoch_wraps_within_head_word(algo):
+    # the head word keeps a 15-bit epoch; entries must carry the same value
+    mem, log, region = fresh(algo, slots=4)
+    log.epoch = 0x7FFF
+    handles = [log.append(p) for p in payloads(log.nslots)]
+    log.trim(handles[-1])
+    log.append(bytes([99] * 24))
+    if mem.pending_flushes:
+        mem.sfence()
+    crashed = mem.apply_crash(mem.sample_crash_state(seed=0,
+                                                     at_least_durable=True))
+    got = ALGORITHMS[algo].attach(crashed, 0, region, 24).recover()
+    assert [e.payload for e in got] == [bytes([99] * 24)]
 
 
 # -------------------------------------------------------------------- tornbit

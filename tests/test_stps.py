@@ -20,8 +20,7 @@ def recovered_copy(mem, m):
     clone = mem.apply_crash(mem.sample_crash_state(seed=0,
                                                    at_least_durable=True))
     r = PersistentHashMap(clone, 0, m.nslots * m.slot_size,
-                          node_lines=m.node_lines, nbuckets=m.nbuckets,
-                          create=False)
+                          node_lines=m.node_lines, nbuckets=m.nbuckets)
     r.recover()
     return r
 
