@@ -166,8 +166,13 @@ def cmd_inspect(args) -> int:
     except (OSError, SnapshotFormatError) as exc:
         print(f"cannot load snapshot: {exc}", file=sys.stderr)
         return 2
-    cls = EXTRA_ALGORITHMS[args.algo]
-    log = cls.attach(mem, 0, mem.capacity, args.payload_bytes)
+    try:
+        log = EXTRA_ALGORITHMS[args.algo].attach(mem, 0, mem.capacity,
+                                                 args.payload_bytes)
+    except LogError as exc:
+        print(f"cannot read the snapshot as {args.algo}: {exc}",
+              file=sys.stderr)
+        return 2
     word = mem.load_word(0)
     print(f"capacity {mem.capacity} line {mem.line_size} "
           f"head word {word:#018x}")
@@ -189,6 +194,14 @@ def cmd_inspect(args) -> int:
 
 # --------------------------------------------------------------------- parser
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nvlog",
@@ -198,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, ops_default):
         sp.add_argument("--latency-ns", type=int, default=0,
                         help="modeled media write latency per round trip")
-        sp.add_argument("--ops", type=int, default=ops_default)
+        sp.add_argument("--ops", type=_positive_int, default=ops_default)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--csv", metavar="PATH",
                         help="write results to a CSV file instead of stdout")

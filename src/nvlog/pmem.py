@@ -14,6 +14,17 @@ rules:
 Unflushed lines may spontaneously write back any prefix at any time, so no
 eviction events are modeled.  Crash states are enumerated over the whole
 trace, i.e. power may fail at any point up to and including "now".
+
+The second rule is kept as the durable floors plus an undo log.  ``_floors``
+holds each line's floor: the writes that fenced flushes made durable.  A
+round-trip fence gets an index (its position in ``_fence_seqs``) and appends
+``(fence index, line, previous floor)`` to ``_raises`` for each pending line
+whose floor it raises, so a fence costs O(pending lines) and the log holds
+at most one entry per flush.  Crash exploration asks for "the requirements
+of every fence before fence k": ``_reqs_before`` copies the floors and
+undoes the raises of fences k and later, newest first, on first use, and
+caches the view by k until ``checkpoint()``.  Later fences get larger
+indices, so a cached view never goes stale.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ import random
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 LINE_SIZE = 64
 WORD_SIZE = 8
@@ -51,8 +63,7 @@ class StaleCrashStateError(Exception):
     """Crash state does not belong to this memory's current event history."""
 
 
-@dataclass(frozen=True)
-class WriteEvent:
+class WriteEvent(NamedTuple):
     seq: int
     line: int
     offset_in_line: int
@@ -114,17 +125,15 @@ class SimMemory:
         self._writes: dict[int, list[WriteEvent]] = {}
         self._floors: dict[int, int] = {}   # per-line durable prefix (fenced flushes)
         self._pending: dict[int, int] = {}  # line -> captured prefix of unfenced flushes
-        self._fence_seqs: list[int] = []
-        self._cum_reqs: list[dict[int, int]] = []  # cumulative flush requirements
+        self._fence_seqs: list[int] = []    # seq of each round-trip fence
+        # (fence index, line, floor before it) per floor raise, in fence order
+        self._raises: list[tuple[int, int, int]] = []
+        self._req_views: dict[int, dict[int, int]] = {}  # k -> _reqs_before(k)
         self._seq = 0
         self._last_release_fence = -1
         self._epoch = 0
 
     # ------------------------------------------------------------------ basics
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
 
     @property
     def num_lines(self) -> int:
@@ -144,19 +153,33 @@ class SimMemory:
     # ------------------------------------------------------------------ stores
 
     def store(self, addr: int, data: bytes, ordering: str = RELAXED) -> None:
-        if addr < 0 or addr + len(data) > self.capacity:
-            raise UsageError(f"store [{addr}, {addr + len(data)}) out of range")
-        if not data:
+        n = len(data)
+        if addr < 0 or addr + n > self.capacity:
+            raise UsageError(f"store [{addr}, {addr + n}) out of range")
+        if not n:
             return
-        self.cached[addr:addr + len(data)] = data
+        self.cached[addr:addr + n] = data
+        line, off = divmod(addr, self.line_size)
+        if off + n <= self.line_size:  # within one line: a single event
+            self._seq += 1
+            ev = WriteEvent(self._seq, line, off, bytes(data), ordering,
+                            self._last_release_fence)
+            self.write_log.append(ev)
+            evs = self._writes.get(line)
+            if evs is None:
+                self._writes[line] = [ev]
+            else:
+                evs.append(ev)
+            return
         # Split at line boundaries, low address first; each piece is one event.
         pos = 0
-        while pos < len(data):
+        while pos < n:
             a = addr + pos
             line = a // self.line_size
             room = (line + 1) * self.line_size - a
             chunk = data[pos:pos + room]
-            ev = WriteEvent(self._next_seq(), line, a % self.line_size,
+            self._seq += 1
+            ev = WriteEvent(self._seq, line, a % self.line_size,
                             bytes(chunk), ordering, self._last_release_fence)
             self.write_log.append(ev)
             self._writes.setdefault(line, []).append(ev)
@@ -166,9 +189,9 @@ class SimMemory:
         self.store(addr, (value & (2 ** 64 - 1)).to_bytes(WORD_SIZE, "little"), ordering)
 
     def release_fence(self) -> None:
-        seq = self._next_seq()
-        self._last_release_fence = seq
-        self.flush_log.append(FenceEvent(seq, "release", False))
+        self._seq += 1
+        self._last_release_fence = self._seq
+        self.flush_log.append(FenceEvent(self._seq, "release", False))
 
     # ----------------------------------------------------------------- flushes
 
@@ -176,8 +199,8 @@ class SimMemory:
         if line < 0 or line >= self.num_lines:
             raise UsageError(f"line {line} out of range")
         captured = len(self._writes.get(line, ()))
-        seq = self._next_seq()
-        self.flush_log.append(FlushEvent(seq, line, captured))
+        self._seq += 1
+        self.flush_log.append(FlushEvent(self._seq, line, captured))
         self._pending[line] = max(self._pending.get(line, 0), captured)
         self.stats.clflushopt_count += 1
 
@@ -189,22 +212,23 @@ class SimMemory:
             self.clflushopt(line)
 
     def sfence(self) -> None:
-        seq = self._next_seq()
-        had_pending = bool(self._pending)
-        self.flush_log.append(FenceEvent(seq, "sfence", had_pending))
+        self._seq += 1
+        seq = self._seq
+        pending = self._pending
+        self.flush_log.append(FenceEvent(seq, "sfence", bool(pending)))
         self.stats.sfence_count += 1
-        if had_pending:
+        if pending:
             self.stats.fenced_roundtrips += 1
             self.stats.simulated_time_ns += self.latency_ns + self.fence_cost_ns
-            req = dict(self._pending)
-            for line, captured in req.items():
-                self._floors[line] = max(self._floors.get(line, 0), captured)
-            merged = dict(self._cum_reqs[-1]) if self._cum_reqs else {}
-            for line, captured in req.items():
-                merged[line] = max(merged.get(line, 0), captured)
+            k = len(self._fence_seqs)
+            floors = self._floors
+            for line, captured in pending.items():
+                floor = floors.get(line, 0)
+                if captured > floor:
+                    floors[line] = captured
+                    self._raises.append((k, line, floor))
             self._fence_seqs.append(seq)
-            self._cum_reqs.append(merged)
-            self._pending.clear()
+            pending.clear()
 
     @property
     def pending_flushes(self) -> bool:
@@ -219,6 +243,18 @@ class SimMemory:
             buf[ev.offset_in_line:ev.offset_in_line + len(ev.data)] = ev.data
         return bytes(buf)
 
+    def _reqs_before(self, k: int) -> dict[int, int]:
+        """line -> writes that the first k round-trip fences made durable."""
+        view = self._req_views.get(k)
+        if view is None:
+            view = dict(self._floors)
+            for fence, line, floor in reversed(self._raises):
+                if fence < k:
+                    break
+                view[line] = floor
+            self._req_views[k] = view
+        return view
+
     def _state_valid(self, lines: list[int], cuts: tuple[int, ...]) -> bool:
         max_seq = -1
         for line, cut in zip(lines, cuts):
@@ -231,7 +267,7 @@ class SimMemory:
         k = bisect_left(self._fence_seqs, max_seq)
         if k == 0:
             return True
-        req = self._cum_reqs[k - 1]
+        req = self._reqs_before(k)
         by_line = dict(zip(lines, cuts))
         return all(by_line.get(line, 0) >= need for line, need in req.items())
 
@@ -275,7 +311,7 @@ class SimMemory:
             k = bisect_left(self._fence_seqs, max_seq)
             if k == 0:
                 return
-            req = self._cum_reqs[k - 1]
+            req = self._reqs_before(k)
             changed = False
             for i, line in enumerate(lines):
                 need = req.get(line, 0)
@@ -357,7 +393,8 @@ class SimMemory:
         self._writes.clear()
         self._floors.clear()
         self._fence_seqs.clear()
-        self._cum_reqs.clear()
+        self._raises.clear()
+        self._req_views.clear()
         self._last_release_fence = -1
         self._epoch += 1
 

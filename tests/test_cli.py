@@ -61,6 +61,15 @@ def test_bench_unknown_entry_size(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["bench", "ycsb"])
+@pytest.mark.parametrize("ops", ["0", "-5"])
+def test_nonpositive_ops_is_a_usage_error(command, ops, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--ops", ops])
+    assert exc.value.code == 2
+    assert "--ops: must be a positive integer" in capsys.readouterr().err
+
+
 def test_entry_payloads_fit_declared_lines():
     assert ENTRY_PAYLOAD == {"0.5": 24, "1": 56, "2": 112, "4": 240, "8": 496}
 
@@ -144,6 +153,20 @@ def test_inspect_fresh_log_all_invalid(tmp_path, capsys):
                           "--payload-bytes", "24"], capsys)
     assert code == 0
     assert "entry #" not in out
+
+
+def test_inspect_payload_the_log_cannot_hold(tmp_path, capsys):
+    mem = SimMemory(1024)
+    make_log("cso-vb", mem, 0, 1024, 24)
+    if mem.pending_flushes:
+        mem.sfence()
+    snap = tmp_path / "log.img"
+    mem.snapshot_save(snap)
+    code = main(["inspect", str(snap), "--algo", "cso-vb",
+                 "--payload-bytes", "20"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "multiple of 8 bytes" in err
 
 
 def test_inspect_bad_snapshot(tmp_path, capsys):

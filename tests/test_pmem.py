@@ -12,6 +12,7 @@ from nvlog.pmem import (
     EnumerationLimitError,
     FenceEvent,
     FlushEvent,
+    RELAXED,
     RELEASE,
     SimMemory,
     SnapshotFormatError,
@@ -159,6 +160,108 @@ def random_trace(seed: int) -> SimMemory:
 def test_enumeration_matches_brute_force(seed):
     m = random_trace(seed)
     assert cuts_of(m.enumerate_crash_states()) == brute_force_states(m)
+
+
+def long_trace(seed: int, events: int = 24, m: SimMemory | None = None):
+    """`events` events over 4 lines: stores of up to 16 bytes that may cross
+    a line boundary, and flush+fence rounds that often hit a line again."""
+    rng = random.Random(seed)
+    m = m or SimMemory(256)
+    for _ in range(events):
+        roll = rng.random()
+        if roll < 0.5:
+            n = rng.randint(1, 16)
+            m.store(rng.randrange(256 - n), bytes(rng.randrange(256)
+                                                  for _ in range(n)))
+        elif roll < 0.85:
+            m.clflushopt(rng.randrange(4))
+            if rng.random() < 0.7:
+                m.sfence()
+        else:
+            m.sfence()
+    return m
+
+
+def durable_floors(m: SimMemory) -> dict[int, int]:
+    """Per line, the writes that fenced flushes made durable, replayed from
+    the flush log."""
+    floors, pending = {}, {}
+    for e in m.flush_log:
+        if isinstance(e, FlushEvent):
+            pending[e.line] = max(pending.get(e.line, 0), e.captured)
+        elif e.kind == "sfence":
+            for line, captured in pending.items():
+                floors[line] = max(floors.get(line, 0), captured)
+            pending.clear()
+    return floors
+
+
+class CountingMemory(SimMemory):
+    stores = 0
+
+    def store(self, addr, data, ordering=RELAXED):
+        self.stores += 1
+        super().store(addr, data, ordering)
+
+
+def test_long_traces_cross_lines_and_refence():
+    crossing = refenced = 0
+    for seed in range(30):
+        m = long_trace(seed, m=CountingMemory(256))
+        crossing += len(m.write_log) > m.stores
+        raised = [line for _, line, _ in m._raises]
+        refenced += any(raised.count(line) > 1 for line in raised)
+    assert crossing >= 10 and refenced >= 10
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_long_trace_enumeration_matches_brute_force(seed):
+    m = long_trace(seed)
+    legal = brute_force_states(m)
+    assert cuts_of(m.enumerate_crash_states()) == legal
+    floors = durable_floors(m)
+    assert cuts_of(m.enumerate_crash_states(at_least_durable=True)) == {
+        cuts for cuts in legal
+        if all(c >= floors.get(line, 0) for line, c in cuts)}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_long_trace_samples_legal_and_above_floor(seed):
+    m = long_trace(seed)
+    legal = brute_force_states(m)
+    floors = durable_floors(m)
+    for s in m.sample_crash_states(100, seed=seed):
+        assert s.cuts in legal
+    for s in m.sample_crash_states(100, seed=seed, at_least_durable=True):
+        assert s.cuts in legal
+        assert all(c >= floors.get(line, 0) for line, c in s.cuts)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_queries_across_checkpoints_stay_exact(seed):
+    # views cached by a query must still hold after later fences, and a
+    # checkpoint starts fence numbering again: nothing recorded or cached
+    # before it may constrain the next epoch
+    m = SimMemory(256)
+    for step in range(4):
+        long_trace(seed * 10 + step, events=10, m=m)
+        assert cuts_of(m.enumerate_crash_states()) == brute_force_states(m)
+        m.flush_range(0, 256)
+        m.sfence()
+        assert cuts_of(m.enumerate_crash_states()) == brute_force_states(m)
+        m.checkpoint()
+
+
+def test_requirement_entries_bounded_by_flushes():
+    m = SimMemory(64 * 64)
+    rng = random.Random(0)
+    for i in range(2000):
+        line = rng.randrange(64)
+        m.store(line * 64 + 8 * rng.randrange(8), i.to_bytes(8, "little"))
+        m.clflushopt(line)
+        m.sfence()
+    assert len(m._raises) <= m.stats.clflushopt_count == 2000
+    assert m.stats.fenced_roundtrips == 2000
 
 
 # -------------------------------------------------------------------- sampling
