@@ -12,7 +12,7 @@ from .pmem import (
     UsageError,
     WORD_SIZE,
 )
-from .logalg import ALGORITHMS, CircularLog, RecoveredEntry, make_log
+from .logalg import ALGORITHMS, CircularLog, RecoveredEntry
 from .stps import PersistentHashMap
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "StaleCrashStateError",
     "UsageError",
     "WORD_SIZE",
-    "make_log",
 ]
 
 __version__ = "0.1.0"

@@ -142,10 +142,14 @@ def cmd_crashtest(args) -> int:
         return 2
     if args.exhaustive:
         script.mode = "exhaustive"
-    report = run_crash_suite(script, algo=args.algo,
-                             payload_len=args.payload_bytes,
-                             node_lines=args.node_lines,
-                             registry=EXTRA_ALGORITHMS)
+    try:
+        report = run_crash_suite(script, algo=args.algo,
+                                 payload_len=args.payload_bytes,
+                                 node_lines=args.node_lines,
+                                 registry=EXTRA_ALGORITHMS)
+    except LogError as exc:
+        print(f"cannot run the script on {args.algo}: {exc}", file=sys.stderr)
+        return 2
     if args.csv:
         with open(args.csv, "w") as f:
             f.write(report.to_csv())
@@ -227,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_bench)
 
     y = sub.add_parser("ycsb", help="mixed read/update key-value workload")
-    y.add_argument("--set-size", type=int, default=1000)
-    y.add_argument("--node-lines", type=int, default=1)
+    y.add_argument("--set-size", type=_positive_int, default=1000)
+    y.add_argument("--node-lines", type=_positive_int, default=1)
     common(y, 10000)
     y.set_defaults(func=cmd_ycsb)
 
@@ -237,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--algo", default="cso-vb",
                    choices=sorted(EXTRA_ALGORITHMS))
     c.add_argument("--payload-bytes", type=int, default=24)
-    c.add_argument("--node-lines", type=int, default=1)
+    c.add_argument("--node-lines", type=_positive_int, default=1)
     c.add_argument("--exhaustive", action="store_true",
                    help="force per-operation exhaustive enumeration")
     c.add_argument("--csv", metavar="PATH")

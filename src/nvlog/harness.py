@@ -168,15 +168,15 @@ class _LogTarget:
 
 
 class _StpsTarget:
-    def __init__(self, node_lines: int = 1, slots: int = 32,
-                 nbuckets: int = 64, two_round: bool = False):
+    nbuckets = 64
+
+    def __init__(self, node_lines: int = 1, slots: int = 32):
         self.node_lines = node_lines
-        self.nbuckets = nbuckets
         self.region = slots * node_lines * 64
         self.mem = SimMemory(self.region)
         self.map = PersistentHashMap(self.mem, 0, self.region,
-                                     node_lines=node_lines, nbuckets=nbuckets,
-                                     two_round_commit=two_round)
+                                     node_lines=node_lines,
+                                     nbuckets=self.nbuckets)
         self.model: dict[bytes, bytes] = {}
 
     def run_op(self, op: tuple) -> None:

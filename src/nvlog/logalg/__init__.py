@@ -17,12 +17,3 @@ ALGORITHMS: dict[str, type[CircularLog]] = {
                 Crc32Log, Crc64Log, TwoRoundsLog, AtlasLog)
 }
 
-
-def make_log(name: str, mem, base: int, size: int,
-             payload_len: int) -> CircularLog:
-    try:
-        cls = ALGORITHMS[name]
-    except KeyError:
-        raise LogError(f"unknown algorithm {name!r}; "
-                       f"choose from {sorted(ALGORITHMS)}") from None
-    return cls(mem, base, size, payload_len)

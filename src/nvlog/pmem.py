@@ -15,16 +15,22 @@ Unflushed lines may spontaneously write back any prefix at any time, so no
 eviction events are modeled.  Crash states are enumerated over the whole
 trace, i.e. power may fail at any point up to and including "now".
 
-The second rule is kept as the durable floors plus an undo log.  ``_floors``
-holds each line's floor: the writes that fenced flushes made durable.  A
-round-trip fence gets an index (its position in ``_fence_seqs``) and appends
-``(fence index, line, previous floor)`` to ``_raises`` for each pending line
-whose floor it raises, so a fence costs O(pending lines) and the log holds
-at most one entry per flush.  Crash exploration asks for "the requirements
-of every fence before fence k": ``_reqs_before`` copies the floors and
-undoes the raises of fences k and later, newest first, on first use, and
-caches the view by k until ``checkpoint()``.  Later fences get larger
+The model keeps one record: each line's writes (``_writes``), the durable
+floors and an undo log of floor raises.  Each write is stamped with the number
+of round-trip fences issued before it (``WriteEvent.fence``), which is all the
+second rule needs to know about when it was issued.  ``_floors`` holds each
+line's floor: the writes that fenced flushes made durable.  A round-trip fence
+gets an index (the fence count before it) and appends ``(fence index, line,
+previous floor)`` to ``_raises`` for each pending line whose floor it raises,
+so a fence costs O(pending lines) and the log holds at most one entry per
+flush.  A crash state whose persisted writes carry stamps up to k must honour
+the requirements of every fence before fence k: ``_reqs_before`` copies the
+floors and undoes the raises of fences k and later, newest first, on first
+use, and caches the view by k until ``checkpoint()``.  Later fences get larger
 indices, so a cached view never goes stale.
+
+The ``RELEASE`` store tag does not change which crash states are legal; it
+marks the writes around which ``boundary_crash_states`` cuts.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from __future__ import annotations
 import itertools
 import random
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -64,26 +69,10 @@ class StaleCrashStateError(Exception):
 
 
 class WriteEvent(NamedTuple):
-    seq: int
-    line: int
+    fence: int  # round-trip fences issued before this write, this epoch
     offset_in_line: int
     data: bytes
     ordering: str
-    after_release_fence: int  # seq of most recent release fence, -1 if none
-
-
-@dataclass(frozen=True)
-class FlushEvent:
-    seq: int
-    line: int
-    captured: int  # number of this line's writes covered by the flush
-
-
-@dataclass(frozen=True)
-class FenceEvent:
-    seq: int
-    kind: str  # "sfence" or "release"
-    roundtrip: bool
 
 
 @dataclass
@@ -119,18 +108,14 @@ class SimMemory:
         self.fence_cost_ns = fence_cost_ns
         self.cached = bytearray(capacity)
         self._base = bytearray(capacity)  # image at the start of this epoch
-        self.write_log: list[WriteEvent] = []
-        self.flush_log: list[FlushEvent | FenceEvent] = []
         self.stats = FlushStats()
         self._writes: dict[int, list[WriteEvent]] = {}
         self._floors: dict[int, int] = {}   # per-line durable prefix (fenced flushes)
         self._pending: dict[int, int] = {}  # line -> captured prefix of unfenced flushes
-        self._fence_seqs: list[int] = []    # seq of each round-trip fence
+        self._fences = 0                    # round-trip fences this epoch
         # (fence index, line, floor before it) per floor raise, in fence order
         self._raises: list[tuple[int, int, int]] = []
         self._req_views: dict[int, dict[int, int]] = {}  # k -> _reqs_before(k)
-        self._seq = 0
-        self._last_release_fence = -1
         self._epoch = 0
 
     # ------------------------------------------------------------------ basics
@@ -161,10 +146,7 @@ class SimMemory:
         self.cached[addr:addr + n] = data
         line, off = divmod(addr, self.line_size)
         if off + n <= self.line_size:  # within one line: a single event
-            self._seq += 1
-            ev = WriteEvent(self._seq, line, off, bytes(data), ordering,
-                            self._last_release_fence)
-            self.write_log.append(ev)
+            ev = WriteEvent(self._fences, off, bytes(data), ordering)
             evs = self._writes.get(line)
             if evs is None:
                 self._writes[line] = [ev]
@@ -178,20 +160,13 @@ class SimMemory:
             line = a // self.line_size
             room = (line + 1) * self.line_size - a
             chunk = data[pos:pos + room]
-            self._seq += 1
-            ev = WriteEvent(self._seq, line, a % self.line_size,
-                            bytes(chunk), ordering, self._last_release_fence)
-            self.write_log.append(ev)
-            self._writes.setdefault(line, []).append(ev)
+            self._writes.setdefault(line, []).append(
+                WriteEvent(self._fences, a % self.line_size, bytes(chunk),
+                           ordering))
             pos += len(chunk)
 
     def store_word(self, addr: int, value: int, ordering: str = RELAXED) -> None:
         self.store(addr, (value & (2 ** 64 - 1)).to_bytes(WORD_SIZE, "little"), ordering)
-
-    def release_fence(self) -> None:
-        self._seq += 1
-        self._last_release_fence = self._seq
-        self.flush_log.append(FenceEvent(self._seq, "release", False))
 
     # ----------------------------------------------------------------- flushes
 
@@ -199,8 +174,6 @@ class SimMemory:
         if line < 0 or line >= self.num_lines:
             raise UsageError(f"line {line} out of range")
         captured = len(self._writes.get(line, ()))
-        self._seq += 1
-        self.flush_log.append(FlushEvent(self._seq, line, captured))
         self._pending[line] = max(self._pending.get(line, 0), captured)
         self.stats.clflushopt_count += 1
 
@@ -212,22 +185,19 @@ class SimMemory:
             self.clflushopt(line)
 
     def sfence(self) -> None:
-        self._seq += 1
-        seq = self._seq
         pending = self._pending
-        self.flush_log.append(FenceEvent(seq, "sfence", bool(pending)))
         self.stats.sfence_count += 1
         if pending:
             self.stats.fenced_roundtrips += 1
             self.stats.simulated_time_ns += self.latency_ns + self.fence_cost_ns
-            k = len(self._fence_seqs)
+            k = self._fences
             floors = self._floors
             for line, captured in pending.items():
                 floor = floors.get(line, 0)
                 if captured > floor:
                     floors[line] = captured
                     self._raises.append((k, line, floor))
-            self._fence_seqs.append(seq)
+            self._fences = k + 1
             pending.clear()
 
     @property
@@ -255,19 +225,22 @@ class SimMemory:
             self._req_views[k] = view
         return view
 
-    def _state_valid(self, lines: list[int], cuts: tuple[int, ...]) -> bool:
-        max_seq = -1
+    def _reqs_of(self, lines: list[int], cuts) -> dict[int, int]:
+        """The flush requirements a crash state with these cuts must meet:
+        those of every fence issued before its newest persisted write."""
+        k = 0
+        writes = self._writes
         for line, cut in zip(lines, cuts):
             if cut:
-                s = self._writes[line][cut - 1].seq
-                if s > max_seq:
-                    max_seq = s
-        if max_seq < 0 or not self._fence_seqs:
+                fence = writes[line][cut - 1].fence
+                if fence > k:
+                    k = fence
+        return self._reqs_before(k) if k else {}
+
+    def _state_valid(self, lines: list[int], cuts: tuple[int, ...]) -> bool:
+        req = self._reqs_of(lines, cuts)
+        if not req:
             return True
-        k = bisect_left(self._fence_seqs, max_seq)
-        if k == 0:
-            return True
-        req = self._reqs_before(k)
         by_line = dict(zip(lines, cuts))
         return all(by_line.get(line, 0) >= need for line, need in req.items())
 
@@ -300,18 +273,9 @@ class SimMemory:
     def _fix_up(self, lines: list[int], cuts: list[int]) -> None:
         # Raise cuts until every triggered flush requirement holds.
         while True:
-            max_seq = -1
-            for line, cut in zip(lines, cuts):
-                if cut:
-                    s = self._writes[line][cut - 1].seq
-                    if s > max_seq:
-                        max_seq = s
-            if max_seq < 0 or not self._fence_seqs:
+            req = self._reqs_of(lines, cuts)
+            if not req:
                 return
-            k = bisect_left(self._fence_seqs, max_seq)
-            if k == 0:
-                return
-            req = self._reqs_before(k)
             changed = False
             for i, line in enumerate(lines):
                 need = req.get(line, 0)
@@ -388,14 +352,11 @@ class SimMemory:
             if self._floors.get(line, 0) < len(evs):
                 raise UsageError(f"checkpoint with unfenced writes on line {line}")
         self._base = bytearray(self.cached)
-        self.write_log.clear()
-        self.flush_log.clear()
         self._writes.clear()
         self._floors.clear()
-        self._fence_seqs.clear()
+        self._fences = 0
         self._raises.clear()
         self._req_views.clear()
-        self._last_release_fence = -1
         self._epoch += 1
 
     # -------------------------------------------------------------- snapshots

@@ -199,7 +199,6 @@ class PersistentHashMap:
         if dual > 1 and self.node_lines > 1:
             b = mem.load(bit_addrs[0], 1)[0]
             mem.store(bit_addrs[0], bytes([(b & ~1) | new]))
-        mem.release_fence()
 
         kbyte = len(key) | (_TOMBSTONE if tombstone else 0)
         hdr = bytes([kbyte]) + len(value).to_bytes(2, "little")
@@ -220,7 +219,6 @@ class PersistentHashMap:
         if self.node_lines == 1:
             mem.store_word(addr, new_meta, RELEASE)
         else:
-            mem.release_fence()
             mem.store_word(addr, new_meta)
             for i, a in enumerate(bit_addrs):
                 val = new | (new << 1) if i + 1 < dual else new
@@ -298,21 +296,6 @@ class PersistentHashMap:
         self._link(bucket, slot, replaced)
         if replaced != -1:
             self.allow_reuse(replaced)
-
-    def update_optimized(self, key: bytes, value: bytes) -> None:
-        """Same contract as update, but the entry's flush is issued before the
-        bucket navigation and the fence last, overlapping flush latency with
-        the volatile work."""
-        self._check_kv(key, value)
-        slot = self._alloc()
-        version = self._next_version
-        self._next_version += 1
-        self.append_entry(slot, key, value, version, 1, fence=False)
-        bucket, _, replaced = self._find(key)
-        self._link(bucket, slot, replaced)
-        if replaced != -1:
-            self.allow_reuse(replaced)
-        self.mem.sfence()
 
     def remove(self, key: bytes) -> None:
         bucket, prev, cur = self._find(key)

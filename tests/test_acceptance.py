@@ -186,11 +186,12 @@ def test_flexible_bit_oracle_equivalence():
             new[rng.randrange(64)] ^= 1 << rng.randrange(8)
         new = bytes(new)
         mem.store(0, old)
-        mark = len(mem.write_log)
+        mark = len(mem._writes[0])   # line 0's write events, in issue order
         off, bit = write_cacheline(mem, 0, new)
+        stored = mem._writes[0][mark:]
         diff = int.from_bytes(old, "little") ^ int.from_bytes(new, "little")
         if not diff:
-            if len(mem.write_log) != mark:
+            if stored:
                 overshoots += 1
             continue
         word = (diff.bit_length() - 1) // 64
@@ -200,7 +201,7 @@ def test_flexible_bit_oracle_equivalence():
                     >> (ref % 8)) & 1
         if (off, bit) != (ref, want_bit):
             mismatches += 1
-        if any(e.offset_in_line // 8 > word for e in mem.write_log[mark:]):
+        if any(e.offset_in_line // 8 > word for e in stored):
             overshoots += 1
     _verdict("flexible-bit-oracle", mismatches == 0 and overshoots == 0,
              f"mismatches {mismatches}, overshoots {overshoots}")

@@ -11,7 +11,7 @@ import pytest
 
 import nvlog
 from nvlog.cli import ENTRY_PAYLOAD, main
-from nvlog.logalg import make_log
+from nvlog.logalg import ALGORITHMS
 from nvlog.pmem import SimMemory
 
 WORKLOADS = "src/nvlog/workloads"
@@ -70,6 +70,19 @@ def test_nonpositive_ops_is_a_usage_error(command, ops, capsys):
     assert "--ops: must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ycsb", "--set-size"],
+    ["ycsb", "--node-lines"],
+    ["crashtest", f"{WORKLOADS}/map_smoke.txt", "--node-lines"],
+], ids=["ycsb-set-size", "ycsb-node-lines", "crashtest-node-lines"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_nonpositive_sizes_are_usage_errors(argv, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [value])
+    assert exc.value.code == 2
+    assert f"{argv[-1]}: must be a positive integer" in capsys.readouterr().err
+
+
 def test_entry_payloads_fit_declared_lines():
     assert ENTRY_PAYLOAD == {"0.5": 24, "1": 56, "2": 112, "4": 240, "8": 496}
 
@@ -113,6 +126,15 @@ def test_crashtest_empty_script_exits_zero(tmp_path, capsys):
     assert code == 0
 
 
+def test_crashtest_payload_the_log_cannot_hold(capsys):
+    # a usage error (2), not a traceback, whose exit code 1 means violations
+    code = main(["crashtest", f"{WORKLOADS}/three_appends.txt",
+                 "--algo", "cso-vb", "--payload-bytes", "20"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "multiple of 8 bytes" in err
+
+
 def test_crashtest_parse_error_exits_two(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("frobnicate\n")
@@ -129,7 +151,7 @@ def test_crashtest_missing_file_exits_two(capsys):
 
 def test_inspect_matches_recover(tmp_path, capsys):
     mem = SimMemory(1024)
-    log = make_log("cso-vb", mem, 0, 1024, 24)
+    log = ALGORITHMS["cso-vb"](mem, 0, 1024, 24)
     log.append(b"A" * 24)
     log.append(b"B" * 24)
     if mem.pending_flushes:
@@ -144,7 +166,7 @@ def test_inspect_matches_recover(tmp_path, capsys):
 
 def test_inspect_fresh_log_all_invalid(tmp_path, capsys):
     mem = SimMemory(512)
-    make_log("tornbit", mem, 0, 512, 24)
+    ALGORITHMS["tornbit"](mem, 0, 512, 24)
     if mem.pending_flushes:
         mem.sfence()
     snap = tmp_path / "fresh.img"
@@ -157,7 +179,7 @@ def test_inspect_fresh_log_all_invalid(tmp_path, capsys):
 
 def test_inspect_payload_the_log_cannot_hold(tmp_path, capsys):
     mem = SimMemory(1024)
-    make_log("cso-vb", mem, 0, 1024, 24)
+    ALGORITHMS["cso-vb"](mem, 0, 1024, 24)
     if mem.pending_flushes:
         mem.sfence()
     snap = tmp_path / "log.img"

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import RecordingMemory
 from nvlog.logalg import ALGORITHMS
 from nvlog.logalg.base import HEADER_BYTES
 from nvlog.logalg.fvb import (check_cacheline, entry_lines, pack_meta,
@@ -26,13 +27,13 @@ def reference_offset(old: bytes, new: bytes):
 
 
 def run_pair(old: bytes, new: bytes):
-    mem = SimMemory(64)
+    mem = RecordingMemory(64)
     mem.store(0, old)
     mem.flush_range(0, 64)
     mem.sfence()
-    mark = len(mem.write_log)
+    mark = len(mem.trace)
     off, bit = write_cacheline(mem, 0, new)
-    return mem, mem.write_log[mark:], off, bit
+    return mem, mem.stores_since(mark), off, bit
 
 
 def test_single_changed_bit_low_word():

@@ -4,7 +4,7 @@ and polarity, trim, durability, and crash behavior of each validity scheme."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nvlog.logalg import ALGORITHMS, make_log
+from nvlog.logalg import ALGORITHMS
 from nvlog.logalg.base import (HEADER_BYTES, LogFullError, PayloadError,
                                TrimError, UnrecoverableLogError)
 from nvlog.logalg import csovb, tornbit

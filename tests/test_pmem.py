@@ -1,6 +1,6 @@
 """Persistence model tests: event splitting, crash-state enumeration against
-an independent brute-force oracle, sampling, crash application, statistics,
-and the snapshot format."""
+an independent brute-force oracle, sampling, boundary states, crash
+application, statistics, and the snapshot format."""
 
 import itertools
 import random
@@ -8,11 +8,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import Fence, Flush, RecordingMemory, Store
 from nvlog.pmem import (
     EnumerationLimitError,
-    FenceEvent,
-    FlushEvent,
-    RELAXED,
     RELEASE,
     SimMemory,
     SnapshotFormatError,
@@ -30,7 +28,8 @@ def cuts_of(states):
 def test_store_splits_at_line_boundaries():
     m = SimMemory(256)
     m.store(60, b"abcdefgh")
-    lines = [(e.line, e.offset_in_line, e.data) for e in m.write_log]
+    lines = [(line, e.offset_in_line, e.data)
+             for line, evs in sorted(m._writes.items()) for e in evs]
     assert lines == [(0, 60, b"abcd"), (1, 0, b"efgh")]
     assert m.load(60, 8) == b"abcdefgh"
 
@@ -109,19 +108,21 @@ def test_enumeration_limit():
 
 # --------------------------------------------------- brute-force oracle check
 
-def brute_force_states(m: SimMemory):
-    """Directly apply the two persist rules over all cut tuples."""
-    lines = sorted({e.line for e in m.write_log})
-    per_line = {ln: [e for e in m.write_log if e.line == ln] for ln in lines}
-    flushes = [e for e in m.flush_log if isinstance(e, FlushEvent)]
-    fences = [e for e in m.flush_log
-              if isinstance(e, FenceEvent) and e.kind == "sfence"]
+def brute_force_states(m: RecordingMemory):
+    """Directly apply the two persist rules over all cut tuples, from the
+    recorded trace; an event's sequence number is its trace position."""
+    trace = list(enumerate(m.trace))
+    lines = sorted({e.line for _, e in trace if isinstance(e, Store)})
+    per_line = {ln: [seq for seq, e in trace
+                     if isinstance(e, Store) and e.line == ln] for ln in lines}
+    flushes = [(seq, e) for seq, e in trace if isinstance(e, Flush)]
+    fences = [seq for seq, e in trace if isinstance(e, Fence)]
     legal = set()
     for cuts in itertools.product(*(range(len(per_line[l]) + 1) for l in lines)):
         persisted = []
         for ln, c in zip(lines, cuts):
             persisted.extend(per_line[ln][:c])
-        maxseq = max((e.seq for e in persisted), default=-1)
+        maxseq = max(persisted, default=-1)
         ok = True
         for ln, evs in per_line.items():
             c = cuts[lines.index(ln)]
@@ -130,8 +131,8 @@ def brute_force_states(m: SimMemory):
                     continue  # already persisted
                 required = any(
                     f.line == ln and f.captured >= pos + 1 and
-                    any(n.seq > f.seq and maxseq > n.seq for n in fences)
-                    for f in flushes)
+                    any(n > fseq and maxseq > n for n in fences)
+                    for fseq, f in flushes)
                 if required:
                     ok = False
         if ok:
@@ -139,9 +140,9 @@ def brute_force_states(m: SimMemory):
     return legal
 
 
-def random_trace(seed: int) -> SimMemory:
+def random_trace(seed: int) -> RecordingMemory:
     rng = random.Random(seed)
-    m = SimMemory(256)
+    m = RecordingMemory(256)
     dirty = set()
     for _ in range(rng.randint(1, 10)):
         roll = rng.random()
@@ -162,11 +163,12 @@ def test_enumeration_matches_brute_force(seed):
     assert cuts_of(m.enumerate_crash_states()) == brute_force_states(m)
 
 
-def long_trace(seed: int, events: int = 24, m: SimMemory | None = None):
+def long_trace(seed: int, events: int = 24,
+               m: RecordingMemory | None = None):
     """`events` events over 4 lines: stores of up to 16 bytes that may cross
     a line boundary, and flush+fence rounds that often hit a line again."""
     rng = random.Random(seed)
-    m = m or SimMemory(256)
+    m = m or RecordingMemory(256)
     for _ in range(events):
         roll = rng.random()
         if roll < 0.5:
@@ -182,33 +184,25 @@ def long_trace(seed: int, events: int = 24, m: SimMemory | None = None):
     return m
 
 
-def durable_floors(m: SimMemory) -> dict[int, int]:
+def durable_floors(m: RecordingMemory) -> dict[int, int]:
     """Per line, the writes that fenced flushes made durable, replayed from
-    the flush log."""
+    the recorded trace."""
     floors, pending = {}, {}
-    for e in m.flush_log:
-        if isinstance(e, FlushEvent):
+    for e in m.trace:
+        if isinstance(e, Flush):
             pending[e.line] = max(pending.get(e.line, 0), e.captured)
-        elif e.kind == "sfence":
+        elif isinstance(e, Fence):
             for line, captured in pending.items():
                 floors[line] = max(floors.get(line, 0), captured)
             pending.clear()
     return floors
 
 
-class CountingMemory(SimMemory):
-    stores = 0
-
-    def store(self, addr, data, ordering=RELAXED):
-        self.stores += 1
-        super().store(addr, data, ordering)
-
-
 def test_long_traces_cross_lines_and_refence():
     crossing = refenced = 0
     for seed in range(30):
-        m = long_trace(seed, m=CountingMemory(256))
-        crossing += len(m.write_log) > m.stores
+        m = long_trace(seed)
+        crossing += len(m.stores_since(0)) > m.stores
         raised = [line for _, line, _ in m._raises]
         refenced += any(raised.count(line) > 1 for line in raised)
     assert crossing >= 10 and refenced >= 10
@@ -242,7 +236,7 @@ def test_queries_across_checkpoints_stay_exact(seed):
     # views cached by a query must still hold after later fences, and a
     # checkpoint starts fence numbering again: nothing recorded or cached
     # before it may constrain the next epoch
-    m = SimMemory(256)
+    m = RecordingMemory(256)
     for step in range(4):
         long_trace(seed * 10 + step, events=10, m=m)
         assert cuts_of(m.enumerate_crash_states()) == brute_force_states(m)
@@ -297,6 +291,64 @@ def test_at_least_durable_respects_floor():
     m.store(0, b"2" * 8)
     for s in m.enumerate_crash_states(at_least_durable=True):
         assert s.cut(0) >= 1
+
+
+# ------------------------------------------------------------ boundary states
+
+def release_trace() -> SimMemory:
+    """RELEASE stores on lines 0 and 1, with a flush+fence of line 0 between
+    them; line 0 is written once more after the fence."""
+    m = SimMemory(256)
+    m.store(0, b"a" * 8)
+    m.store(8, b"b" * 8, RELEASE)     # line 0, write 1
+    m.clflushopt(0)
+    m.sfence()
+    m.store(64, b"c" * 8)
+    m.store(72, b"d" * 8, RELEASE)    # line 1, write 1
+    m.store(16, b"e" * 8)
+    return m
+
+
+def test_boundary_states_are_legal_cuts_at_release_stores():
+    m = release_trace()
+    states = m.boundary_crash_states()
+    assert {s.cuts for s in states} <= cuts_of(m.enumerate_crash_states())
+    full = {0: 3, 1: 2}
+    floor = {0: 2}    # line 0's writes made durable by the fence
+    # two states per RELEASE store, in (line, write) order
+    assert len(states) == 4
+    for state, (line, idx) in zip(states, [(0, 1), (0, 1), (1, 1), (1, 1)]):
+        cuts = dict(state.cuts)
+        assert all(cuts[other] == full[other] for other in full
+                   if other != line)
+        assert cuts[line] in (idx, idx + 1) or cuts[line] == floor[line]
+    # cutting line 0 before its write 1 would persist line 1's writes, issued
+    # after the fence, without line 0's fenced ones: fix-up raises the cut
+    assert [s.cuts for s in states] == [
+        ((0, 2), (1, 2)), ((0, 2), (1, 2)), ((0, 3), (1, 1)), ((0, 3), (1, 2))]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_boundary_states_of_random_traces_are_legal(seed):
+    rng = random.Random(seed)
+    m = long_trace(seed)
+    for line in range(4):
+        m.store(line * 64 + 56, b"r" * 8, RELEASE)
+        if rng.random() < 0.5:
+            m.clflushopt(line)
+            m.sfence()
+    states = m.boundary_crash_states()
+    assert len(states) == 8
+    assert {s.cuts for s in states} <= brute_force_states(m)
+
+
+def test_no_release_store_no_boundary_states():
+    m = SimMemory(256)
+    m.store(0, b"a" * 8)
+    m.clflushopt(0)
+    m.sfence()
+    m.store(64, b"b" * 72)
+    assert m.boundary_crash_states() == []
 
 
 # ------------------------------------------------------------- crash applying

@@ -1,8 +1,9 @@
 """Persistent hash map tests: append protocol, reuse FIFO, transactions,
-recovery replay, and the interleaved-flush update variant."""
+and recovery replay."""
 
 import pytest
 
+from conftest import RecordingMemory
 from nvlog.pmem import SimMemory
 from nvlog.stps import (CapacityError, InvariantError, PersistentHashMap,
                         StpsError, pack_meta)
@@ -41,12 +42,14 @@ def test_update_get_remove():
 
 
 def test_get_touches_no_memory():
-    mem, m = fresh()
+    region = 32 * 64
+    mem = RecordingMemory(region)
+    m = PersistentHashMap(mem, 0, region, nbuckets=16)
     m.update(b"k", b"v")
-    before = len(mem.write_log)
+    before = len(mem.trace)
     m.get(b"k")
     m.get(b"missing")
-    assert len(mem.write_log) == before
+    assert len(mem.trace) == before
 
 
 def test_overwrite_enqueues_old_slot():
@@ -229,26 +232,3 @@ def test_txn_defers_reuse_until_commit():
     m._alloc = original
     assert old_slot not in reused_during
     assert old_slot in m._reuse
-
-
-# ------------------------------------------------- optimized update variant
-
-def test_update_optimized_equivalent():
-    mem_a, a = fresh()
-    mem_b, b = fresh()
-    ops = [(b"x", b"1"), (b"y", b"2"), (b"x", b"3"), (b"z", b"4")]
-    for k, v in ops:
-        a.update(k, v)
-        b.update_optimized(k, v)
-    assert a.items() == b.items()
-    assert recovered_copy(mem_a, a).items() == recovered_copy(mem_b, b).items()
-
-
-def test_update_optimized_same_flush_count():
-    mem_a, a = fresh()
-    mem_b, b = fresh()
-    for k, v in [(b"x", b"1"), (b"y", b"2"), (b"x", b"3")]:
-        a.update(k, v)
-        b.update_optimized(k, v)
-    assert mem_a.stats.clflushopt_count == mem_b.stats.clflushopt_count
-    assert mem_a.stats.fenced_roundtrips == mem_b.stats.fenced_roundtrips
