@@ -20,7 +20,7 @@ from .harness import (EXTRA_ALGORITHMS, ScriptError, parse_script,
 from .logalg import ALGORITHMS
 from .logalg.base import LogError, UnrecoverableLogError
 from .pmem import SimMemory, SnapshotFormatError
-from .stps import PersistentHashMap
+from .stps import PersistentHashMap, StpsError
 
 # payload bytes that fit an entry of the given size in cache lines,
 # after each algorithm family's metadata word(s)
@@ -142,14 +142,18 @@ def cmd_crashtest(args) -> int:
         return 2
     if args.exhaustive:
         script.mode = "exhaustive"
+    target = args.algo if script.kind == "log" else "stps"
     try:
         report = run_crash_suite(script, algo=args.algo,
                                  payload_len=args.payload_bytes,
                                  node_lines=args.node_lines,
                                  registry=EXTRA_ALGORITHMS)
-    except LogError as exc:
-        print(f"cannot run the script on {args.algo}: {exc}", file=sys.stderr)
+    except (LogError, StpsError) as exc:
+        print(f"cannot run the script on {target}: {exc}", file=sys.stderr)
         return 2
+    except ScriptError as exc:   # a `G` read disagreed with the model
+        print(f"{target}: {exc}")
+        return 1
     if args.csv:
         with open(args.csv, "w") as f:
             f.write(report.to_csv())

@@ -27,6 +27,9 @@ class ScriptError(Exception):
     pass
 
 
+MAP_OPS = ("U", "R", "T", "G")
+
+
 # --------------------------------------------------------------------- scripts
 
 @dataclass
@@ -38,8 +41,7 @@ class Script:
 
     @property
     def kind(self) -> str:
-        return "stps" if any(op[0] in ("U", "R", "T", "G") for op in self.ops) \
-            else "log"
+        return "stps" if any(op[0] in MAP_OPS for op in self.ops) else "log"
 
 
 def parse_script(text: str) -> Script:
@@ -53,6 +55,8 @@ def parse_script(text: str) -> Script:
         R key                    (map remove)
         T k1 v1 k2 v2 ...        (map transaction)
         G key                    (map read, checked against the model)
+
+    A script holds log operations or map operations, not both.
     """
     script = Script()
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -88,6 +92,10 @@ def parse_script(text: str) -> Script:
                 raise ScriptError(f"unknown op {tok[0]!r}")
         except (IndexError, ValueError) as exc:
             raise ScriptError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
+        ops = script.ops
+        if ops and (ops[-1][0] in MAP_OPS) != (ops[0][0] in MAP_OPS):
+            raise ScriptError(f"line {lineno}: {raw.strip()!r}: "
+                              "log and map operations in one script")
     return script
 
 
@@ -289,10 +297,15 @@ class RoundTripAudit:
 def run_appends(log: CircularLog, payload: bytes, ops: int, drain: int) -> int:
     """Append `payload` `ops` times, trimming the whole log after every
     `drain` appends; returns the fenced round trips the appends took (trims
-    not counted)."""
-    stats = log.mem.stats
+    not counted).  Nothing reads the crash history of these appends, so the
+    memory is checkpointed at the first quiescent point after each trim:
+    the trim itself, or the next append's fence when the trim leaves
+    flushes pending.  That bounds the history the memory retains."""
+    mem = log.mem
+    stats = mem.stats
     roundtrips = 0
     handles = []
+    trimmed = False
     for _ in range(ops):
         before = stats.fenced_roundtrips
         handles.append(log.append(payload))
@@ -300,6 +313,10 @@ def run_appends(log: CircularLog, payload: bytes, ops: int, drain: int) -> int:
         if len(handles) >= drain:
             log.trim(handles[-1])
             handles.clear()
+            trimmed = True
+        if trimmed and not mem.pending_flushes:
+            mem.checkpoint()
+            trimmed = False
     return roundtrips
 
 

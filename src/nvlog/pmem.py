@@ -29,6 +29,17 @@ floors and undoes the raises of fences k and later, newest first, on first
 use, and caches the view by k until ``checkpoint()``.  Later fences get larger
 indices, so a cached view never goes stale.
 
+A crash image starts from a copy of ``cached``, which always equals
+``_base`` (the image at the start of the epoch) with every logged write
+applied, so only the torn lines, those cut below their write count, cost
+work: cut 0 pastes the ``_base`` slice, and any other cut pastes the line
+replayed from ``_base`` through its first ``cut`` writes.  ``apply_crash``
+memoises those replays in ``_torn`` by (line, cut).  Within an epoch a
+line's writes are only appended to, so a memoised image never goes stale;
+``checkpoint()`` clears the memo with the rest of the history.  Fully
+persisted lines are never memoised, and ``persisted_image()`` (the durable
+floors as the cuts) builds with a throwaway memo.
+
 The ``RELEASE`` store tag does not change which crash states are legal; it
 marks the writes around which ``boundary_crash_states`` cuts.
 """
@@ -97,17 +108,34 @@ class CrashState:
         return 0
 
 
+def _check_geometry(capacity: int, line_size: int) -> None:
+    if capacity <= 0 or capacity % line_size != 0:
+        raise UsageError(f"capacity {capacity} not a multiple of line size {line_size}")
+
+
 class SimMemory:
     def __init__(self, capacity: int, line_size: int = LINE_SIZE,
                  latency_ns: int = 0, fence_cost_ns: int = 0):
-        if capacity <= 0 or capacity % line_size != 0:
-            raise UsageError(f"capacity {capacity} not a multiple of line size {line_size}")
-        self.capacity = capacity
+        _check_geometry(capacity, line_size)
+        self._start(bytearray(capacity), line_size, latency_ns, fence_cost_ns)
+
+    @classmethod
+    def _from_image(cls, image: bytearray, line_size: int,
+                    latency_ns: int = 0, fence_cost_ns: int = 0) -> "SimMemory":
+        """A memory with no history whose cached image is `image` (taken,
+        not copied) and whose durable image is a copy of it."""
+        mem = cls.__new__(cls)
+        mem._start(image, line_size, latency_ns, fence_cost_ns)
+        return mem
+
+    def _start(self, image: bytearray, line_size: int, latency_ns: int,
+               fence_cost_ns: int) -> None:
+        self.capacity = len(image)
         self.line_size = line_size
         self.latency_ns = latency_ns
         self.fence_cost_ns = fence_cost_ns
-        self.cached = bytearray(capacity)
-        self._base = bytearray(capacity)  # image at the start of this epoch
+        self.cached = image
+        self._base = bytes(image)  # image at the start of this epoch
         self.stats = FlushStats()
         self._writes: dict[int, list[WriteEvent]] = {}
         self._floors: dict[int, int] = {}   # per-line durable prefix (fenced flushes)
@@ -116,6 +144,7 @@ class SimMemory:
         # (fence index, line, floor before it) per floor raise, in fence order
         self._raises: list[tuple[int, int, int]] = []
         self._req_views: dict[int, dict[int, int]] = {}  # k -> _reqs_before(k)
+        self._torn: dict[tuple[int, int], bytes] = {}    # (line, cut) -> image
         self._epoch = 0
 
     # ------------------------------------------------------------------ basics
@@ -321,27 +350,44 @@ class SimMemory:
                     states.append(CrashState(tuple(zip(lines, cuts)), self._epoch))
         return states
 
+    def _crash_image(self, cuts, memo: dict) -> bytearray:
+        """`cached` with each written line cut back to the prefix `cuts`
+        gives it, as (line, cut) pairs; a written line they leave out counts
+        as cut 0.  Torn lines' images come from `memo`, keyed (line, cut)."""
+        cut_of = dict(cuts)
+        writes = self._writes
+        base = self._base
+        size = self.line_size
+        image = bytearray(self.cached)
+        for line, evs in writes.items():
+            cut = cut_of.get(line, 0)
+            if cut < len(evs):
+                lo = line * size
+                if cut:
+                    torn = memo.get((line, cut))
+                    if torn is None:
+                        torn = memo[line, cut] = self._line_image(line, cut)
+                    image[lo:lo + size] = torn
+                else:
+                    image[lo:lo + size] = base[lo:lo + size]
+            elif cut > len(evs):
+                raise StaleCrashStateError(f"cut {cut} beyond line {line} history")
+        if not cut_of.keys() <= writes.keys():
+            for line in cut_of.keys() - writes.keys():
+                if cut_of[line]:
+                    raise StaleCrashStateError(
+                        f"cut {cut_of[line]} beyond line {line} history")
+        return image
+
     def apply_crash(self, state: CrashState) -> "SimMemory":
         if state.epoch != self._epoch:
             raise StaleCrashStateError("crash state from a different history")
-        image = bytearray(self._base)
-        for line, cut in state.cuts:
-            if cut > len(self._writes.get(line, ())):
-                raise StaleCrashStateError(f"cut {cut} beyond line {line} history")
-            lo = line * self.line_size
-            image[lo:lo + self.line_size] = self._line_image(line, cut)
-        fresh = SimMemory(self.capacity, self.line_size,
-                          self.latency_ns, self.fence_cost_ns)
-        fresh.cached = bytearray(image)
-        fresh._base = bytearray(image)
-        return fresh
+        return SimMemory._from_image(self._crash_image(state.cuts, self._torn),
+                                     self.line_size, self.latency_ns,
+                                     self.fence_cost_ns)
 
     def persisted_image(self) -> bytes:
-        image = bytearray(self._base)
-        for line, floor in self._floors.items():
-            lo = line * self.line_size
-            image[lo:lo + self.line_size] = self._line_image(line, floor)
-        return bytes(image)
+        return bytes(self._crash_image(self._floors.items(), {}))
 
     def checkpoint(self) -> None:
         """Collapse history: everything written so far must already be durable.
@@ -351,12 +397,13 @@ class SimMemory:
         for line, evs in self._writes.items():
             if self._floors.get(line, 0) < len(evs):
                 raise UsageError(f"checkpoint with unfenced writes on line {line}")
-        self._base = bytearray(self.cached)
+        self._base = bytes(self.cached)
         self._writes.clear()
         self._floors.clear()
         self._fences = 0
         self._raises.clear()
         self._req_views.clear()
+        self._torn.clear()
         self._epoch += 1
 
     # -------------------------------------------------------------- snapshots
@@ -384,7 +431,5 @@ class SimMemory:
         if len(body) != capacity:
             raise SnapshotFormatError(
                 f"expected {capacity} image bytes, found {len(body)}")
-        mem = cls(capacity, line_size)
-        mem.cached = bytearray(body)
-        mem._base = bytearray(body)
-        return mem
+        _check_geometry(capacity, line_size)
+        return cls._from_image(bytearray(body), line_size)

@@ -135,6 +135,42 @@ def test_crashtest_payload_the_log_cannot_hold(capsys):
     assert "multiple of 8 bytes" in err
 
 
+@pytest.mark.parametrize("text", ["U a b\nappend 00112233\n",
+                                  "append 00112233\nG a\n"])
+def test_crashtest_mixed_script_is_a_usage_error(text, tmp_path, capsys):
+    p = tmp_path / "mixed.txt"
+    p.write_text(text)
+    code = main(["crashtest", str(p)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "log and map operations in one script" in err
+
+
+def test_crashtest_read_mismatch_is_one_line(monkeypatch, capsys):
+    # a `G` that disagrees with the model is a failure of the map (1), not
+    # a traceback
+    from nvlog.stps import PersistentHashMap
+    monkeypatch.setattr(PersistentHashMap, "get", lambda self, key: b"wrong")
+    code = main(["crashtest", f"{WORKLOADS}/map_smoke.txt"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert out.splitlines() == [out.strip()]
+    assert out.startswith("stps: read of ") and "got b'wrong'" in out
+
+
+@pytest.mark.parametrize("text, why", [
+    ("".join(f"U k{i} v\n" for i in range(40)), "region exhausted"),
+    (f"U {'k' * 80} v\n", "key length 80"),
+], ids=["full-map", "long-key"])
+def test_crashtest_map_the_script_overflows(text, why, tmp_path, capsys):
+    p = tmp_path / "map.txt"
+    p.write_text(text)
+    code = main(["crashtest", str(p)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("cannot run the script on stps: ") and why in err
+
+
 def test_crashtest_parse_error_exits_two(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("frobnicate\n")

@@ -7,8 +7,9 @@ from nvlog.crc import crc32c
 from nvlog.harness import (BrokenVbLog, EXTRA_ALGORITHMS, Script, ScriptError,
                            audit_roundtrips, checksum_vulnerability_demo,
                            crc32_collision_word, differential_recovery,
-                           parse_script, run_crash_suite)
+                           parse_script, run_appends, run_crash_suite)
 from nvlog.logalg import ALGORITHMS
+from nvlog.stps import PersistentHashMap
 
 THREE_APPENDS = """
 seed 1
@@ -49,6 +50,19 @@ def test_parse_errors():
         parse_script("T odd")
     with pytest.raises(ScriptError):
         parse_script("crash sideways")
+
+
+@pytest.mark.parametrize("text", ["U a b\nappend 00112233",
+                                  "append 00112233\ntrim\nG a"])
+def test_parse_rejects_mixed_log_and_map_ops(text):
+    with pytest.raises(ScriptError, match="log and map operations"):
+        parse_script(text)
+
+
+def test_read_mismatch_raises_script_error(monkeypatch):
+    monkeypatch.setattr(PersistentHashMap, "get", lambda self, key: b"wrong")
+    with pytest.raises(ScriptError, match="got b'wrong'"):
+        run_crash_suite(MAP_SCRIPT)
 
 
 def test_empty_script_is_legal():
@@ -120,6 +134,18 @@ def test_audit_cso_random_background_init():
 
 
 # ---------------------------------------------------------------- differential
+
+def retained_writes(algo: str, ops: int) -> int:
+    log = ALGORITHMS[algo].fresh(24, 16)
+    run_appends(log, bytes(range(24)), ops, 8)
+    return sum(len(evs) for evs in log.mem._writes.values())
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_run_appends_history_does_not_grow(algo):
+    # checkpoints after the trims bound the write events the memory keeps
+    assert retained_writes(algo, 512) <= retained_writes(algo, 64)
+
 
 def test_differential_recovery_agrees():
     assert differential_recovery("cso-vb", "crc64", THREE_APPENDS)

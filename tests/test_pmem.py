@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import Fence, Flush, RecordingMemory, Store
 from nvlog.pmem import (
+    CrashState,
     EnumerationLimitError,
     RELEASE,
     SimMemory,
@@ -198,6 +199,26 @@ def durable_floors(m: RecordingMemory) -> dict[int, int]:
     return floors
 
 
+def replay(m: RecordingMemory, base: bytes, cuts) -> bytes:
+    """The image a crash state persists, replayed from the recorded trace
+    over `base`: each line's first `cut` store pieces, in issue order."""
+    want = dict(cuts)
+    image = bytearray(base)
+    seen: dict[int, int] = {}
+    for e in m.trace:
+        if isinstance(e, Store):
+            i = seen.get(e.line, 0)
+            seen[e.line] = i + 1
+            if i < want.get(e.line, 0):
+                lo = e.line * m.line_size + e.offset_in_line
+                image[lo:lo + len(e.data)] = e.data
+    return bytes(image)
+
+
+def crashed_image(m: SimMemory, state: CrashState) -> bytes:
+    return m.apply_crash(state).load(0, m.capacity)
+
+
 def test_long_traces_cross_lines_and_refence():
     crossing = refenced = 0
     for seed in range(30):
@@ -235,11 +256,16 @@ def test_long_trace_samples_legal_and_above_floor(seed):
 def test_queries_across_checkpoints_stay_exact(seed):
     # views cached by a query must still hold after later fences, and a
     # checkpoint starts fence numbering again: nothing recorded or cached
-    # before it may constrain the next epoch
+    # before it may constrain the next epoch, and a torn line image
+    # memoised by (line, cut) names other bytes after it
     m = RecordingMemory(256)
     for step in range(4):
+        base = m.load(0, m.capacity)
         long_trace(seed * 10 + step, events=10, m=m)
-        assert cuts_of(m.enumerate_crash_states()) == brute_force_states(m)
+        states = m.enumerate_crash_states()
+        assert cuts_of(states) == brute_force_states(m)
+        for state in states:
+            assert crashed_image(m, state) == replay(m, base, state.cuts)
         m.flush_range(0, 256)
         m.sfence()
         assert cuts_of(m.enumerate_crash_states()) == brute_force_states(m)
@@ -374,6 +400,66 @@ def test_apply_crash_partial_matches_manual_replay():
         assert m.apply_crash(s).load(0, 64) == bytes(manual)
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_apply_crash_matches_replay(seed):
+    m = long_trace(seed)
+    base = bytes(m.capacity)
+    states = m.enumerate_crash_states()
+    states += m.sample_crash_states(50, seed=seed)
+    kinds = set()
+    for state in states:
+        assert crashed_image(m, state) == replay(m, base, state.cuts)
+        for line, cut in state.cuts:
+            kinds.add("zero" if cut == 0 else
+                     "full" if cut == len(m._writes[line]) else "torn")
+        # a written line the state leaves out persists nothing
+        for i in range(len(state.cuts)):
+            short = CrashState(state.cuts[:i] + state.cuts[i + 1:], state.epoch)
+            assert crashed_image(m, short) == replay(m, base, short.cuts)
+    assert kinds == {"zero", "full", "torn"}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_persisted_image_matches_replayed_floors(seed):
+    m = long_trace(seed)
+    want = replay(m, bytes(m.capacity), durable_floors(m).items())
+    assert m.persisted_image() == want
+    assert m._torn == {}
+
+
+def test_torn_line_memo_cleared_by_checkpoint():
+    m = SimMemory(64)
+    m.store(0, b"a" * 8)
+    m.store(8, b"b" * 8)
+    first = CrashState(((0, 1),), 0)
+    assert crashed_image(m, first)[:16] == b"a" * 8 + bytes(8)
+    m.clflushopt(0)
+    m.sfence()
+    m.checkpoint()
+    assert m._torn == {}
+    m.store(0, b"c" * 8)
+    m.store(8, b"d" * 8)
+    again = CrashState(((0, 1),), 1)
+    assert crashed_image(m, again)[:16] == b"c" * 8 + b"b" * 8
+
+
+def test_full_cuts_memoise_nothing():
+    m = long_trace(3)
+    full = CrashState(tuple((line, len(evs))
+                            for line, evs in sorted(m._writes.items())))
+    assert crashed_image(m, full) == m.load(0, m.capacity)
+    assert m._torn == {}
+
+
+def test_cut_beyond_history_rejected():
+    m = SimMemory(128)
+    m.store(0, b"x" * 8)
+    with pytest.raises(StaleCrashStateError):
+        m.apply_crash(CrashState(((0, 2),)))
+    with pytest.raises(StaleCrashStateError):
+        m.apply_crash(CrashState(((1, 1),)))
+
+
 def test_stale_crash_state_rejected():
     m = SimMemory(64)
     m.store(0, b"x" * 8)
@@ -442,6 +528,15 @@ def test_snapshot_truncated_rejected(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-10])
     with pytest.raises(SnapshotFormatError):
+        SimMemory.snapshot_load(path)
+
+
+def test_snapshot_geometry_checked(tmp_path):
+    path = tmp_path / "img.pcso"
+    path.write_bytes(b"PCSO" + (1).to_bytes(4, "little")
+                     + (64).to_bytes(4, "little")
+                     + (100).to_bytes(8, "little") + bytes(100))
+    with pytest.raises(UsageError):
         SimMemory.snapshot_load(path)
 
 
