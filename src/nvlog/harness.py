@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import csv
 import io
+import random
 from dataclasses import dataclass, field
 
 from .crc import crc32c
 from .logalg import ALGORITHMS
-from .logalg.base import CircularLog, UnrecoverableLogError, words_of
+from .logalg.base import (CircularLog, TrimError, UnrecoverableLogError,
+                          words_of)
 from .logalg.csovb import CsoVbLog
 from .pmem import SimMemory, WORD_SIZE
 from .stps import PersistentHashMap
@@ -75,7 +77,10 @@ def parse_script(text: str) -> Script:
             elif tok[0] in ("append", "A"):
                 script.ops.append(("append", bytes.fromhex(tok[1])))
             elif tok[0] == "trim":
-                script.ops.append(("trim", int(tok[1]) if len(tok) > 1 else 0))
+                n = int(tok[1]) if len(tok) > 1 else 0
+                if n < 0:
+                    raise ValueError(f"negative trim count {n}")
+                script.ops.append(("trim", n))
             elif tok[0] == "U":
                 script.ops.append(("U", tok[1].encode(), tok[2].encode()))
             elif tok[0] == "R":
@@ -157,6 +162,8 @@ class _LogTarget:
             self.live.append(op[1])
         elif op[0] == "trim":
             n = op[1] or len(self.live)
+            if n > len(self.live):
+                raise TrimError(f"trim {n}: only {len(self.live)} live entries")
             if n:
                 self.log.trim(self.handles[n - 1])
                 del self.handles[:n], self.live[:n]
@@ -221,13 +228,13 @@ def _freeze(state):
     return tuple(sorted(state.items())) if isinstance(state, dict) else state
 
 
-def _check_states(target, states, legal, op_index, report, cache):
+def _check_states(target, states, legal, op_index, report):
     legal_frozen = {_freeze(s) for s in legal}
+    seen = set()
     for st in states:
-        key = st.cuts
-        if key in cache:
+        if st.cuts in seen:
             continue
-        cache[key] = True
+        seen.add(st.cuts)
         report.distinct_states += 1
         recovered = target.recovered_state(target.mem.apply_crash(st))
         if _freeze(recovered) not in legal_frozen:
@@ -238,8 +245,7 @@ def _check_states(target, states, legal, op_index, report, cache):
 
 def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
                     payload_len: int = 24, node_lines: int = 1,
-                    slots: int = 16, state_limit: int = 1 << 20,
-                    registry: dict | None = None) -> Report:
+                    slots: int = 16, registry: dict | None = None) -> Report:
     """Replay a script and verify every injected crash recovers to a state
     the operation history allows (a prefix point of the run, and for
     transactions all-or-nothing)."""
@@ -265,9 +271,8 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
             if only is not None and i != only:
                 continue
             legal = [pre, target.model_state()]
-            cache: dict = {}
-            _check_states(target, mem.enumerate_crash_states(state_limit),
-                          legal, i, report, cache)
+            _check_states(target, mem.enumerate_crash_states(), legal, i,
+                          report)
     else:
         legal = []
         for op in script.ops:
@@ -275,11 +280,10 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
             target.run_op(op)
         legal.append(target.model_state())
         _quiesce(mem)
-        cache: dict = {}
         states = list(mem.boundary_crash_states())
         states.extend(mem.sample_crash_states(script.mode_arg or 10000,
                                               seed=script.seed))
-        _check_states(target, states, legal, len(script.ops) - 1, report, cache)
+        _check_states(target, states, legal, len(script.ops) - 1, report)
     return report
 
 
@@ -343,7 +347,8 @@ def differential_recovery(algo_a: str, algo_b: str, script: Script | str,
         for op in script.ops:
             t.run_op(op)
         _quiesce(t.mem)
-        state = t.mem.sample_crash_state(seed=0, at_least_durable=True)
+        state = t.mem.sample_crash_state(rng=random.Random(0),
+                                         at_least_durable=True)
         results.append(t.recovered_state(t.mem.apply_crash(state)))
     return results[0] == results[1]
 
@@ -428,9 +433,8 @@ def checksum_vulnerability_demo(algo: str, *, samples: int = 0,
     32-bit checksum cannot see it torn; 64-bit checksums and validity bits
     are expected to reject every torn state."""
     payload_len = 112
-    cls = ALGORITHMS[algo]
-    log = cls.fresh(payload_len, 4)
-    mem = log.mem
+    target = _LogTarget(algo, payload_len, 4)
+    mem = target.mem
     mem.checkpoint()
 
     # craft against the 32-bit checksum's own framing: seq 1, len, payload
@@ -440,28 +444,11 @@ def checksum_vulnerability_demo(algo: str, *, samples: int = 0,
     v = crc32_collision_word(buf, 8 + 48)     # payload word 6
     payload = base_payload[:48] + v.to_bytes(8, "little") + base_payload[56:]
 
-    log.append(payload)
+    target.run_op(("append", payload))
     states = mem.enumerate_crash_states()
-    drawn = len(states)
     if samples:
-        states = list(states)
         states.extend(mem.sample_crash_states(samples, seed=seed))
-        drawn += samples
-    checked = 0
-    false_valids = 0
-    seen = set()
-    for st in states:
-        if st.cuts in seen:
-            continue
-        seen.add(st.cuts)
-        checked += 1
-        attached = cls.attach(mem.apply_crash(st), 0, log.size, payload_len)
-        try:
-            entries = attached.recover()
-        except UnrecoverableLogError:
-            continue
-        for e in entries:
-            if e.payload != payload:
-                false_valids += 1
-                break
-    return ChecksumDemo(algo, payload, checked, false_valids, drawn)
+    report = Report(algo, "exhaustive", 1)
+    _check_states(target, states, [(), (payload,)], 0, report)
+    return ChecksumDemo(algo, payload, report.distinct_states,
+                        len(report.violations), report.states_checked)

@@ -314,11 +314,8 @@ class SimMemory:
             if not changed:
                 return
 
-    def sample_crash_state(self, seed: int | None = None,
-                           rng: random.Random | None = None,
+    def sample_crash_state(self, rng: random.Random,
                            at_least_durable: bool = False) -> CrashState:
-        if rng is None:
-            rng = random.Random(seed)
         lines = sorted(self._writes)
         cuts = []
         for line in lines:

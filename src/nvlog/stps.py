@@ -16,6 +16,10 @@ Slot layout (``node_lines`` cache lines):
 Key and value bytes stream through the data region, skipping each later
 line's trailing validity byte.  A tombstone is flagged in bit 7 of the
 key-length byte.
+
+Updates, removes and transactions share one write path: an update is a
+one-member write, a remove a one-tombstone write, and a transaction writes
+all its members under one version, each op ending in one commit fence.
 """
 
 from __future__ import annotations
@@ -130,20 +134,22 @@ class PersistentHashMap:
 
     # ------------------------------------------------------ entry read/write
 
-    def _read_bits(self, slot: int) -> tuple[int, list[int]]:
-        meta = self.mem.load_word(self.slot_addr(slot))
-        bits = [meta & 1, (meta >> 1) & 1]
-        klen = self.mem.load(self.slot_addr(slot) + WORD_SIZE, 1)[0] & _KLEN_MASK
+    def _dual_for(self, klen: int) -> int:
+        return 1 if klen <= self._run0 else 2
+
+    def _slot_bit(self, slot: int, meta: int, klen: int) -> int | None:
+        """The validity bit every line of the slot agrees on, or None.  The
+        meta word holds two bits; each later line's validity byte holds bit
+        0, and bit 1 too while the line also holds key bytes."""
+        v = meta & 1
+        if (meta >> 1) & 1 != v:
+            return None
         dual = self._dual_for(klen)
         for i, a in enumerate(self._bit_addrs(slot)):
             b = self.mem.load(a, 1)[0]
-            bits.append(b & 1)
-            if i + 1 < dual:
-                bits.append((b >> 1) & 1)
-        return meta, bits
-
-    def _dual_for(self, klen: int) -> int:
-        return 1 if klen <= self._run0 else 2
+            if b & 1 != v or (i + 1 < dual and (b >> 1) & 1 != v):
+                return None
+        return v
 
     def parse_entry(self, slot: int) -> ParsedEntry | None:
         """Validate and decode a slot; None if invalid, dead, or implausible."""
@@ -151,32 +157,24 @@ class PersistentHashMap:
         addr = self.slot_addr(slot)
         meta = mem.load_word(addr)
         version = meta >> _VER_SHIFT
-        if version == 0:
-            return None
-        v = meta & 1
-        if (meta >> 1) & 1 != v:
+        if version == 0 or (meta >> 1) & 1 != meta & 1:
             return None
         kbyte = mem.load(addr + WORD_SIZE, 1)[0]
         klen = kbyte & _KLEN_MASK
         vlen = int.from_bytes(mem.load(addr + WORD_SIZE + 1, 2), "little")
         if klen == 0 or klen > self.max_key or klen + vlen > self.capacity:
             return None
-        dual = self._dual_for(klen)
-        for i, a in enumerate(self._bit_addrs(slot)):
-            b = mem.load(a, 1)[0]
-            if b & 1 != v:
-                return None
-            if i + 1 < dual and (b >> 1) & 1 != v:
-                return None
+        if self._slot_bit(slot, meta, klen) is None:
+            return None
         data = b"".join(mem.load(a, n) for a, n in
                         self._data_addrs(slot, klen + vlen))
         return ParsedEntry(data[:klen], data[klen:], version,
                            (meta >> _TXN_SHIFT) & 0xFF, bool(kbyte & _TOMBSTONE))
 
     def append_entry(self, slot: int, key: bytes, value: bytes, version: int,
-                     txncount: int, *, tombstone: bool = False,
-                     fence: bool = True) -> None:
-        """Write one durable entry over a reusable slot.
+                     txncount: int, *, tombstone: bool = False) -> None:
+        """Store and flush one entry over a reusable slot; the caller's
+        commit fence makes it durable (two-round mode fences it here).
 
         Precondition: all of the slot's validity bits are equal.  The first
         bit set flips before any data store and the second flips after all of
@@ -186,10 +184,11 @@ class PersistentHashMap:
         self._check_kv(key, value)
         if version > _VER_MAX or not 1 <= txncount <= 255:
             raise StpsError("bad version or transaction count")
-        meta, bits = self._read_bits(slot)
-        if len(set(bits)) != 1:
+        meta = mem.load_word(addr)
+        old = self._slot_bit(slot, meta,
+                             mem.load(addr + WORD_SIZE, 1)[0] & _KLEN_MASK)
+        if old is None:
             raise InvariantError(f"slot {slot} validity bits disagree")
-        old = bits[0]
         new = old ^ 1
         dual = self._dual_for(len(key))
         bit_addrs = self._bit_addrs(slot)
@@ -224,7 +223,7 @@ class PersistentHashMap:
                 val = new | (new << 1) if i + 1 < dual else new
                 mem.store(a, bytes([val]))
         mem.flush_range(addr, self.slot_size)
-        if fence or self.two_round_commit:
+        if self.two_round_commit:
             mem.sfence()
 
     # ----------------------------------------------------------- volatile ops
@@ -252,21 +251,21 @@ class PersistentHashMap:
             return slot
         raise CapacityError("map region exhausted and nothing is reusable")
 
-    def _link(self, bucket: int, slot: int, replaced: int) -> None:
-        if replaced != -1:
-            # splice out the replaced node, insert the new one at its spot
-            self._next[slot] = self._next[replaced]
-            cur = self._buckets[bucket]
-            if cur == replaced:
-                self._buckets[bucket] = slot
-            else:
-                while self._next[cur] != replaced:
-                    cur = self._next[cur]
-                self._next[cur] = slot
-            self._next[replaced] = -1
+    def _relink(self, bucket: int, prev: int, old: int, new: int) -> None:
+        """Chain `new` where `old` sits after `prev` (at the bucket head when
+        `old` is -1); a `new` of -1 only unlinks `old`."""
+        if old == -1:
+            prev, succ = -1, self._buckets[bucket]
         else:
-            self._next[slot] = self._buckets[bucket]
-            self._buckets[bucket] = slot
+            succ = self._next[old]
+            self._next[old] = -1
+        if new != -1:
+            self._next[new] = succ
+            succ = new
+        if prev == -1:
+            self._buckets[bucket] = succ
+        else:
+            self._next[prev] = succ
 
     def _check_kv(self, key: bytes, value: bytes) -> None:
         if not key or len(key) > self.max_key:
@@ -275,8 +274,43 @@ class PersistentHashMap:
         if len(key) + len(value) > self.capacity:
             raise CapacityError("key+value exceed the node size")
 
-    def allow_reuse(self, slot: int) -> None:
-        self._reuse.append(slot)
+    def _write(self, pairs: list[tuple[bytes, bytes | None]]) -> None:
+        """The one write path: store `(key, value)` pairs under one version
+        and transaction count, then one commit fence.  A None value is a
+        tombstone (only `remove` writes one, alone): it is never chained,
+        and for an absent key nothing is written.  The version is used up
+        once a slot is taken, so a write that fails part way never shares
+        it with the next.  Replaced and tombstone slots join the reuse FIFO
+        only after the commit fence."""
+        version = self._next_version
+        n = len(pairs)
+        freed = []
+        popped = False
+        for key, value in pairs:
+            bucket, prev, old = self._find(key)
+            tombstone = value is None
+            if tombstone and old == -1:
+                continue
+            # Reused slots are only safe once every earlier-queued slot's
+            # overwrite is durable; a second pop inside one fence window could
+            # leave a torn tombstone next to a torn target, resurrecting a
+            # removed key.  Fence before popping again.
+            if self._reuse:
+                if popped:
+                    self.mem.sfence()
+                popped = True
+            slot = self._alloc()
+            self._next_version = version + 1
+            self.append_entry(slot, key, value or b"", version, n,
+                              tombstone=tombstone)
+            self._relink(bucket, prev, old, -1 if tombstone else slot)
+            if old != -1:
+                freed.append(old)
+            if tombstone:
+                freed.append(slot)
+        if self._next_version > version:   # something was written
+            self.mem.sfence()
+            self._reuse.extend(freed)
 
     # ------------------------------------------------------------- public ops
 
@@ -288,62 +322,24 @@ class PersistentHashMap:
 
     def update(self, key: bytes, value: bytes) -> None:
         self._check_kv(key, value)
-        bucket, _, replaced = self._find(key)
-        slot = self._alloc()
-        version = self._next_version
-        self._next_version += 1
-        self.append_entry(slot, key, value, version, 1)
-        self._link(bucket, slot, replaced)
-        if replaced != -1:
-            self.allow_reuse(replaced)
+        self._write([(key, value)])
 
     def remove(self, key: bytes) -> None:
-        bucket, prev, cur = self._find(key)
-        if cur == -1:
-            return
-        slot = self._alloc()
-        version = self._next_version
-        self._next_version += 1
-        self.append_entry(slot, key, b"", version, 1, tombstone=True)
-        # unlink the data node; the tombstone is never chained
-        if prev == -1:
-            self._buckets[bucket] = self._next[cur]
-        else:
-            self._next[prev] = self._next[cur]
-        self._next[cur] = -1
-        self.allow_reuse(cur)
-        self.allow_reuse(slot)
+        self._write([(key, None)])
 
     def txn_update(self, pairs: list[tuple[bytes, bytes]]) -> None:
         """Write several entries with one shared version and a matching
-        transaction counter; recovery applies all of them or none."""
+        transaction counter; recovery applies all of them or none.
+
+        Cost: one fenced round trip, plus one more for each slot after the
+        first that the transaction takes from the reuse FIFO (popping a
+        second reused slot fences first).  Fresh slots cost nothing extra."""
         n = len(pairs)
         if not 1 <= n <= 255:
             raise StpsError("transactions hold 1..255 elements")
         for key, value in pairs:
             self._check_kv(key, value)
-        version = self._next_version
-        self._next_version += 1
-        freed = []
-        popped_since_fence = False
-        for key, value in pairs:
-            bucket, _, replaced = self._find(key)
-            # Reused slots are only safe once every earlier-queued slot's
-            # overwrite is durable; a second pop inside one fence window could
-            # leave a torn tombstone next to a torn target, resurrecting a
-            # removed key.  Fence before popping again.
-            if self._reuse:
-                if popped_since_fence:
-                    self.mem.sfence()
-                popped_since_fence = True
-            slot = self._alloc()
-            self.append_entry(slot, key, value, version, n, fence=False)
-            self._link(bucket, slot, replaced)
-            if replaced != -1:
-                freed.append(replaced)
-        self.mem.sfence()
-        for slot in freed:  # only reusable once the transaction is durable
-            self.allow_reuse(slot)
+        self._write(pairs)
 
     def items(self) -> dict[bytes, bytes]:
         out = {}

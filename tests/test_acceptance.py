@@ -83,6 +83,7 @@ def _interrupted_append_states(node_lines, old_kv, new_kv):
     mem = SimMemory(region)
     m = PersistentHashMap(mem, 0, region, node_lines=node_lines, nbuckets=16)
     m.append_entry(0, old_kv[0], old_kv[1], 1, 1)
+    mem.sfence()
     mem.checkpoint()
     m.append_entry(0, new_kv[0], new_kv[1], 2, 1)
     outcomes = []

@@ -171,6 +171,20 @@ def test_crashtest_map_the_script_overflows(text, why, tmp_path, capsys):
     assert err.startswith("cannot run the script on stps: ") and why in err
 
 
+@pytest.mark.parametrize("count, why", [
+    ("5", "cannot run the script on cso-vb: trim 5: only 1 live entries"),
+    ("-1", "script error: line 2: 'trim -1': negative trim count -1"),
+], ids=["past-live", "negative"])
+def test_crashtest_bad_trim_is_a_usage_error(count, why, tmp_path, capsys):
+    # exit 1 means violations found, so a bad trim must not escape with it
+    p = tmp_path / "trim.txt"
+    p.write_text(f"append {'00' * 24}\ntrim {count}\n")
+    code = main(["crashtest", str(p)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.strip() == why
+
+
 def test_crashtest_parse_error_exits_two(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("frobnicate\n")

@@ -9,6 +9,7 @@ from nvlog.harness import (BrokenVbLog, EXTRA_ALGORITHMS, Script, ScriptError,
                            crc32_collision_word, differential_recovery,
                            parse_script, run_appends, run_crash_suite)
 from nvlog.logalg import ALGORITHMS
+from nvlog.logalg.base import TrimError
 from nvlog.stps import PersistentHashMap
 
 THREE_APPENDS = """
@@ -50,6 +51,16 @@ def test_parse_errors():
         parse_script("T odd")
     with pytest.raises(ScriptError):
         parse_script("crash sideways")
+
+
+def test_parse_rejects_negative_trim():
+    with pytest.raises(ScriptError, match="negative trim count -1"):
+        parse_script("append " + "00" * 24 + "\ntrim -1")
+
+
+def test_trim_past_the_live_entries():
+    with pytest.raises(TrimError, match="trim 5: only 1 live entries"):
+        run_crash_suite("append " + "00" * 24 + "\ntrim 5")
 
 
 @pytest.mark.parametrize("text", ["U a b\nappend 00112233",

@@ -1,6 +1,8 @@
 """Per-algorithm log tests: layouts, append/recover round trips, wrap-around
 and polarity, trim, durability, and crash behavior of each validity scheme."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -234,7 +236,7 @@ def test_crc_epoch_wraps_within_head_word(algo):
     log.append(bytes([99] * 24))
     if mem.pending_flushes:
         mem.sfence()
-    crashed = mem.apply_crash(mem.sample_crash_state(seed=0,
+    crashed = mem.apply_crash(mem.sample_crash_state(rng=random.Random(0),
                                                      at_least_durable=True))
     got = ALGORITHMS[algo].attach(crashed, 0, region, 24).recover()
     assert [e.payload for e in got] == [bytes([99] * 24)]

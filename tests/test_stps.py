@@ -1,10 +1,15 @@
 """Persistent hash map tests: append protocol, reuse FIFO, transactions,
-and recovery replay."""
+round-trip costs, a stateful model check, and recovery replay."""
+
+import random
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
+                                 rule)
 
 from conftest import RecordingMemory
-from nvlog.pmem import SimMemory
+from nvlog.pmem import SimMemory, WORD_SIZE
 from nvlog.stps import (CapacityError, InvariantError, PersistentHashMap,
                         StpsError, pack_meta)
 
@@ -18,7 +23,7 @@ def fresh(slots=32, node_lines=1, nbuckets=16, two_round=False):
 
 
 def recovered_copy(mem, m):
-    clone = mem.apply_crash(mem.sample_crash_state(seed=0,
+    clone = mem.apply_crash(mem.sample_crash_state(rng=random.Random(0),
                                                    at_least_durable=True))
     r = PersistentHashMap(clone, 0, m.nslots * m.slot_size,
                           node_lines=m.node_lines, nbuckets=m.nbuckets)
@@ -86,6 +91,31 @@ def test_single_roundtrip_per_update():
         assert mem.stats.fenced_roundtrips - before == 1
 
 
+def roundtrips(mem, op, *args):
+    before = mem.stats.fenced_roundtrips
+    op(*args)
+    return mem.stats.fenced_roundtrips - before
+
+
+def test_stated_roundtrip_costs():
+    # an update or a present key's remove is one round trip, an absent
+    # key's remove none; a transaction is one, plus one for each slot after
+    # the first that it pops from the reuse FIFO
+    mem, m = fresh()
+    txn = [(b"a", b"1"), (b"b", b"2"), (b"c", b"3")]
+    assert roundtrips(mem, m.txn_update, txn) == 1
+    assert roundtrips(mem, m.update, b"x", b"v") == 1
+    assert roundtrips(mem, m.remove, b"x") == 1
+    version = m._next_version
+    assert roundtrips(mem, m.remove, b"x") == 0
+    assert m._next_version == version   # and uses no version
+    m.remove(b"a")
+    assert len(m._reuse) == 3
+    assert roundtrips(mem, m.txn_update, [(b"d", b"4"), (b"e", b"5"),
+                                          (b"f", b"6")]) == 3
+    assert roundtrips(mem, m.update, b"a", b"again") == 1
+
+
 def test_two_round_variant_costs_two():
     mem, m = fresh(two_round=True)
     for i in range(4):
@@ -120,8 +150,9 @@ def test_quiescent_bits_all_equal():
     for i in range(6):
         m.update(b"key%d" % i, b"x" * 70)
     for slot in range(m.nslots):
-        _, bits = m._read_bits(slot)
-        assert len(set(bits)) == 1
+        addr = m.slot_addr(slot)
+        klen = mem.load(addr + WORD_SIZE, 1)[0] & 0x7F
+        assert m._slot_bit(slot, mem.load_word(addr), klen) is not None
 
 
 def test_multiline_entries_round_trip():
@@ -232,3 +263,81 @@ def test_txn_defers_reuse_until_commit():
     m._alloc = original
     assert old_slot not in reused_during
     assert old_slot in m._reuse
+
+
+# ------------------------------------------------------------- stateful model
+
+VALUES = st.binary(max_size=40)
+
+
+class LiveMap(RuleBasedStateMachine):
+    """Updates, removes, transactions and reads on a live map (no crash),
+    checked against a dict model.  Each op's fenced round trips must match
+    the stated cost, with the reuse FIFO's length modelled alongside."""
+
+    @initialize(node_lines=st.sampled_from([1, 2]), two_round=st.booleans())
+    def build(self, node_lines, two_round):
+        self.mem, self.m = fresh(node_lines=node_lines, nbuckets=4,
+                                 two_round=two_round)
+        self.two_round = two_round
+        self.keys = [b"a", b"b", b"c", b"d"]
+        if node_lines > 1:
+            self.keys.append(b"K" * 60)   # key bytes reach line 1
+        self.model = {}
+        self.reusable = 0
+
+    def write(self, members, op, *args):
+        """Apply `members` ((key, value or None)) to the model, run `op`,
+        and check the round trips it took."""
+        written = reused = 0
+        freed = 0
+        for key, value in members:
+            present = key in self.model
+            if value is None and not present:
+                continue
+            written += 1
+            if self.reusable:
+                self.reusable -= 1
+                reused += 1
+            if value is None:
+                del self.model[key]
+                freed += 2
+            else:
+                self.model[key] = value
+                freed += present
+        self.reusable += freed
+        if self.two_round:
+            want = 2 * written
+        else:
+            want = 1 + max(0, reused - 1) if written else 0
+        assert roundtrips(self.mem, op, *args) == want
+
+    @rule(i=st.integers(0, 4), value=VALUES)
+    def update(self, i, value):
+        key = self.keys[i % len(self.keys)]
+        self.write([(key, value)], self.m.update, key, value)
+
+    @rule(i=st.integers(0, 4))
+    def remove(self, i):
+        key = self.keys[i % len(self.keys)]
+        self.write([(key, None)], self.m.remove, key)
+
+    @rule(members=st.lists(st.tuples(st.integers(0, 4), VALUES),
+                           min_size=1, max_size=4))
+    def txn(self, members):
+        pairs = [(self.keys[i % len(self.keys)], v) for i, v in members]
+        self.write(pairs, self.m.txn_update, pairs)
+
+    @rule(i=st.integers(0, 4))
+    def get(self, i):
+        key = self.keys[i % len(self.keys)]
+        assert self.m.get(key) == self.model.get(key)
+
+    @invariant()
+    def items_match(self):
+        assert self.m.items() == self.model
+
+
+LiveMap.TestCase.settings = settings(max_examples=40, stateful_step_count=25,
+                                     deadline=None)
+TestLiveMap = LiveMap.TestCase
