@@ -19,7 +19,7 @@ from .harness import (EXTRA_ALGORITHMS, ScriptError, parse_script,
                       run_appends, run_crash_suite)
 from .logalg import ALGORITHMS
 from .logalg.base import LogError, UnrecoverableLogError
-from .pmem import SimMemory, SnapshotFormatError
+from .pmem import SimMemory, SnapshotFormatError, UsageError
 from .stps import PersistentHashMap, StpsError
 
 # payload bytes that fit an entry of the given size in cache lines,
@@ -171,7 +171,7 @@ def cmd_crashtest(args) -> int:
 def cmd_inspect(args) -> int:
     try:
         mem = SimMemory.snapshot_load(args.snapshot)
-    except (OSError, SnapshotFormatError) as exc:
+    except (OSError, SnapshotFormatError, UsageError) as exc:
         print(f"cannot load snapshot: {exc}", file=sys.stderr)
         return 2
     try:

@@ -4,16 +4,14 @@ Replays a small workload script against a log or hash map on simulated
 persistent memory, derives the set of states the map/log may legally recover
 to, then injects crash states (exhaustively per operation, or sampled over
 the whole run) and checks every recovery lands on a legal state.  Also houses
-round-trip audits, a differential recovery check, a deliberately broken log
-variant, and a checksum-collision construction that defeats 32-bit CRC
-validation.
+round-trip audits, a deliberately broken log variant, and a
+checksum-collision construction that defeats 32-bit CRC validation.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import random
 from dataclasses import dataclass, field
 
 from .crc import crc32c
@@ -335,24 +333,6 @@ def audit_roundtrips(algo: str, n: int = 256, payload_len: int = 24) -> RoundTri
                           init_flushes / log.nslots)
 
 
-def differential_recovery(algo_a: str, algo_b: str, script: Script | str,
-                          payload_len: int = 24) -> bool:
-    """Run the same append/trim workload through two algorithms and compare
-    the contents each recovers from its fully persisted image."""
-    if isinstance(script, str):
-        script = parse_script(script)
-    results = []
-    for algo in (algo_a, algo_b):
-        t = _LogTarget(algo, payload_len, slots=64)
-        for op in script.ops:
-            t.run_op(op)
-        _quiesce(t.mem)
-        state = t.mem.sample_crash_state(rng=random.Random(0),
-                                         at_least_durable=True)
-        results.append(t.recovered_state(t.mem.apply_crash(state)))
-    return results[0] == results[1]
-
-
 # ------------------------------------------------------------ fault injection
 
 class BrokenVbLog(CsoVbLog):
@@ -362,9 +342,8 @@ class BrokenVbLog(CsoVbLog):
 
     name = "broken-vb"
 
-    def _write_entry(self, slot: int, payload: bytes) -> int:
+    def _store_entry(self, slot: int, addr: int, payload: bytes) -> None:
         mem = self.mem
-        addr = self.slot_addr(slot)
         bit = self.expected_bit(slot)
         if self.layout.total_len <= 64:
             mem.store_word(addr + self.layout.metadata_slots[0][0], bit)
@@ -375,9 +354,6 @@ class BrokenVbLog(CsoVbLog):
             mem.store_word(addr + 120, bit)
             for i, w in enumerate(words_of(payload)):
                 mem.store_word(addr + WORD_SIZE + i * WORD_SIZE, w)
-        mem.flush_range(addr, self.slot_size)
-        mem.sfence()
-        return 1
 
 
 EXTRA_ALGORITHMS = dict(ALGORITHMS)

@@ -35,25 +35,24 @@ class AtlasLog(CircularLog):
             return self.base + ROOT_WORD_OFF
         return self.slot_addr(self._last_slot)
 
-    def _write_entry(self, slot: int, payload: bytes) -> int:
+    def _store_entry(self, slot: int, addr: int, payload: bytes) -> None:
         mem = self.mem
-        addr = self.slot_addr(slot)
         mem.store_word(addr, 0)  # clear any stale link before becoming reachable
         for i, w in enumerate(words_of(payload)):
             mem.store_word(addr + WORD_SIZE + (i * WORD_SIZE), w)
         link_addr = self._prev_link_addr()
         if link_addr // LINE_SIZE == addr // LINE_SIZE:
+            # same line: the entry's own fence persists the link after it
             mem.store_word(link_addr, slot + 1, RELEASE)
-            mem.flush_range(addr, ENTRY_BYTES)
-            mem.sfence()
-        else:
-            mem.flush_range(addr, ENTRY_BYTES)
-            mem.sfence()
+
+    def _commit(self, slot: int, addr: int, payload: bytes, needed: int) -> None:
+        link_addr = self._prev_link_addr()
+        if link_addr // LINE_SIZE != addr // LINE_SIZE:
+            mem = self.mem
             mem.store_word(link_addr, slot + 1, RELEASE)
             mem.clflushopt(link_addr // LINE_SIZE)
             mem.sfence()
         self._last_slot = slot
-        return 1
 
     def recover(self) -> list[RecoveredEntry]:
         mem = self.mem

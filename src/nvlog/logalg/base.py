@@ -72,9 +72,13 @@ def words_of(data: bytes) -> list[int]:
 class CircularLog:
     """Base class for the slot-oriented log algorithms.
 
-    Subclasses implement `_slot_bytes`, `_write_entry` and `_read_entry`.
-    Payload length is fixed per log instance; the geometry classmethods size
-    a log without building one.
+    An append is one round trip, and this class owns it: the format's
+    `_store_entry` issues the entry's stores in persist order, `append`
+    flushes the slot and fences once, and the format's `_commit` does only
+    what must follow that fence.  Recovery loads each scanned slot once and
+    the format's `_decode` validates those bytes.  Subclasses implement
+    `_slot_bytes`, `_store_entry` and `_decode`.  Payload length is fixed per
+    log instance; the geometry classmethods size a log without building one.
     """
 
     name = "?"
@@ -141,17 +145,23 @@ class CircularLog:
     def _slots_needed(self, payload: bytes) -> int:
         return 1
 
-    def _write_entry(self, slot: int, payload: bytes) -> int:
-        """Write one durable entry; returns the number of slots consumed."""
+    def _store_entry(self, slot: int, addr: int, payload: bytes) -> None:
+        """Store the entry at `addr`, in persist order; no flush, no fence."""
         raise NotImplementedError
 
-    def _read_entry(self, slot: int):
-        """Return (payload, slots consumed) if the slot holds a valid entry
-        under the current head/polarity, else None."""
+    def _commit(self, slot: int, addr: int, payload: bytes, needed: int) -> None:
+        """Whatever must follow the fence that made the entry durable."""
+
+    def _decode(self, slot: int, raw: bytes):
+        """(payload, slots consumed) if `raw`, the slot's bytes, hold a valid
+        entry under the current head/polarity, else None."""
         raise NotImplementedError
 
     def _init_area(self) -> None:
         pass
+
+    def _before_head_moves(self) -> None:
+        """Runs in a valid `trim` before the new head word is written."""
 
     def _after_trim(self, freed_slots: list[int]) -> None:
         pass
@@ -192,10 +202,14 @@ class CircularLog:
         if self.used + needed > self.nslots:
             raise LogFullError("log full; trim before appending")
         slot = self.tail
-        consumed = self._write_entry(slot, payload)
-        self._consumed[slot] = consumed
-        self.tail = (slot + consumed) % self.nslots
-        self.used += consumed
+        addr = self.slot_addr(slot)
+        self._store_entry(slot, addr, payload)
+        self.mem.flush_range(addr, self.slot_size)
+        self.mem.sfence()
+        self._commit(slot, addr, payload, needed)
+        self._consumed[slot] = needed
+        self.tail = (slot + needed) % self.nslots
+        self.used += needed
         return slot
 
     def recover(self) -> list[RecoveredEntry]:
@@ -208,7 +222,8 @@ class CircularLog:
         slot = self.head
         scanned = 0
         while scanned < self.nslots:
-            res = self._read_entry(slot)
+            res = self._decode(slot, self.mem.load(self.slot_addr(slot),
+                                                   self.slot_size))
             if res is None:
                 break
             payload, consumed = res
@@ -231,6 +246,7 @@ class CircularLog:
         if d > self.used:
             raise TrimError("trimming past the tail")
         freed = [(self.head + i) % self.nslots for i in range(d)]
+        self._before_head_moves()
         new_head = (self.head + d) % self.nslots
         if self.head + d >= self.nslots:
             self.polarity ^= 1

@@ -52,28 +52,24 @@ class _CrcLog(CircularLog):
         padded = (self.payload_len + WORD_SIZE - 1) // WORD_SIZE * WORD_SIZE
         return WORD_SIZE + padded
 
-    def _write_entry(self, slot: int, payload: bytes) -> int:
+    def _store_entry(self, slot: int, addr: int, payload: bytes) -> None:
         mem = self.mem
-        addr = self.slot_addr(slot)
         hdr = _HDR.pack(self._entry_seq(slot), len(payload))
         mem.store(addr, hdr)
         for i in range(0, len(payload), WORD_SIZE):
             mem.store(addr + WORD_SIZE + i, payload[i:i + WORD_SIZE])
         checksum = self.crc_fn(hdr + payload)
         mem.store_word(addr + self._crc_off(), checksum, RELEASE)
-        mem.flush_range(addr, self.slot_size)
-        mem.sfence()
-        return 1
 
-    def _read_entry(self, slot: int):
-        mem = self.mem
-        addr = self.slot_addr(slot)
-        hdr = mem.load(addr, _HDR.size)
+    def _decode(self, slot: int, raw: bytes):
+        hdr = raw[:_HDR.size]
         seq, length = _HDR.unpack(hdr)
         if seq != self._entry_seq(slot) or length != self.payload_len:
             return None
-        payload = mem.load(addr + WORD_SIZE, self.payload_len)
-        if mem.load_word(addr + self._crc_off()) != self.crc_fn(hdr + payload):
+        payload = raw[WORD_SIZE:WORD_SIZE + self.payload_len]
+        off = self._crc_off()
+        crc = int.from_bytes(raw[off:off + WORD_SIZE], "little")
+        if crc != self.crc_fn(hdr + payload):
             return None
         return payload, 1
 

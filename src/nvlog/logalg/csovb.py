@@ -42,9 +42,8 @@ class CsoVbLog(CircularLog):
     def _slot_bytes(cls, payload_len: int) -> int:
         return slot_size_for(layout(payload_len).total_len)
 
-    def _write_entry(self, slot: int, payload: bytes) -> int:
+    def _store_entry(self, slot: int, addr: int, payload: bytes) -> None:
         mem = self.mem
-        addr = self.slot_addr(slot)
         bit = self.expected_bit(slot)
         if self.layout.total_len <= 64:
             for i, w in enumerate(words_of(payload)):
@@ -55,16 +54,11 @@ class CsoVbLog(CircularLog):
                 mem.store_word(addr + WORD_SIZE + i * WORD_SIZE, w)
             mem.store_word(addr + 120, bit, RELEASE)
             mem.store_word(addr, bit, RELEASE)
-        mem.flush_range(addr, self.slot_size)
-        mem.sfence()
-        return 1
 
-    def _read_entry(self, slot: int):
-        mem = self.mem
-        addr = self.slot_addr(slot)
+    def _decode(self, slot: int, raw: bytes):
         bit = self.expected_bit(slot)
         for off, _ in self.layout.metadata_slots:
-            if mem.load_word(addr + off) & 1 != bit:
+            if raw[off] & 1 != bit:  # bit 0 of a little-endian word
                 return None
         start = WORD_SIZE if self.layout.total_len > 64 else 0
-        return mem.load(addr + start, self.payload_len), 1
+        return raw[start:start + self.payload_len], 1

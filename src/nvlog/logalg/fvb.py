@@ -92,17 +92,12 @@ class CsoFvbLog(CircularLog):
             return slot_size_for(WORD_SIZE + payload_len)
         return lines * LINE_SIZE
 
-    def _first_line_payload(self) -> int:
-        if self.lines == 1:
-            return self.payload_len
-        return min(self.payload_len,
-                   LINE_SIZE - self.meta_words * WORD_SIZE)
-
-    def _write_entry(self, slot: int, payload: bytes) -> int:
+    def _store_entry(self, slot: int, addr: int, payload: bytes) -> None:
         mem = self.mem
-        addr = self.slot_addr(slot)
         bit = self.expected_bit(slot)
-        first_len = self._first_line_payload()
+        # the payload runs on from the metadata words through the last line
+        first_len = min(self.payload_len,
+                        LINE_SIZE - self.meta_words * WORD_SIZE)
         pairs: list[tuple[int, int]] = []
         pos = first_len
         for li in range(1, self.lines):
@@ -120,30 +115,18 @@ class CsoFvbLog(CircularLog):
             group = pairs[mi * PAIRS_PER_WORD:(mi + 1) * PAIRS_PER_WORD]
             mem.store_word(addr + mi * WORD_SIZE, pack_meta(group, None))
         mem.store_word(addr, pack_meta(pairs[:PAIRS_PER_WORD], bit), RELEASE)
-        mem.flush_range(addr, self.slot_size)
-        mem.sfence()
-        return 1
 
-    def _read_entry(self, slot: int):
-        mem = self.mem
-        addr = self.slot_addr(slot)
-        meta0 = mem.load_word(addr)
-        if meta0 >> 63 != self.expected_bit(slot):
+    def _decode(self, slot: int, raw: bytes):
+        meta = words_of(raw[:self.meta_words * WORD_SIZE])
+        if meta[0] >> 63 != self.expected_bit(slot):
             return None
-        pairs = unpack_meta(meta0, min(self.lines - 1, PAIRS_PER_WORD))
-        for mi in range(1, self.meta_words):
-            word = mem.load_word(addr + mi * WORD_SIZE)
+        pairs = []
+        for mi, word in enumerate(meta):
             n = min(self.lines - 1 - mi * PAIRS_PER_WORD, PAIRS_PER_WORD)
             pairs.extend(unpack_meta(word, n))
-        first_len = self._first_line_payload()
-        parts = [mem.load(addr + self.meta_words * WORD_SIZE, first_len)]
-        pos = first_len
-        for li in range(1, self.lines):
-            line = mem.load(addr + li * LINE_SIZE, LINE_SIZE)
-            off, val = pairs[li - 1]
-            if not check_cacheline(line, off, val):
+        for li, (off, val) in enumerate(pairs, 1):
+            if not check_cacheline(raw[li * LINE_SIZE:(li + 1) * LINE_SIZE],
+                                   off, val):
                 return None
-            take = min(LINE_SIZE, self.payload_len - pos)
-            parts.append(line[:take])
-            pos += take
-        return b"".join(parts), 1
+        start = self.meta_words * WORD_SIZE
+        return raw[start:start + self.payload_len], 1

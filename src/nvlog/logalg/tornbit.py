@@ -7,7 +7,7 @@ must be reassembled on read.
 from __future__ import annotations
 
 from ..pmem import RELEASE, WORD_SIZE
-from .base import CircularLog
+from .base import CircularLog, words_of
 
 _PAYLOAD_MASK = (1 << 63) - 1
 
@@ -33,26 +33,16 @@ class TornbitLog(CircularLog):
     def _slot_bytes(cls, payload_len: int) -> int:
         return (payload_len * 8 + 62) // 63 * WORD_SIZE
 
-    @property
-    def _nwords(self) -> int:
-        return self.slot_size // WORD_SIZE
-
-    def _write_entry(self, slot: int, payload: bytes) -> int:
+    def _store_entry(self, slot: int, addr: int, payload: bytes) -> None:
         mem = self.mem
-        addr = self.slot_addr(slot)
         words = pack(payload, self.expected_bit(slot))
         for i, w in enumerate(words[:-1]):
             mem.store_word(addr + i * WORD_SIZE, w)
         mem.store_word(addr + (len(words) - 1) * WORD_SIZE, words[-1], RELEASE)
-        mem.flush_range(addr, self.slot_size)
-        mem.sfence()
-        return 1
 
-    def _read_entry(self, slot: int):
-        mem = self.mem
-        addr = self.slot_addr(slot)
+    def _decode(self, slot: int, raw: bytes):
         bit = self.expected_bit(slot)
-        words = [mem.load_word(addr + i * WORD_SIZE) for i in range(self._nwords)]
+        words = words_of(raw)
         if any(w >> 63 != bit for w in words):
             return None
         return unpack(words, self.payload_len), 1

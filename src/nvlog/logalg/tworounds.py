@@ -18,20 +18,17 @@ class TwoRoundsLog(CircularLog):
     def _slot_bytes(cls, payload_len: int) -> int:
         return slot_size_for(WORD_SIZE + payload_len)
 
-    def _write_entry(self, slot: int, payload: bytes) -> int:
-        mem = self.mem
-        addr = self.slot_addr(slot)
+    def _store_entry(self, slot: int, addr: int, payload: bytes) -> None:
         for i, w in enumerate(words_of(payload)):
-            mem.store_word(addr + WORD_SIZE + i * WORD_SIZE, w)
-        mem.flush_range(addr, self.slot_size)
-        mem.sfence()
+            self.mem.store_word(addr + WORD_SIZE + i * WORD_SIZE, w)
+
+    def _commit(self, slot: int, addr: int, payload: bytes, needed: int) -> None:
+        mem = self.mem
         mem.store_word(addr, self.expected_bit(slot), RELEASE)
         mem.clflushopt(mem.line_of(addr))
         mem.sfence()
-        return 1
 
-    def _read_entry(self, slot: int):
-        addr = self.slot_addr(slot)
-        if self.mem.load_word(addr) & 1 != self.expected_bit(slot):
+    def _decode(self, slot: int, raw: bytes):
+        if raw[0] & 1 != self.expected_bit(slot):
             return None
-        return self.mem.load(addr + WORD_SIZE, self.payload_len), 1
+        return raw[WORD_SIZE:WORD_SIZE + self.payload_len], 1

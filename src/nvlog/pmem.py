@@ -108,30 +108,31 @@ class CrashState:
         return 0
 
 
-def _check_geometry(capacity: int, line_size: int) -> None:
-    if capacity <= 0 or capacity % line_size != 0:
-        raise UsageError(f"capacity {capacity} not a multiple of line size {line_size}")
+def _check_geometry(capacity: int) -> None:
+    if capacity <= 0 or capacity % LINE_SIZE != 0:
+        raise UsageError(f"capacity {capacity} not a multiple of line size {LINE_SIZE}")
 
 
 class SimMemory:
-    def __init__(self, capacity: int, line_size: int = LINE_SIZE,
-                 latency_ns: int = 0, fence_cost_ns: int = 0):
-        _check_geometry(capacity, line_size)
-        self._start(bytearray(capacity), line_size, latency_ns, fence_cost_ns)
+    line_size = LINE_SIZE  # every layer above lays out data by LINE_SIZE
+
+    def __init__(self, capacity: int, latency_ns: int = 0,
+                 fence_cost_ns: int = 0):
+        _check_geometry(capacity)
+        self._start(bytearray(capacity), latency_ns, fence_cost_ns)
 
     @classmethod
-    def _from_image(cls, image: bytearray, line_size: int,
-                    latency_ns: int = 0, fence_cost_ns: int = 0) -> "SimMemory":
+    def _from_image(cls, image: bytearray, latency_ns: int = 0,
+                    fence_cost_ns: int = 0) -> "SimMemory":
         """A memory with no history whose cached image is `image` (taken,
         not copied) and whose durable image is a copy of it."""
         mem = cls.__new__(cls)
-        mem._start(image, line_size, latency_ns, fence_cost_ns)
+        mem._start(image, latency_ns, fence_cost_ns)
         return mem
 
-    def _start(self, image: bytearray, line_size: int, latency_ns: int,
+    def _start(self, image: bytearray, latency_ns: int,
                fence_cost_ns: int) -> None:
         self.capacity = len(image)
-        self.line_size = line_size
         self.latency_ns = latency_ns
         self.fence_cost_ns = fence_cost_ns
         self.cached = image
@@ -151,10 +152,10 @@ class SimMemory:
 
     @property
     def num_lines(self) -> int:
-        return self.capacity // self.line_size
+        return self.capacity // LINE_SIZE
 
     def line_of(self, addr: int) -> int:
-        return addr // self.line_size
+        return addr // LINE_SIZE
 
     def load(self, addr: int, size: int) -> bytes:
         if addr < 0 or addr + size > self.capacity:
@@ -173,8 +174,8 @@ class SimMemory:
         if not n:
             return
         self.cached[addr:addr + n] = data
-        line, off = divmod(addr, self.line_size)
-        if off + n <= self.line_size:  # within one line: a single event
+        line, off = divmod(addr, LINE_SIZE)
+        if off + n <= LINE_SIZE:  # within one line: a single event
             ev = WriteEvent(self._fences, off, bytes(data), ordering)
             evs = self._writes.get(line)
             if evs is None:
@@ -186,11 +187,11 @@ class SimMemory:
         pos = 0
         while pos < n:
             a = addr + pos
-            line = a // self.line_size
-            room = (line + 1) * self.line_size - a
+            line = a // LINE_SIZE
+            room = (line + 1) * LINE_SIZE - a
             chunk = data[pos:pos + room]
             self._writes.setdefault(line, []).append(
-                WriteEvent(self._fences, a % self.line_size, bytes(chunk),
+                WriteEvent(self._fences, a % LINE_SIZE, bytes(chunk),
                            ordering))
             pos += len(chunk)
 
@@ -208,8 +209,8 @@ class SimMemory:
 
     def flush_range(self, addr: int, size: int) -> None:
         """Flush every line overlapped by [addr, addr+size)."""
-        first = addr // self.line_size
-        last = (addr + size - 1) // self.line_size
+        first = addr // LINE_SIZE
+        last = (addr + size - 1) // LINE_SIZE
         for line in range(first, last + 1):
             self.clflushopt(line)
 
@@ -236,8 +237,8 @@ class SimMemory:
     # ------------------------------------------------------------ crash states
 
     def _line_image(self, line: int, cut: int) -> bytes:
-        lo = line * self.line_size
-        buf = bytearray(self._base[lo:lo + self.line_size])
+        lo = line * LINE_SIZE
+        buf = bytearray(self._base[lo:lo + LINE_SIZE])
         for ev in self._writes.get(line, ())[:cut]:
             buf[ev.offset_in_line:ev.offset_in_line + len(ev.data)] = ev.data
         return bytes(buf)
@@ -354,7 +355,7 @@ class SimMemory:
         cut_of = dict(cuts)
         writes = self._writes
         base = self._base
-        size = self.line_size
+        size = LINE_SIZE
         image = bytearray(self.cached)
         for line, evs in writes.items():
             cut = cut_of.get(line, 0)
@@ -380,8 +381,7 @@ class SimMemory:
         if state.epoch != self._epoch:
             raise StaleCrashStateError("crash state from a different history")
         return SimMemory._from_image(self._crash_image(state.cuts, self._torn),
-                                     self.line_size, self.latency_ns,
-                                     self.fence_cost_ns)
+                                     self.latency_ns, self.fence_cost_ns)
 
     def persisted_image(self) -> bytes:
         return bytes(self._crash_image(self._floors.items(), {}))
@@ -410,7 +410,7 @@ class SimMemory:
             raise UsageError("snapshot with pending flushes")
         with open(path, "wb") as f:
             f.write(_SNAPSHOT_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
-                                          self.line_size, self.capacity))
+                                          LINE_SIZE, self.capacity))
             f.write(self.persisted_image())
 
     @classmethod
@@ -424,9 +424,11 @@ class SimMemory:
             raise SnapshotFormatError(f"bad magic {magic!r}")
         if version != SNAPSHOT_VERSION:
             raise SnapshotFormatError(f"unsupported version {version}")
+        if line_size != LINE_SIZE:
+            raise SnapshotFormatError(f"unsupported line size {line_size}")
         body = raw[_SNAPSHOT_HEADER.size:]
         if len(body) != capacity:
             raise SnapshotFormatError(
                 f"expected {capacity} image bytes, found {len(body)}")
-        _check_geometry(capacity, line_size)
-        return cls._from_image(bytearray(body), line_size)
+        _check_geometry(capacity)
+        return cls._from_image(bytearray(body))

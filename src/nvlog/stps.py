@@ -281,7 +281,11 @@ class PersistentHashMap:
         and for an absent key nothing is written.  The version is used up
         once a slot is taken, so a write that fails part way never shares
         it with the next.  Replaced and tombstone slots join the reuse FIFO
-        only after the commit fence."""
+        only after the commit fence.  A write the free slots cannot hold
+        raises CapacityError before it stores anything."""
+        members = sum(value is not None for _, value in pairs)
+        if members > len(self._reuse) + self.nslots - self._bump:
+            raise CapacityError("map region exhausted and nothing is reusable")
         version = self._next_version
         n = len(pairs)
         freed = []

@@ -248,6 +248,19 @@ def test_inspect_bad_snapshot(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("line_size, capacity", [(64, 100), (0, 256)])
+def test_inspect_unloadable_geometry_exits_two(tmp_path, capsys, line_size,
+                                               capacity):
+    p = tmp_path / "odd.img"
+    p.write_bytes(b"PCSO" + (1).to_bytes(4, "little")
+                  + line_size.to_bytes(4, "little")
+                  + capacity.to_bytes(8, "little") + bytes(capacity))
+    code = main(["inspect", str(p)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "cannot load snapshot" in err
+
+
 # ------------------------------------------------------------------ entry point
 
 def test_console_script_help():

@@ -1,13 +1,16 @@
 """Harness tests: script parsing, crash suites catching real bugs, round-trip
-audits, differential recovery, and the checksum collision construction."""
+audits, the append loop's history bound, and the checksum collision
+construction."""
+
+import random
 
 import pytest
 
 from nvlog.crc import crc32c
 from nvlog.harness import (BrokenVbLog, EXTRA_ALGORITHMS, Script, ScriptError,
                            audit_roundtrips, checksum_vulnerability_demo,
-                           crc32_collision_word, differential_recovery,
-                           parse_script, run_appends, run_crash_suite)
+                           crc32_collision_word, parse_script, run_appends,
+                           run_crash_suite)
 from nvlog.logalg import ALGORITHMS
 from nvlog.logalg.base import TrimError
 from nvlog.stps import PersistentHashMap
@@ -109,6 +112,35 @@ def test_sampled_suite_with_wrap():
         assert run_crash_suite(script, algo=algo, slots=4).ok
 
 
+def random_log_script(rng: random.Random, payload_len: int,
+                      slots: int) -> str:
+    """Appends and trims that fill a tiny log, empty it and wrap it."""
+    ops, live = [rng.choice(["crash exhaustive", "crash sampled 300"])], 0
+    for _ in range(rng.randint(2, 9)):
+        if live and (live == slots or rng.random() < 0.35):
+            n = rng.randint(1, live)
+            ops.append(f"trim {n}")
+            live -= n
+        else:
+            ops.append(f"append {rng.randbytes(payload_len).hex()}")
+            live += 1
+    return "\n".join(ops)
+
+
+@pytest.mark.parametrize("algo", sorted(set(EXTRA_ALGORITHMS) - {"broken-vb"}))
+def test_random_scripts_on_tiny_logs(algo):
+    # 2-5 slot logs reach a full region, full and partial trims of it, and
+    # appends over freshly trimmed slots within a few operations
+    rng = random.Random(algo)
+    for _ in range(12):
+        size = 24 if algo == "atlas" else rng.choice([24, 56, 112])
+        slots = rng.randint(2, 5)
+        script = random_log_script(rng, size, slots)
+        report = run_crash_suite(script, algo=algo, payload_len=size,
+                                 slots=slots)
+        assert report.ok, script
+
+
 def test_map_suite_clean():
     assert run_crash_suite(MAP_SCRIPT).ok
 
@@ -144,7 +176,7 @@ def test_audit_cso_random_background_init():
     assert audit.init_flushes_per_entry == pytest.approx(1.0, abs=0.01)
 
 
-# ---------------------------------------------------------------- differential
+# ---------------------------------------------------------------- append loop
 
 def retained_writes(algo: str, ops: int) -> int:
     log = ALGORITHMS[algo].fresh(24, 16)
@@ -156,11 +188,6 @@ def retained_writes(algo: str, ops: int) -> int:
 def test_run_appends_history_does_not_grow(algo):
     # checkpoints after the trims bound the write events the memory keeps
     assert retained_writes(algo, 512) <= retained_writes(algo, 64)
-
-
-def test_differential_recovery_agrees():
-    assert differential_recovery("cso-vb", "crc64", THREE_APPENDS)
-    assert differential_recovery("tornbit", "cso-random", THREE_APPENDS)
 
 
 # ---------------------------------------------------------- checksum collision

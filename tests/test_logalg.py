@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nvlog.harness import run_crash_suite
 from nvlog.logalg import ALGORITHMS
 from nvlog.logalg.base import (HEADER_BYTES, LogFullError, PayloadError,
                                TrimError, UnrecoverableLogError)
@@ -212,6 +213,77 @@ def test_csorandom_reinit_after_trim():
     addr = log.slot_addr(0)
     for off in range(0, log.slot_size, 8):
         assert mem.load_word(addr + off) == RANDOM_VALUE
+
+
+def _csorandom_payload(byte, size, collide):
+    p = bytearray([byte]) * size
+    if collide:  # the last word of the last line equals R
+        p[-8:] = RANDOM_VALUE.to_bytes(8, "little")
+    return p.hex()
+
+
+def _csorandom_script(mode, payloads, tail):
+    return "\n".join([f"crash {mode}"] + [f"append {p}" for p in payloads]
+                     + tail)
+
+
+@pytest.mark.parametrize("collide", [False, True])
+@pytest.mark.parametrize("size", [24, 56, 112])
+@pytest.mark.parametrize("trim", ["trim", "trim 1"])
+def test_csorandom_trim_of_full_log(size, collide, trim):
+    # no free slot ends the scan of a full log: a trimmed entry must not be
+    # read back through a freed slot whose refill is not yet durable
+    fill = [_csorandom_payload(i + 1, size, collide)
+            for i in range(2 if collide else 4)]
+    report = run_crash_suite(_csorandom_script("exhaustive", fill, [trim]),
+                             algo="cso-random", payload_len=size, slots=4)
+    assert report.distinct_states and not report.violations
+
+
+@pytest.mark.parametrize("trim_all", [False, True])
+def test_csorandom_trim_of_recovered_full_log(trim_all):
+    # a log recovered full must end the scan the same way as a live one
+    cls = ALGORITHMS["cso-random"]
+    mem, log, region = fresh("cso-random", payload_len=56, slots=4)
+    data = payloads(4, 56)
+    for p in data:
+        log.append(p)
+    image = mem.apply_crash(mem.sample_crash_state(rng=random.Random(0),
+                                                   at_least_durable=True))
+    recovered = cls.attach(image, 0, region, 56)
+    handles = [e.slot for e in recovered.recover()]
+    recovered.trim(handles[-1] if trim_all else handles[0])
+    legal = {tuple(data), tuple(data[4 if trim_all else 1:])}
+    for state in image.enumerate_crash_states():
+        got = cls.attach(image.apply_crash(state), 0, region, 56).recover()
+        assert tuple(e.payload for e in got) in legal
+
+
+@pytest.mark.parametrize("collide", [False, True])
+@pytest.mark.parametrize("size", [24, 56, 112])
+def test_csorandom_append_before_unfenced_refill(size, collide):
+    # the slot after a new entry (slot 3 here) was refilled by the trim but
+    # not fenced: a stale entry there must not be recovered after it
+    fill = [_csorandom_payload(1, size, collide)]
+    fill += [_csorandom_payload(2, size, False)] * (1 if collide else 2)
+    script = _csorandom_script(
+        "sampled 3000", fill,
+        ["trim", f"append {_csorandom_payload(9, size, False)}"])
+    report = run_crash_suite(script, algo="cso-random", payload_len=size,
+                             slots=4)
+    assert report.distinct_states and not report.violations
+
+
+@pytest.mark.parametrize("size", [56, 112])
+def test_csorandom_append_into_unfenced_refill(size):
+    # the new entry overwrites a refilled slot of a two-slot log (24-byte
+    # slots share one line, so same-line order already covers that size)
+    p = [_csorandom_payload(b, size, False) for b in (0x0A, 0x0B, 0x0C)]
+    script = _csorandom_script("sampled 3000", p[:2],
+                               ["trim", f"append {p[2]}"])
+    report = run_crash_suite(script, algo="cso-random", payload_len=size,
+                             slots=2)
+    assert report.distinct_states and not report.violations
 
 
 def test_csorandom_init_flushes_batched():

@@ -540,6 +540,16 @@ def test_snapshot_geometry_checked(tmp_path):
         SimMemory.snapshot_load(path)
 
 
+@pytest.mark.parametrize("line_size", [0, 32, 128])
+def test_snapshot_other_line_size_rejected(tmp_path, line_size):
+    path = tmp_path / "img.pcso"
+    path.write_bytes(b"PCSO" + (1).to_bytes(4, "little")
+                     + line_size.to_bytes(4, "little")
+                     + (256).to_bytes(8, "little") + bytes(256))
+    with pytest.raises(SnapshotFormatError):
+        SimMemory.snapshot_load(path)
+
+
 def test_snapshot_bad_magic_rejected(tmp_path):
     path = tmp_path / "img.pcso"
     path.write_bytes(b"NOPE" + bytes(100))

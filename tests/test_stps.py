@@ -136,6 +136,19 @@ def test_capacity_errors():
         m.update(b"one-too-many", b"v")
 
 
+def test_txn_beyond_capacity_stores_nothing():
+    mem, m = fresh(slots=4, nbuckets=4)
+    m.update(b"a", b"1")
+    with pytest.raises(CapacityError):
+        m.txn_update([(b"k%d" % i, b"v") for i in range(5)])
+    assert m.items() == {b"a": b"1"}
+    assert not mem.pending_flushes
+    assert recovered_copy(mem, m).items() == {b"a": b"1"}
+    m.txn_update([(b"b", b"2"), (b"c", b"3"), (b"d", b"4")])
+    assert recovered_copy(mem, m).items() == {
+        b"a": b"1", b"b": b"2", b"c": b"3", b"d": b"4"}
+
+
 def test_append_precondition_enforced():
     mem, m = fresh()
     mem.store_word(0, pack_meta(1, 0, 1, 5))  # bits disagree
