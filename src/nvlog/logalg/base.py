@@ -10,6 +10,7 @@ never consulted by recovery.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from ..pmem import LINE_SIZE, RELEASE, SimMemory, WORD_SIZE
@@ -64,9 +65,9 @@ def slot_size_for(total: int) -> int:
 
 
 def words_of(data: bytes) -> list[int]:
+    """Little-endian 8-byte words of `data`, the last zero-padded."""
     padded = data + b"\0" * (-len(data) % WORD_SIZE)
-    return [int.from_bytes(padded[i:i + WORD_SIZE], "little")
-            for i in range(0, len(padded), WORD_SIZE)]
+    return list(struct.unpack(f"<{len(padded) // WORD_SIZE}Q", padded))
 
 
 class CircularLog:

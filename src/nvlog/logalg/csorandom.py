@@ -147,5 +147,5 @@ class CsoRandomLog(CircularLog):
             self._stop = self.head  # the first slot this trim frees
 
     def _after_trim(self, freed_slots: list[int]) -> None:
-        for s in freed_slots:
-            self.random_init(s, 1)
+        # freed slots run on from the old head, wrapping at the region end
+        self.random_init(freed_slots[0], len(freed_slots))

@@ -38,7 +38,8 @@ memoises those replays in ``_torn`` by (line, cut).  Within an epoch a
 line's writes are only appended to, so a memoised image never goes stale;
 ``checkpoint()`` clears the memo with the rest of the history.  Fully
 persisted lines are never memoised, and ``persisted_image()`` (the durable
-floors as the cuts) builds with a throwaway memo.
+floors as the cuts) builds with a throwaway memo.  Sampling memoises the
+same way: ``_sampled`` maps each drawn cut tuple to its fixed-up state.
 
 The ``RELEASE`` store tag does not change which crash states are legal; it
 marks the writes around which ``boundary_crash_states`` cuts.
@@ -146,6 +147,7 @@ class SimMemory:
         self._raises: list[tuple[int, int, int]] = []
         self._req_views: dict[int, dict[int, int]] = {}  # k -> _reqs_before(k)
         self._torn: dict[tuple[int, int], bytes] = {}    # (line, cut) -> image
+        self._sampled: dict[tuple[int, ...], CrashState] = {}  # draw -> state
         self._epoch = 0
 
     # ------------------------------------------------------------------ basics
@@ -317,13 +319,26 @@ class SimMemory:
 
     def sample_crash_state(self, rng: random.Random,
                            at_least_durable: bool = False) -> CrashState:
+        """A random cut per written line, raised to meet the flush
+        requirements.  A draw's fix-up reads only the stamps of the writes
+        it keeps and the floors of the fences before them, which nothing
+        later in the epoch changes, so it is memoised per draw until
+        ``checkpoint()``.  The key is the drawn cuts alone: an epoch's
+        written lines only grow, so a key's length names its lines, and a
+        draw made after a new line's first write never meets an earlier
+        one's."""
         lines = sorted(self._writes)
         cuts = []
         for line in lines:
             lo = self._floors.get(line, 0) if at_least_durable else 0
             cuts.append(rng.randint(lo, len(self._writes[line])))
-        self._fix_up(lines, cuts)
-        return CrashState(tuple(zip(lines, cuts)), self._epoch)
+        drawn = tuple(cuts)
+        state = self._sampled.get(drawn)
+        if state is None:
+            self._fix_up(lines, cuts)
+            state = self._sampled[drawn] = CrashState(
+                tuple(zip(lines, cuts)), self._epoch)
+        return state
 
     def sample_crash_states(self, count: int, seed: int = 0,
                             at_least_durable: bool = False):
@@ -401,6 +416,7 @@ class SimMemory:
         self._raises.clear()
         self._req_views.clear()
         self._torn.clear()
+        self._sampled.clear()
         self._epoch += 1
 
     # -------------------------------------------------------------- snapshots

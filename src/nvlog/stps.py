@@ -94,6 +94,10 @@ class PersistentHashMap:
         self._run0 = LINE_SIZE - _HDR_BYTES
         self._runN = LINE_SIZE - 1
         self.capacity = self._run0 + (node_lines - 1) * self._runN
+        # slot offsets of the validity bytes of the lines after the first
+        # (the first line's bits live in the meta word)
+        self._bit_offs = [(i + 1) * LINE_SIZE + self._runN
+                          for i in range(node_lines - 1)]
         self.max_key = min(self._run0 + (self._runN if node_lines > 1 else 0),
                            _KLEN_MASK)
         # volatile structures; a zeroed region already reads as all-dead
@@ -109,27 +113,15 @@ class PersistentHashMap:
     def slot_addr(self, slot: int) -> int:
         return self.base + slot * self.slot_size
 
-    def _bit_addrs(self, slot: int) -> list[int]:
-        """Addresses of the per-line validity bytes for lines beyond the
-        first (the first line's bits live in the meta word)."""
-        addr = self.slot_addr(slot)
-        return [addr + (i + 1) * LINE_SIZE + self._runN
-                for i in range(self.node_lines - 1)]
-
-    def _data_addrs(self, slot: int, length: int) -> list[tuple[int, int]]:
-        """(addr, nbytes) runs covering `length` data bytes of the slot."""
-        addr = self.slot_addr(slot)
-        runs = []
-        remaining = length
-        take = min(remaining, self._run0)
-        runs.append((addr + _HDR_BYTES, take))
-        remaining -= take
-        line = 1
+    def _data_runs(self, length: int) -> list[tuple[int, int]]:
+        """(offset in slot, nbytes) runs covering `length` data bytes."""
+        runs = [(_HDR_BYTES, min(length, self._run0))]
+        remaining = length - self._run0
+        off = LINE_SIZE
         while remaining > 0:
-            take = min(remaining, self._runN)
-            runs.append((addr + line * LINE_SIZE, take))
-            remaining -= take
-            line += 1
+            runs.append((off, min(remaining, self._runN)))
+            remaining -= self._runN
+            off += LINE_SIZE
         return runs
 
     # ------------------------------------------------------ entry read/write
@@ -137,39 +129,40 @@ class PersistentHashMap:
     def _dual_for(self, klen: int) -> int:
         return 1 if klen <= self._run0 else 2
 
-    def _slot_bit(self, slot: int, meta: int, klen: int) -> int | None:
-        """The validity bit every line of the slot agrees on, or None.  The
-        meta word holds two bits; each later line's validity byte holds bit
-        0, and bit 1 too while the line also holds key bytes."""
-        v = meta & 1
-        if (meta >> 1) & 1 != v:
+    def _slot_bit(self, raw: bytes) -> int | None:
+        """The validity bit every line of the slot whose bytes are `raw`
+        agrees on, or None.  The meta word holds two bits; each later line's
+        validity byte holds bit 0, and bit 1 too while the line also holds
+        key bytes."""
+        v = raw[0] & 1
+        if (raw[0] >> 1) & 1 != v:
             return None
-        dual = self._dual_for(klen)
-        for i, a in enumerate(self._bit_addrs(slot)):
-            b = self.mem.load(a, 1)[0]
+        dual = self._dual_for(raw[WORD_SIZE] & _KLEN_MASK)
+        for i, off in enumerate(self._bit_offs):
+            b = raw[off]
             if b & 1 != v or (i + 1 < dual and (b >> 1) & 1 != v):
                 return None
         return v
 
-    def parse_entry(self, slot: int) -> ParsedEntry | None:
-        """Validate and decode a slot; None if invalid, dead, or implausible."""
-        mem = self.mem
-        addr = self.slot_addr(slot)
-        meta = mem.load_word(addr)
+    def _decode(self, raw: bytes) -> ParsedEntry | None:
+        """Validate and decode a slot from its bytes `raw`."""
+        meta = int.from_bytes(raw[:WORD_SIZE], "little")
         version = meta >> _VER_SHIFT
-        if version == 0 or (meta >> 1) & 1 != meta & 1:
-            return None
-        kbyte = mem.load(addr + WORD_SIZE, 1)[0]
+        kbyte = raw[WORD_SIZE]
         klen = kbyte & _KLEN_MASK
-        vlen = int.from_bytes(mem.load(addr + WORD_SIZE + 1, 2), "little")
-        if klen == 0 or klen > self.max_key or klen + vlen > self.capacity:
+        vlen = raw[WORD_SIZE + 1] | raw[WORD_SIZE + 2] << 8
+        if (version == 0 or klen == 0 or klen > self.max_key
+                or klen + vlen > self.capacity or self._slot_bit(raw) is None):
             return None
-        if self._slot_bit(slot, meta, klen) is None:
-            return None
-        data = b"".join(mem.load(a, n) for a, n in
-                        self._data_addrs(slot, klen + vlen))
+        data = b"".join([raw[off:off + n]
+                         for off, n in self._data_runs(klen + vlen)])
         return ParsedEntry(data[:klen], data[klen:], version,
                            (meta >> _TXN_SHIFT) & 0xFF, bool(kbyte & _TOMBSTONE))
+
+    def parse_entry(self, slot: int) -> ParsedEntry | None:
+        """Validate and decode a slot; None if invalid, dead, or implausible."""
+        return self._decode(self.mem.load(self.slot_addr(slot),
+                                          self.slot_size))
 
     def append_entry(self, slot: int, key: bytes, value: bytes, version: int,
                      txncount: int, *, tombstone: bool = False) -> None:
@@ -184,30 +177,30 @@ class PersistentHashMap:
         self._check_kv(key, value)
         if version > _VER_MAX or not 1 <= txncount <= 255:
             raise StpsError("bad version or transaction count")
-        meta = mem.load_word(addr)
-        old = self._slot_bit(slot, meta,
-                             mem.load(addr + WORD_SIZE, 1)[0] & _KLEN_MASK)
+        raw = mem.load(addr, self.slot_size)
+        old = self._slot_bit(raw)
         if old is None:
             raise InvariantError(f"slot {slot} validity bits disagree")
         new = old ^ 1
         dual = self._dual_for(len(key))
-        bit_addrs = self._bit_addrs(slot)
+        bit_offs = self._bit_offs
 
         # first flip: line 0 via the meta word, plus line 1 when it holds key
+        meta = int.from_bytes(raw[:WORD_SIZE], "little")
         mem.store_word(addr, (meta & ~1) | new)
-        if dual > 1 and self.node_lines > 1:
-            b = mem.load(bit_addrs[0], 1)[0]
-            mem.store(bit_addrs[0], bytes([(b & ~1) | new]))
+        if dual > 1 and bit_offs:
+            b = raw[bit_offs[0]]
+            mem.store(addr + bit_offs[0], bytes([(b & ~1) | new]))
 
         kbyte = len(key) | (_TOMBSTONE if tombstone else 0)
         hdr = bytes([kbyte]) + len(value).to_bytes(2, "little")
         mem.store(addr + WORD_SIZE, hdr)
         data = key + value
         pos = 0
-        for run_addr, run_len in self._data_addrs(slot, len(data)):
+        for run_off, run_len in self._data_runs(len(data)):
             for off in range(0, run_len, WORD_SIZE):
                 chunk = data[pos + off:pos + min(off + WORD_SIZE, run_len)]
-                mem.store(run_addr + off, chunk)
+                mem.store(addr + run_off + off, chunk)
             pos += run_len
 
         if self.two_round_commit:
@@ -219,9 +212,9 @@ class PersistentHashMap:
             mem.store_word(addr, new_meta, RELEASE)
         else:
             mem.store_word(addr, new_meta)
-            for i, a in enumerate(bit_addrs):
+            for i, off in enumerate(bit_offs):
                 val = new | (new << 1) if i + 1 < dual else new
-                mem.store(a, bytes([val]))
+                mem.store(addr + off, bytes([val]))
         mem.flush_range(addr, self.slot_size)
         if self.two_round_commit:
             mem.sfence()
@@ -363,9 +356,12 @@ class PersistentHashMap:
         version order, then reinitialize every non-live slot to the canonical
         dead state so it can be reused without history."""
         mem = self.mem
+        size = self.slot_size
+        region = mem.load(self.base, self.nslots * size)
+        raws = [region[off:off + size] for off in range(0, len(region), size)]
         parsed: dict[int, ParsedEntry] = {}
-        for slot in range(self.nslots):
-            e = self.parse_entry(slot)
+        for slot, raw in enumerate(raws):
+            e = self._decode(raw)
             if e is not None:
                 parsed[slot] = e
         by_version: dict[int, list[int]] = {}
@@ -399,16 +395,17 @@ class PersistentHashMap:
             if slot in live_slots:
                 continue
             addr = self.slot_addr(slot)
+            raw = raws[slot]
             dirty = False
-            if mem.load_word(addr) != 0:
+            if any(raw[:WORD_SIZE]):
                 mem.store_word(addr, 0)
                 dirty = True
-            for a in self._bit_addrs(slot):
-                if mem.load(a, 1) != b"\0":
-                    mem.store(a, b"\0")
+            for off in self._bit_offs:
+                if raw[off]:
+                    mem.store(addr + off, b"\0")
                     dirty = True
             if dirty:
-                mem.flush_range(addr, self.slot_size)
+                mem.flush_range(addr, size)
                 touched = True
             self._reuse.append(slot)
         if touched:

@@ -26,12 +26,38 @@ def test_empty_inputs():
     assert crc64_ecma(b"") == 0
 
 
-@given(st.binary(max_size=64), st.binary(max_size=64))
-def test_distinct_messages_rarely_collide(a, b):
-    if a != b:
-        # not a guarantee, but any hit here means a broken table
-        assert crc64_ecma(a) != crc64_ecma(b) or len(a) != len(b) or True
-        assert crc32c(a + b"\x01") != crc32c(a + b"\x02")
+# References: one byte per step, shifted through bit by bit, with no tables.
+
+def _bytewise_crc32c(data: bytes) -> int:
+    crc = 0xFFFFFFFF
+    for b in data:
+        crc ^= b
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0x82F63B78 if crc & 1 else crc >> 1
+    return crc ^ 0xFFFFFFFF
+
+
+def _bytewise_crc64_ecma(data: bytes) -> int:
+    crc = 0
+    for b in data:
+        crc ^= b << 56
+        for _ in range(8):
+            crc = (crc << 1) ^ 0x42F0E1EBA9EA3693 if crc >> 63 else crc << 1
+            crc &= (1 << 64) - 1
+    return crc
+
+
+def test_bytewise_references_match_check_values():
+    assert _bytewise_crc32c(b"123456789") == 0xE3069283
+    assert _bytewise_crc64_ecma(b"123456789") == 0x6C40DF5F0B497347
+
+
+@given(st.integers(0, 300).flatmap(lambda n: st.binary(min_size=n,
+                                                       max_size=n)))
+def test_word_stepped_crcs_match_bytewise_reference(data):
+    # uniform lengths 0..300 reach every tail length 0..7 after the words
+    assert crc32c(data) == _bytewise_crc32c(data)
+    assert crc64_ecma(data) == _bytewise_crc64_ecma(data)
 
 
 @given(st.binary(min_size=1, max_size=32))

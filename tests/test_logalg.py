@@ -286,6 +286,28 @@ def test_csorandom_append_into_unfenced_refill(size):
     assert report.distinct_states and not report.violations
 
 
+@pytest.mark.parametrize("size,flushes", [(8, 3), (24, 5), (56, 9)])
+@pytest.mark.parametrize("wrap", [False, True])
+def test_csorandom_trim_flushes_each_line_once(size, flushes, wrap):
+    # a trim of 8 slots refills 2/4/8 lines of 16/32/64-byte slots and
+    # flushes each once, plus the head word's line
+    mem, log, _ = fresh("cso-random", payload_len=size, slots=16)
+    if wrap:  # the 8 freed slots run 12..15, 0..3
+        for p in payloads(12, size):
+            h = log.append(p)
+        log.trim(h)
+    for p in payloads(8, size):
+        h = log.append(p)
+    before = mem.stats.clflushopt_count
+    log.trim(h)
+    assert mem.stats.clflushopt_count - before == flushes
+    mem.sfence()
+    for s in range(log.nslots):
+        addr = log.slot_addr(s)
+        assert mem.load(addr, log.slot_size) == (
+            RANDOM_VALUE.to_bytes(8, "little") * (log.slot_size // 8))
+
+
 def test_csorandom_init_flushes_batched():
     # formatting many slots must not fence per line
     cls = ALGORITHMS["cso-random"]

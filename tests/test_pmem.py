@@ -309,6 +309,75 @@ def test_sampling_covers_two_line_unfenced_trace():
     assert len(seen) == 4
 
 
+def _run(m: SimMemory, op: tuple) -> None:
+    if op[0] == "store":
+        m.store(op[1], op[2])
+    elif op[0] == "flush":
+        m.clflushopt(op[1])
+    elif op[0] == "fence":
+        m.sfence()
+    else:  # make everything durable, then start a new epoch
+        m.flush_range(0, m.capacity)
+        m.sfence()
+        m.checkpoint()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_memoised_samples_match_fresh_replay(seed):
+    # writes, fences, checkpoints and samples interleave, and lines are
+    # first written at different times: every sample must equal the one a
+    # memory that replays the same history, with no draws before, samples
+    # from the same generator state
+    rng = random.Random(seed)
+    draws = random.Random(seed + 1000)
+    m = SimMemory(256)
+    history = []
+    hits = 0
+    for _ in range(80):
+        roll = rng.random()
+        if roll < 0.6:
+            durable = rng.random() < 0.5
+            before = draws.getstate()
+            memoised = len(m._sampled)
+            got = m.sample_crash_state(draws, at_least_durable=durable)
+            hits += len(m._sampled) == memoised
+            twin = SimMemory(256)
+            for op in history:
+                _run(twin, op)
+            replay_rng = random.Random()
+            replay_rng.setstate(before)
+            assert got == twin.sample_crash_state(replay_rng,
+                                                  at_least_durable=durable)
+            assert [line for line, _ in got.cuts] == sorted(m._writes)
+            continue
+        if roll < 0.8:
+            op = ("store", 64 * rng.randrange(4) + 8 * rng.randrange(8),
+                  bytes([rng.randrange(1, 256)]))
+        elif roll < 0.9:
+            op = ("flush", rng.randrange(4))
+        elif roll < 0.97:
+            op = ("fence",)
+        else:
+            op = ("checkpoint",)
+        _run(m, op)
+        history.append(op)
+    assert hits
+
+
+def test_sample_memo_cleared_by_checkpoint():
+    m = SimMemory(128)
+    m.store(0, b"a")
+    m.sample_crash_state(random.Random(0))
+    assert m._sampled
+    m.flush_range(0, 128)
+    m.sfence()
+    m.checkpoint()
+    assert not m._sampled
+    m.store(64, b"b")
+    state = m.sample_crash_state(random.Random(0))
+    assert state.epoch == 1 and [ln for ln, _ in state.cuts] == [1]
+
+
 def test_at_least_durable_respects_floor():
     m = SimMemory(256)
     m.store(0, b"1" * 8)

@@ -8,8 +8,8 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  rule)
 
-from conftest import RecordingMemory
-from nvlog.pmem import SimMemory, WORD_SIZE
+from conftest import Fence, Flush, RecordingMemory, Store
+from nvlog.pmem import RELAXED, SimMemory
 from nvlog.stps import (CapacityError, InvariantError, PersistentHashMap,
                         StpsError, pack_meta)
 
@@ -163,9 +163,8 @@ def test_quiescent_bits_all_equal():
     for i in range(6):
         m.update(b"key%d" % i, b"x" * 70)
     for slot in range(m.nslots):
-        addr = m.slot_addr(slot)
-        klen = mem.load(addr + WORD_SIZE, 1)[0] & 0x7F
-        assert m._slot_bit(slot, mem.load_word(addr), klen) is not None
+        raw = mem.load(m.slot_addr(slot), m.slot_size)
+        assert m._slot_bit(raw) is not None
 
 
 def test_multiline_entries_round_trip():
@@ -217,6 +216,61 @@ def test_recovery_reinitializes_dead_slots():
         assert r.mem.load_word(r.slot_addr(slot)) == 0
     # reinitialized slots are immediately reusable
     assert len(r._reuse) == r.nslots - 1
+
+
+class LoadCountingMemory(SimMemory):
+    """Counts `load` and `load_word` calls (a `load_word` also counts the
+    `load` it makes)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.loads = self.load_words = 0
+
+    def load(self, addr, size):
+        self.loads += 1
+        return super().load(addr, size)
+
+    def load_word(self, addr):
+        self.load_words += 1
+        return super().load_word(addr)
+
+
+@pytest.mark.parametrize("node_lines", [1, 2, 4])
+def test_recovery_and_parse_read_each_once(node_lines):
+    region = 16 * node_lines * 64
+    mem = LoadCountingMemory(region)
+    m = PersistentHashMap(mem, 0, region, node_lines=node_lines, nbuckets=16)
+    for i in range(10):
+        m.update(b"k%d" % (i % 4), b"v" * (i * 7 % m.capacity))
+    m.txn_update([(b"t1", b"x"), (b"t2", b"y")])
+    m.remove(b"k1")
+    mem.loads = mem.load_words = 0
+    r = PersistentHashMap(mem, 0, region, node_lines=node_lines,
+                          nbuckets=16).recover()
+    assert (mem.loads, mem.load_words) == (1, 0)
+    mem.loads = 0
+    for slot in range(r.nslots):
+        r.parse_entry(slot)
+    assert (mem.loads, mem.load_words) == (r.nslots, 0)
+
+
+def test_recovery_resets_dead_slot_with_only_a_later_validity_byte():
+    region = 4 * 4 * 64
+    mem = RecordingMemory(region)
+    m = PersistentHashMap(mem, 0, region, node_lines=4, nbuckets=16)
+    bit_addr = m.slot_addr(2) + 3 * 64 + 63  # line 3's validity byte
+    mem.store(bit_addr, b"\x01")
+    mem.clflushopt(mem.line_of(bit_addr))
+    mem.sfence()
+    mark = len(mem.trace)
+    m.recover()
+    assert mem.load(bit_addr, 1) == b"\0"
+    first = mem.line_of(m.slot_addr(2))
+    assert mem.trace[mark:] == [
+        Store(mem.line_of(bit_addr), 63, b"\0", RELAXED),
+        *(Flush(first + i, 2 if i == 3 else 0) for i in range(4)),
+        Fence()]
+    assert list(m._reuse) == [0, 1, 2, 3]
 
 
 def test_recovered_map_usable_for_more_updates():
