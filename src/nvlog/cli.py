@@ -94,10 +94,9 @@ def _run_kv(two_round: bool, set_size: int, ops: int, latency_ns: int,
             seed: int, node_lines: int, fence_ns: int, base_ns: int) -> list:
     slots = 2 * set_size + 64
     region = slots * node_lines * 64
-    nbuckets = 1 << max(4, (set_size - 1).bit_length())
     mem = SimMemory(region, latency_ns=latency_ns, fence_cost_ns=fence_ns)
     m = PersistentHashMap(mem, 0, region, node_lines=node_lines,
-                          nbuckets=nbuckets, two_round_commit=two_round)
+                          two_round_commit=two_round)
     keys = [f"key{i:06d}".encode() for i in range(set_size)]
     for k in keys:
         m.update(k, b"v0")

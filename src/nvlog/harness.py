@@ -3,9 +3,12 @@
 Replays a small workload script against a log or hash map on simulated
 persistent memory, derives the set of states the map/log may legally recover
 to, then injects crash states (exhaustively per operation, or sampled over
-the whole run) and checks every recovery lands on a legal state.  Also houses
-round-trip audits, a deliberately broken log variant, and a
-checksum-collision construction that defeats 32-bit CRC validation.
+the whole run) and checks every recovery lands on a legal state.
+Exhaustive and at-op modes fence and checkpoint between operations, so a
+defect that needs one op's unfenced write to persist after the next op shows
+only under `crash sampled`.  Also houses round-trip audits, a deliberately
+broken log variant, and a checksum-collision construction that defeats
+32-bit CRC validation.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ def parse_script(text: str) -> Script:
 
         seed N
         crash exhaustive | sampled K | at-op I
+                                 (K > 0 samples, default 10000; I an op
+                                 index, 0 <= I < number of ops, default 0)
         append HEXBYTES          (log)
         trim [N]                 (log; drop the oldest N entries, default all)
         U key value              (map update)
@@ -72,6 +77,9 @@ def parse_script(text: str) -> Script:
                 if script.mode not in ("exhaustive", "sampled", "at-op"):
                     raise ScriptError(f"unknown crash mode {tok[1]!r}")
                 script.mode_arg = int(tok[2]) if len(tok) > 2 else 0
+                if script.mode == "sampled" and tok[2:] and script.mode_arg < 1:
+                    raise ValueError(f"sample count {script.mode_arg} "
+                                     "is not positive")
             elif tok[0] in ("append", "A"):
                 script.ops.append(("append", bytes.fromhex(tok[1])))
             elif tok[0] == "trim":
@@ -99,6 +107,10 @@ def parse_script(text: str) -> Script:
         if ops and (ops[-1][0] in MAP_OPS) != (ops[0][0] in MAP_OPS):
             raise ScriptError(f"line {lineno}: {raw.strip()!r}: "
                               "log and map operations in one script")
+    n = len(script.ops)
+    if script.mode == "at-op" and not 0 <= script.mode_arg < n:
+        raise ScriptError(f"crash at-op {script.mode_arg}: no such op in a "
+                          f"{n}-op script")
     return script
 
 
@@ -181,15 +193,12 @@ class _LogTarget:
 
 
 class _StpsTarget:
-    nbuckets = 64
-
     def __init__(self, node_lines: int = 1, slots: int = 32):
         self.node_lines = node_lines
         self.region = slots * node_lines * 64
         self.mem = SimMemory(self.region)
         self.map = PersistentHashMap(self.mem, 0, self.region,
-                                     node_lines=node_lines,
-                                     nbuckets=self.nbuckets)
+                                     node_lines=node_lines)
         self.model: dict[bytes, bytes] = {}
 
     def run_op(self, op: tuple) -> None:
@@ -216,8 +225,7 @@ class _StpsTarget:
 
     def recovered_state(self, crashed: SimMemory):
         m = PersistentHashMap(crashed, 0, self.region,
-                              node_lines=self.node_lines,
-                              nbuckets=self.nbuckets)
+                              node_lines=self.node_lines)
         m.recover()
         return m.items()
 

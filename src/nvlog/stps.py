@@ -1,11 +1,12 @@
 """Single-trip persistent hash map on top of an enhanced log.
 
-Entries live in fixed-size log slots; the bucket array, chain links, reuse
-queue and version counter are volatile and rebuilt by recovery.  Each slot's
-first word packs two validity bits, an 8-bit transaction counter and a 54-bit
-version; an entry is valid only when all of its validity bits agree, which a
-flip-before / flip-after write protocol maintains so that a crash leaves the
-slot readable as wholly old, wholly new, or invalid.
+Entries live in fixed-size log slots; the index (a dict from each live key to
+its slot, with no buckets or chains), the reuse queue and the version counter
+are volatile and rebuilt by recovery.  Each slot's first word packs two
+validity bits, an 8-bit transaction counter and a 54-bit version; an entry is
+valid only when all of its validity bits agree, which a flip-before /
+flip-after write protocol maintains so that a crash leaves the slot readable
+as wholly old, wholly new, or invalid.
 
 Slot layout (``node_lines`` cache lines):
 
@@ -39,9 +40,6 @@ _HDR_BYTES = WORD_SIZE + 3  # meta word, klen+flags, vlen
 _TOMBSTONE = 0x80
 _KLEN_MASK = 0x7F
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-
 
 class StpsError(Exception):
     pass
@@ -53,13 +51,6 @@ class CapacityError(StpsError):
 
 class InvariantError(StpsError):
     pass
-
-
-def hash_key(key: bytes) -> int:
-    h = _FNV_OFFSET
-    for b in key:
-        h = ((h ^ b) * _FNV_PRIME) & (2 ** 64 - 1)
-    return h
 
 
 def pack_meta(v1: int, v2: int, txncount: int, version: int) -> int:
@@ -77,18 +68,19 @@ class ParsedEntry:
 
 class PersistentHashMap:
     def __init__(self, mem: SimMemory, base: int, size: int, *,
-                 node_lines: int = 1, nbuckets: int = 1 << 16,
+                 node_lines: int = 1, nbuckets: int | None = None,
                  two_round_commit: bool = False):
+        """A map over the line-aligned region [base, base + size).
+
+        `nbuckets` is ignored: the volatile index is a dict.  The keyword is
+        kept only because nvbench's kv-mixed workload still passes it."""
         if base % LINE_SIZE or size % LINE_SIZE:
             raise StpsError("region must be line-aligned")
-        if nbuckets & (nbuckets - 1):
-            raise StpsError("bucket count must be a power of two")
         self.mem = mem
         self.base = base
         self.node_lines = node_lines
         self.slot_size = node_lines * LINE_SIZE
         self.nslots = size // self.slot_size
-        self.nbuckets = nbuckets
         self.two_round_commit = two_round_commit
         # data region capacities
         self._run0 = LINE_SIZE - _HDR_BYTES
@@ -102,8 +94,7 @@ class PersistentHashMap:
                            _KLEN_MASK)
         # volatile structures; a zeroed region already reads as all-dead
         # slots, so a new map writes nothing (call recover() on an image)
-        self._buckets = [-1] * nbuckets
-        self._next = [-1] * self.nslots
+        self._index: dict[bytes, int] = {}   # live key -> slot
         self._reuse: deque[int] = deque()
         self._bump = 0
         self._next_version = 1
@@ -221,20 +212,6 @@ class PersistentHashMap:
 
     # ----------------------------------------------------------- volatile ops
 
-    def _bucket_of(self, key: bytes) -> int:
-        return hash_key(key) & (self.nbuckets - 1)
-
-    def _find(self, key: bytes) -> tuple[int, int, int]:
-        """(bucket, prev slot or -1, matching slot or -1)."""
-        b = self._bucket_of(key)
-        prev, cur = -1, self._buckets[b]
-        while cur != -1:
-            e = self.parse_entry(cur)
-            if e is not None and not e.tombstone and e.key == key:
-                return b, prev, cur
-            prev, cur = cur, self._next[cur]
-        return b, prev, -1
-
     def _alloc(self) -> int:
         if self._reuse:
             return self._reuse.popleft()
@@ -243,22 +220,6 @@ class PersistentHashMap:
             self._bump += 1
             return slot
         raise CapacityError("map region exhausted and nothing is reusable")
-
-    def _relink(self, bucket: int, prev: int, old: int, new: int) -> None:
-        """Chain `new` where `old` sits after `prev` (at the bucket head when
-        `old` is -1); a `new` of -1 only unlinks `old`."""
-        if old == -1:
-            prev, succ = -1, self._buckets[bucket]
-        else:
-            succ = self._next[old]
-            self._next[old] = -1
-        if new != -1:
-            self._next[new] = succ
-            succ = new
-        if prev == -1:
-            self._buckets[bucket] = succ
-        else:
-            self._next[prev] = succ
 
     def _check_kv(self, key: bytes, value: bytes) -> None:
         if not key or len(key) > self.max_key:
@@ -270,7 +231,7 @@ class PersistentHashMap:
     def _write(self, pairs: list[tuple[bytes, bytes | None]]) -> None:
         """The one write path: store `(key, value)` pairs under one version
         and transaction count, then one commit fence.  A None value is a
-        tombstone (only `remove` writes one, alone): it is never chained,
+        tombstone (only `remove` writes one, alone): it is never indexed,
         and for an absent key nothing is written.  The version is used up
         once a slot is taken, so a write that fails part way never shares
         it with the next.  Replaced and tombstone slots join the reuse FIFO
@@ -284,7 +245,7 @@ class PersistentHashMap:
         freed = []
         popped = False
         for key, value in pairs:
-            bucket, prev, old = self._find(key)
+            old = self._index.get(key, -1)
             tombstone = value is None
             if tombstone and old == -1:
                 continue
@@ -300,11 +261,13 @@ class PersistentHashMap:
             self._next_version = version + 1
             self.append_entry(slot, key, value or b"", version, n,
                               tombstone=tombstone)
-            self._relink(bucket, prev, old, -1 if tombstone else slot)
-            if old != -1:
-                freed.append(old)
             if tombstone:
-                freed.append(slot)
+                del self._index[key]
+                freed += [old, slot]
+            else:
+                self._index[key] = slot
+                if old != -1:
+                    freed.append(old)
         if self._next_version > version:   # something was written
             self.mem.sfence()
             self._reuse.extend(freed)
@@ -312,10 +275,10 @@ class PersistentHashMap:
     # ------------------------------------------------------------- public ops
 
     def get(self, key: bytes) -> bytes | None:
-        _, _, cur = self._find(key)
-        if cur == -1:
+        slot = self._index.get(key)
+        if slot is None:
             return None
-        return self.parse_entry(cur).value
+        return self.parse_entry(slot).value
 
     def update(self, key: bytes, value: bytes) -> None:
         self._check_kv(key, value)
@@ -339,14 +302,8 @@ class PersistentHashMap:
         self._write(pairs)
 
     def items(self) -> dict[bytes, bytes]:
-        out = {}
-        for head in self._buckets:
-            cur = head
-            while cur != -1:
-                e = self.parse_entry(cur)
-                out[e.key] = e.value
-                cur = self._next[cur]
-        return out
+        return {key: self.parse_entry(slot).value
+                for key, slot in self._index.items()}
 
     # --------------------------------------------------------------- recovery
 
@@ -381,13 +338,8 @@ class PersistentHashMap:
                 live.pop(e.key, None)
             else:
                 live[e.key] = slot
-        self._buckets = [-1] * self.nbuckets
-        self._next = [-1] * self.nslots
+        self._index = live
         live_slots = set(live.values())
-        for key, slot in live.items():
-            b = self._bucket_of(key)
-            self._next[slot] = self._buckets[b]
-            self._buckets[b] = slot
         # reinitialize everything else
         self._reuse = deque()
         touched = False

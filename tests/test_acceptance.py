@@ -81,7 +81,7 @@ def test_roundtrip_accounting():
 def _interrupted_append_states(node_lines, old_kv, new_kv):
     region = 8 * node_lines * 64
     mem = SimMemory(region)
-    m = PersistentHashMap(mem, 0, region, node_lines=node_lines, nbuckets=16)
+    m = PersistentHashMap(mem, 0, region, node_lines=node_lines)
     m.append_entry(0, old_kv[0], old_kv[1], 1, 1)
     mem.sfence()
     mem.checkpoint()
@@ -89,8 +89,7 @@ def _interrupted_append_states(node_lines, old_kv, new_kv):
     outcomes = []
     for st in mem.enumerate_crash_states():
         clone = mem.apply_crash(st)
-        r = PersistentHashMap(clone, 0, region, node_lines=node_lines,
-                              nbuckets=16)
+        r = PersistentHashMap(clone, 0, region, node_lines=node_lines)
         outcomes.append((st.cuts, r.parse_entry(0)))
     return outcomes
 
@@ -129,7 +128,7 @@ def test_transaction_atomicity():
     elements or none of them."""
     region = 16 * 64
     mem = SimMemory(region)
-    m = PersistentHashMap(mem, 0, region, nbuckets=16)
+    m = PersistentHashMap(mem, 0, region)
     mem.checkpoint()
     m.txn_update([(b"a", b"1"), (b"b", b"2"), (b"c", b"3")])
     want_all = {b"a": b"1", b"b": b"2", b"c": b"3"}
@@ -137,7 +136,7 @@ def test_transaction_atomicity():
     states = mem.enumerate_crash_states()
     for st in states:
         clone = mem.apply_crash(st)
-        r = PersistentHashMap(clone, 0, region, nbuckets=16)
+        r = PersistentHashMap(clone, 0, region)
         r.recover()
         if r.items() not in ({}, want_all):
             bad.append((st.cuts, r.items()))

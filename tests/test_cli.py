@@ -185,6 +185,23 @@ def test_crashtest_bad_trim_is_a_usage_error(count, why, tmp_path, capsys):
     assert err.strip() == why
 
 
+@pytest.mark.parametrize("directive, why", [
+    ("at-op 7", "crash at-op 7: no such op in a 1-op script"),
+    ("at-op -1", "crash at-op -1: no such op in a 1-op script"),
+    ("sampled -5", "line 1: 'crash sampled -5': sample count -5 is not "
+                   "positive"),
+], ids=["past-the-end", "negative-op", "negative-samples"])
+def test_crashtest_directive_that_checks_nothing(directive, why, tmp_path,
+                                                 capsys):
+    # such a script checks no crash state, so exit 0 would read as a pass
+    p = tmp_path / "crash.txt"
+    p.write_text(f"crash {directive}\nU a 1\n")
+    code = main(["crashtest", str(p)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.strip() == f"script error: {why}"
+
+
 def test_crashtest_parse_error_exits_two(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("frobnicate\n")

@@ -61,6 +61,24 @@ def test_parse_rejects_negative_trim():
         parse_script("append " + "00" * 24 + "\ntrim -1")
 
 
+@pytest.mark.parametrize("directive, why", [
+    ("at-op 1", "crash at-op 1: no such op in a 1-op script"),
+    ("at-op -1", "crash at-op -1: no such op in a 1-op script"),
+    ("sampled -5", "sample count -5 is not positive"),
+    ("sampled 0", "sample count 0 is not positive"),
+], ids=["past-the-end", "negative-op", "negative-samples", "zero-samples"])
+def test_parse_rejects_crash_directives_that_check_nothing(directive, why):
+    with pytest.raises(ScriptError, match=why):
+        parse_script(f"crash {directive}\nU a 1\n")
+
+
+def test_crash_directive_defaults():
+    # `sampled` draws 10000 samples (beside the boundary states), `at-op`
+    # checks op 0
+    assert run_crash_suite("crash sampled\nU a 1\n").states_checked > 10000
+    assert run_crash_suite("crash at-op\nU a 1\n").distinct_states > 0
+
+
 def test_trim_past_the_live_entries():
     with pytest.raises(TrimError, match="trim 5: only 1 live entries"):
         run_crash_suite("append " + "00" * 24 + "\ntrim 5")

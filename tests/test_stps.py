@@ -14,11 +14,11 @@ from nvlog.stps import (CapacityError, InvariantError, PersistentHashMap,
                         StpsError, pack_meta)
 
 
-def fresh(slots=32, node_lines=1, nbuckets=16, two_round=False):
+def fresh(slots=32, node_lines=1, two_round=False):
     region = slots * node_lines * 64
     mem = SimMemory(region)
     m = PersistentHashMap(mem, 0, region, node_lines=node_lines,
-                          nbuckets=nbuckets, two_round_commit=two_round)
+                          two_round_commit=two_round)
     return mem, m
 
 
@@ -26,7 +26,7 @@ def recovered_copy(mem, m):
     clone = mem.apply_crash(mem.sample_crash_state(rng=random.Random(0),
                                                    at_least_durable=True))
     r = PersistentHashMap(clone, 0, m.nslots * m.slot_size,
-                          node_lines=m.node_lines, nbuckets=m.nbuckets)
+                          node_lines=m.node_lines)
     r.recover()
     return r
 
@@ -49,7 +49,7 @@ def test_update_get_remove():
 def test_get_touches_no_memory():
     region = 32 * 64
     mem = RecordingMemory(region)
-    m = PersistentHashMap(mem, 0, region, nbuckets=16)
+    m = PersistentHashMap(mem, 0, region)
     m.update(b"k", b"v")
     before = len(mem.trace)
     m.get(b"k")
@@ -60,7 +60,7 @@ def test_get_touches_no_memory():
 def test_overwrite_enqueues_old_slot():
     mem, m = fresh()
     m.update(b"k", b"v1")
-    old_slot = m._find(b"k")[2]
+    old_slot = m._index[b"k"]
     m.update(b"k", b"v2")
     assert old_slot in m._reuse
 
@@ -69,7 +69,7 @@ def test_reuse_is_fifo():
     mem, m = fresh()
     for i in range(3):
         m.update(b"k%d" % i, b"v")
-    data_slots = {i: m._find(b"k%d" % i)[2] for i in range(3)}
+    data_slots = {i: m._index[b"k%d" % i] for i in range(3)}
     for i in range(3):
         before = list(m._reuse)
         m.remove(b"k%d" % i)
@@ -125,7 +125,7 @@ def test_two_round_variant_costs_two():
 
 
 def test_capacity_errors():
-    mem, m = fresh(slots=4, nbuckets=4)
+    mem, m = fresh(slots=4)
     with pytest.raises(StpsError):
         m.update(b"", b"v")
     with pytest.raises(CapacityError):
@@ -137,7 +137,7 @@ def test_capacity_errors():
 
 
 def test_txn_beyond_capacity_stores_nothing():
-    mem, m = fresh(slots=4, nbuckets=4)
+    mem, m = fresh(slots=4)
     m.update(b"a", b"1")
     with pytest.raises(CapacityError):
         m.txn_update([(b"k%d" % i, b"v") for i in range(5)])
@@ -209,7 +209,7 @@ def test_recovery_reinitializes_dead_slots():
     for i in range(4):
         m.update(b"k", b"v%d" % i)  # supersedes itself repeatedly
     r = recovered_copy(mem, m)
-    live = set(r._find(b"k")[2:])
+    live = {r._index[b"k"]}
     for slot in range(r.nslots):
         if slot in live:
             continue
@@ -239,14 +239,13 @@ class LoadCountingMemory(SimMemory):
 def test_recovery_and_parse_read_each_once(node_lines):
     region = 16 * node_lines * 64
     mem = LoadCountingMemory(region)
-    m = PersistentHashMap(mem, 0, region, node_lines=node_lines, nbuckets=16)
+    m = PersistentHashMap(mem, 0, region, node_lines=node_lines)
     for i in range(10):
         m.update(b"k%d" % (i % 4), b"v" * (i * 7 % m.capacity))
     m.txn_update([(b"t1", b"x"), (b"t2", b"y")])
     m.remove(b"k1")
     mem.loads = mem.load_words = 0
-    r = PersistentHashMap(mem, 0, region, node_lines=node_lines,
-                          nbuckets=16).recover()
+    r = PersistentHashMap(mem, 0, region, node_lines=node_lines).recover()
     assert (mem.loads, mem.load_words) == (1, 0)
     mem.loads = 0
     for slot in range(r.nslots):
@@ -254,10 +253,36 @@ def test_recovery_and_parse_read_each_once(node_lines):
     assert (mem.loads, mem.load_words) == (r.nslots, 0)
 
 
+@pytest.mark.parametrize("node_lines", [1, 2, 4])
+def test_map_ops_read_only_the_slots_they_use(node_lines):
+    # a hit reads its slot once, a miss nothing; an update or a present
+    # key's remove reads only the slot `append_entry` overwrites
+    region = 64 * node_lines * 64
+    mem = LoadCountingMemory(region)
+    m = PersistentHashMap(mem, 0, region, node_lines=node_lines)
+    keys = [b"k%d" % i for i in range(20)]
+    for k in keys:
+        m.update(k, b"v")
+
+    def loads(op, *args):
+        mem.loads = mem.load_words = 0
+        op(*args)
+        return mem.loads, mem.load_words
+
+    for k in keys:
+        assert loads(m.get, k) == (1, 0)
+        assert loads(m.get, k + b"?") == (0, 0)
+        assert loads(m.update, k, b"w") == (1, 0)
+    assert loads(m.items) == (len(keys), 0)
+    for k in keys:
+        assert loads(m.remove, k) == (1, 0)
+        assert loads(m.remove, k) == (0, 0)
+
+
 def test_recovery_resets_dead_slot_with_only_a_later_validity_byte():
     region = 4 * 4 * 64
     mem = RecordingMemory(region)
-    m = PersistentHashMap(mem, 0, region, node_lines=4, nbuckets=16)
+    m = PersistentHashMap(mem, 0, region, node_lines=4)
     bit_addr = m.slot_addr(2) + 3 * 64 + 63  # line 3's validity byte
     mem.store(bit_addr, b"\x01")
     mem.clflushopt(mem.line_of(bit_addr))
@@ -284,6 +309,35 @@ def test_recovered_map_usable_for_more_updates():
     assert rr.items() == {b"b": b"2"}
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_live_index_equals_recovered_index(seed):
+    # after every update or remove, recovering the persisted image rebuilds
+    # exactly the live index.  Transactions are left out: recovery can still
+    # drop a committed transaction once one member's slot is reused.
+    rng = random.Random(seed)
+    for node_lines in (1, 2, 4):
+        for two_round in (False, True):
+            mem, m = fresh(slots=rng.randint(4, 16), node_lines=node_lines,
+                           two_round=two_round)
+            keys = [b"a", b"b", b"c", b"d", b"e", b"K" * m.max_key]
+            for _ in range(40):
+                key = rng.choice(keys)
+                try:
+                    if rng.random() < 0.7:
+                        m.update(key, rng.randbytes(
+                            rng.randint(0, m.capacity - len(key))))
+                    else:
+                        m.remove(key)
+                except CapacityError:
+                    pass
+                image = bytearray(mem.persisted_image())
+                r = PersistentHashMap(SimMemory._from_image(image), 0,
+                                      m.nslots * m.slot_size,
+                                      node_lines=node_lines).recover()
+                assert r._index == m._index
+                assert r.items() == m.items()
+
+
 # ---------------------------------------------------------------- transactions
 
 def test_txn_bounds():
@@ -305,7 +359,7 @@ def test_txn_partial_group_discarded():
     mem, m = fresh()
     m.txn_update([(b"a", b"1"), (b"b", b"2"), (b"c", b"3")])
     # forge a partial group: invalidate one member before recovery
-    slot = m._find(b"b")[2]
+    slot = m._index[b"b"]
     mem.store_word(m.slot_addr(slot), 0)
     mem.flush_range(m.slot_addr(slot), 64)
     mem.sfence()
@@ -316,7 +370,7 @@ def test_txn_partial_group_discarded():
 def test_txn_defers_reuse_until_commit():
     mem, m = fresh()
     m.update(b"a", b"old")
-    old_slot = m._find(b"a")[2]
+    old_slot = m._index[b"a"]
     reused_during = []
     original = m._alloc
 
@@ -344,8 +398,7 @@ class LiveMap(RuleBasedStateMachine):
 
     @initialize(node_lines=st.sampled_from([1, 2]), two_round=st.booleans())
     def build(self, node_lines, two_round):
-        self.mem, self.m = fresh(node_lines=node_lines, nbuckets=4,
-                                 two_round=two_round)
+        self.mem, self.m = fresh(node_lines=node_lines, two_round=two_round)
         self.two_round = two_round
         self.keys = [b"a", b"b", b"c", b"d"]
         if node_lines > 1:
