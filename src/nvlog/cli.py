@@ -19,7 +19,8 @@ from .harness import (EXTRA_ALGORITHMS, ScriptError, parse_script,
                       run_appends, run_crash_suite)
 from .logalg import ALGORITHMS
 from .logalg.base import LogError, UnrecoverableLogError
-from .pmem import SimMemory, SnapshotFormatError, UsageError
+from .pmem import (EnumerationLimitError, SimMemory, SnapshotFormatError,
+                   UsageError)
 from .stps import PersistentHashMap, StpsError
 
 # payload bytes that fit an entry of the given size in cache lines,
@@ -149,6 +150,10 @@ def cmd_crashtest(args) -> int:
                                  registry=EXTRA_ALGORITHMS)
     except (LogError, StpsError) as exc:
         print(f"cannot run the script on {target}: {exc}", file=sys.stderr)
+        return 2
+    except EnumerationLimitError as exc:
+        print(f"{target}: {exc}; use `crash sampled K` in the script "
+              "instead", file=sys.stderr)
         return 2
     except ScriptError as exc:   # a `G` read disagreed with the model
         print(f"{target}: {exc}")

@@ -2,13 +2,12 @@
 
 Replays a small workload script against a log or hash map on simulated
 persistent memory, derives the set of states the map/log may legally recover
-to, then injects crash states (exhaustively per operation, or sampled over
-the whole run) and checks every recovery lands on a legal state.
-Exhaustive and at-op modes fence and checkpoint between operations, so a
-defect that needs one op's unfenced write to persist after the next op shows
-only under `crash sampled`.  Also houses round-trip audits, a deliberately
-broken log variant, and a checksum-collision construction that defeats
-32-bit CRC validation.
+to, then injects crash states (exhaustively after each operation, or sampled
+over the whole run) and checks every recovery lands on a legal state.  It
+adds no fence: crash states run from the last point the program left the
+memory quiescent, and every op boundary since then is a legal state.  Also
+houses round-trip audits, a deliberately broken log variant, and a
+checksum-collision construction that defeats 32-bit CRC validation.
 """
 
 from __future__ import annotations
@@ -53,7 +52,8 @@ def parse_script(text: str) -> Script:
         seed N
         crash exhaustive | sampled K | at-op I
                                  (K > 0 samples, default 10000; I an op
-                                 index, 0 <= I < number of ops, default 0)
+                                 index, 0 <= I < number of ops, default 0,
+                                 checks only the window that ends at op I)
         append HEXBYTES          (log)
         trim [N]                 (log; drop the oldest N entries, default all)
         U key value              (map update)
@@ -76,6 +76,9 @@ def parse_script(text: str) -> Script:
                 script.mode = tok[1]
                 if script.mode not in ("exhaustive", "sampled", "at-op"):
                     raise ScriptError(f"unknown crash mode {tok[1]!r}")
+                extra = tok[2 if script.mode == "exhaustive" else 3:]
+                if extra:
+                    raise ValueError(f"unexpected argument {' '.join(extra)!r}")
                 script.mode_arg = int(tok[2]) if len(tok) > 2 else 0
                 if script.mode == "sampled" and tok[2:] and script.mode_arg < 1:
                     raise ValueError(f"sample count {script.mode_arg} "
@@ -152,11 +155,6 @@ class Report:
 
 
 # ------------------------------------------------------------- crash checking
-
-def _quiesce(mem: SimMemory) -> None:
-    if mem.pending_flushes:
-        mem.sfence()
-
 
 class _LogTarget:
     def __init__(self, algo: str, payload_len: int, slots: int = 16,
@@ -267,25 +265,19 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
     report = Report(name, script.mode, len(script.ops))
     mem.checkpoint()   # formatting the region is not crashable history
 
-    if script.mode in ("exhaustive", "at-op"):
-        only = script.mode_arg if script.mode == "at-op" else None
-        for i, op in enumerate(script.ops):
-            _quiesce(mem)
-            mem.checkpoint()
-            pre = target.model_state()
-            target.run_op(op)
-            if only is not None and i != only:
-                continue
-            legal = [pre, target.model_state()]
+    sampled = script.mode == "sampled"
+    only = script.mode_arg if script.mode == "at-op" else None
+    legal = [target.model_state()]
+    for i, op in enumerate(script.ops):
+        target.run_op(op)
+        legal.append(target.model_state())
+        if not sampled and only in (None, i):
             _check_states(target, mem.enumerate_crash_states(), legal, i,
                           report)
-    else:
-        legal = []
-        for op in script.ops:
-            legal.append(target.model_state())
-            target.run_op(op)
-        legal.append(target.model_state())
-        _quiesce(mem)
+        if not sampled and mem.quiescent:
+            mem.checkpoint()
+            legal = legal[-1:]
+    if sampled:
         states = list(mem.boundary_crash_states())
         states.extend(mem.sample_crash_states(script.mode_arg or 10000,
                                               seed=script.seed))
@@ -308,9 +300,8 @@ def run_appends(log: CircularLog, payload: bytes, ops: int, drain: int) -> int:
     """Append `payload` `ops` times, trimming the whole log after every
     `drain` appends; returns the fenced round trips the appends took (trims
     not counted).  Nothing reads the crash history of these appends, so the
-    memory is checkpointed at the first quiescent point after each trim:
-    the trim itself, or the next append's fence when the trim leaves
-    flushes pending.  That bounds the history the memory retains."""
+    memory is checkpointed at the first quiescent point after each trim,
+    which bounds the history it retains."""
     mem = log.mem
     stats = mem.stats
     roundtrips = 0
@@ -324,7 +315,7 @@ def run_appends(log: CircularLog, payload: bytes, ops: int, drain: int) -> int:
             log.trim(handles[-1])
             handles.clear()
             trimmed = True
-        if trimmed and not mem.pending_flushes:
+        if trimmed and mem.quiescent:
             mem.checkpoint()
             trimmed = False
     return roundtrips

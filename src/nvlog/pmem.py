@@ -236,6 +236,13 @@ class SimMemory:
     def pending_flushes(self) -> bool:
         return bool(self._pending)
 
+    @property
+    def quiescent(self) -> bool:
+        """No pending flush, and every logged write at its durable floor."""
+        return not self._pending and all(
+            self._floors.get(line, 0) >= len(evs)
+            for line, evs in self._writes.items())
+
     # ------------------------------------------------------------ crash states
 
     def _line_image(self, line: int, cut: int) -> bytes:
@@ -294,8 +301,7 @@ class SimMemory:
             total *= hi - lo + 1
             if total > limit:
                 raise EnumerationLimitError(
-                    f"{total}+ candidate cut tuples exceed limit {limit}; "
-                    "use sample_crash_state instead")
+                    f"{total}+ candidate cut tuples exceed limit {limit}")
         states = []
         for cuts in itertools.product(*ranges):
             if self._state_valid(lines, cuts):
@@ -402,13 +408,10 @@ class SimMemory:
         return bytes(self._crash_image(self._floors.items(), {}))
 
     def checkpoint(self) -> None:
-        """Collapse history: everything written so far must already be durable.
-        Used to bound enumeration to the events of a single operation."""
-        if self._pending:
-            raise UsageError("checkpoint with pending flushes")
-        for line, evs in self._writes.items():
-            if self._floors.get(line, 0) < len(evs):
-                raise UsageError(f"checkpoint with unfenced writes on line {line}")
+        """Collapse history at a quiescent point: everything written so far
+        is durable.  Bounds enumeration to the events since that point."""
+        if not self.quiescent:
+            raise UsageError("checkpoint before the memory is quiescent")
         self._base = bytes(self.cached)
         self._writes.clear()
         self._floors.clear()

@@ -202,6 +202,19 @@ def test_crashtest_directive_that_checks_nothing(directive, why, tmp_path,
     assert err.strip() == f"script error: {why}"
 
 
+def test_crashtest_window_past_the_enumeration_limit(tmp_path, capsys):
+    # one 496-byte crc64 append has too many crash states to enumerate
+    p = tmp_path / "big.txt"
+    p.write_text(f"crash exhaustive\nappend {'01' * 496}\n")
+    code = main(["crashtest", str(p), "--algo", "crc64",
+                 "--payload-bytes", "496"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("crc64: ") and "exceed limit" in err
+    assert "`crash sampled K`" in err
+
+
 def test_crashtest_parse_error_exits_two(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("frobnicate\n")

@@ -3,9 +3,11 @@ audits, the append loop's history bound, and the checksum collision
 construction."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+import nvlog
 from nvlog.crc import crc32c
 from nvlog.harness import (BrokenVbLog, EXTRA_ALGORITHMS, Script, ScriptError,
                            audit_roundtrips, checksum_vulnerability_demo,
@@ -14,6 +16,8 @@ from nvlog.harness import (BrokenVbLog, EXTRA_ALGORITHMS, Script, ScriptError,
 from nvlog.logalg import ALGORITHMS
 from nvlog.logalg.base import TrimError
 from nvlog.stps import PersistentHashMap
+
+WORKLOADS = Path(nvlog.__file__).parent / "workloads"
 
 THREE_APPENDS = """
 seed 1
@@ -66,7 +70,11 @@ def test_parse_rejects_negative_trim():
     ("at-op -1", "crash at-op -1: no such op in a 1-op script"),
     ("sampled -5", "sample count -5 is not positive"),
     ("sampled 0", "sample count 0 is not positive"),
-], ids=["past-the-end", "negative-op", "negative-samples", "zero-samples"])
+    ("exhaustive 5", "unexpected argument '5'"),
+    ("sampled 50 extra", "unexpected argument 'extra'"),
+    ("at-op 0 1", "unexpected argument '1'"),
+], ids=["past-the-end", "negative-op", "negative-samples", "zero-samples",
+        "exhaustive-argument", "sampled-extra", "at-op-extra"])
 def test_parse_rejects_crash_directives_that_check_nothing(directive, why):
     with pytest.raises(ScriptError, match=why):
         parse_script(f"crash {directive}\nU a 1\n")
@@ -157,6 +165,47 @@ def test_random_scripts_on_tiny_logs(algo):
         report = run_crash_suite(script, algo=algo, payload_len=size,
                                  slots=slots)
         assert report.ok, script
+
+
+# (distinct crash states, violations) of the shipped scripts at 24 B, per
+# algorithm: (three_appends, wraparound)
+SHIPPED_LOG_VERDICTS = {
+    "atlas": ((20, 0), (26, 0)),
+    "broken-vb": ((17, 9), (23, 16)),
+    "crc32": ((20, 0), (20, 0)),
+    "crc64": ((20, 0), (20, 0)),
+    "cso-fvb": ((17, 0), (23, 0)),
+    "cso-random": ((19, 0), (42, 0)),
+    "cso-vb": ((17, 0), (23, 0)),
+    "tornbit": ((17, 0), (23, 0)),
+    "two-rounds": ((17, 0), (23, 0)),
+}
+
+
+SHIPPED_VERDICTS = [
+    *[pytest.param(name, algo, False, verdicts[i], id=f"{name}-{algo}")
+      for algo, verdicts in SHIPPED_LOG_VERDICTS.items()
+      for i, name in enumerate(("three_appends", "wraparound"))],
+    *[pytest.param("map_smoke", lines, False, want, id=f"map_smoke-{lines}")
+      for lines, want in ((1, (48, 0)), (2, (144, 0)), (4, (1770, 0)))],
+    # cso-random's trims leave their refills unfenced, so each trim's
+    # window runs on into the next append
+    pytest.param("wraparound", "cso-random", True, (79, 0),
+                 id="wraparound-cso-random-exhaustive"),
+]
+
+
+@pytest.mark.parametrize("name, target, exhaustive, want", SHIPPED_VERDICTS)
+def test_shipped_script_verdicts(name, target, exhaustive, want):
+    script = parse_script((WORKLOADS / f"{name}.txt").read_text())
+    if exhaustive:
+        script.mode = "exhaustive"
+    if isinstance(target, int):
+        report = run_crash_suite(script, node_lines=target)
+    else:
+        report = run_crash_suite(script, algo=target,
+                                 registry=EXTRA_ALGORITHMS)
+    assert (report.distinct_states, len(report.violations)) == want
 
 
 def test_map_suite_clean():

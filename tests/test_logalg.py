@@ -12,7 +12,8 @@ from nvlog.logalg.base import (HEADER_BYTES, LogFullError, PayloadError,
                                TrimError, UnrecoverableLogError)
 from nvlog.logalg import csovb, tornbit
 from nvlog.logalg.atlas import ENTRY_BYTES
-from nvlog.logalg.csorandom import RANDOM_VALUE, SENTINEL_VALUE
+from nvlog.logalg.csorandom import (RANDOM_VALUE, SENTINEL_VALUE,
+                                    CsoRandomLog)
 from nvlog.pmem import LINE_SIZE, SimMemory
 
 ALL = sorted(ALGORITHMS)
@@ -284,6 +285,34 @@ def test_csorandom_append_into_unfenced_refill(size):
     report = run_crash_suite(script, algo="cso-random", payload_len=size,
                              slots=2)
     assert report.distinct_states and not report.violations
+
+
+class NoFenceFirstLog(CsoRandomLog):
+    """cso-random without the fence-first rule: an append never fences the
+    refills that a trim left flushed but unfenced."""
+
+    name = "cso-random-no-fence-first"
+
+    def _unfenced_refills(self):
+        return set()
+
+
+@pytest.mark.parametrize("algo, violates", [("cso-random", False),
+                                            (NoFenceFirstLog.name, True)])
+def test_exhaustive_windows_span_a_trims_unfenced_refill(algo, violates):
+    # 0c goes into slot 3 while the trim's refill of slot 0 is still
+    # unfenced.  The trim does not end quiescent, so exhaustive mode checks
+    # the trim and the append as one window, where stale entries 01.. can
+    # be read back after 0c unless the append fences the refill first.
+    p = [_csorandom_payload(b, 112, False) for b in (0x01, 0x02, 0x03, 0x0C)]
+    script = _csorandom_script("exhaustive", p[:3], ["trim", f"append {p[3]}"])
+    registry = {**ALGORITHMS, NoFenceFirstLog.name: NoFenceFirstLog}
+    report = run_crash_suite(script, algo=algo, payload_len=112, slots=4,
+                             registry=registry)
+    assert report.distinct_states
+    assert bool(report.violations) == violates
+    assert all(v.op_index == 4 and v.recovered[0] == bytes.fromhex(p[3])
+               for v in report.violations)
 
 
 @pytest.mark.parametrize("size,flushes", [(8, 3), (24, 5), (56, 9)])
