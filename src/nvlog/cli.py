@@ -68,19 +68,21 @@ def _bench_one(algo: str, payload_len: int, latency_ns: int, ops: int,
 def cmd_bench(args) -> int:
     algos = args.algo.split(",") if args.algo else list(ALGORITHMS)
     sizes = args.entry_lines.split(",")
+    for what, names, choices in (("algorithm", algos, ALGORITHMS),
+                                 ("entry size", sizes, ENTRY_PAYLOAD)):
+        unknown = [name for name in names if name not in choices]
+        if unknown:
+            print(f"unknown {what} {unknown[0]!r} "
+                  f"(choices: {','.join(choices)})", file=sys.stderr)
+            return 2
     rows = []
     for algo in algos:
         for size in sizes:
-            if size not in ENTRY_PAYLOAD:
-                print(f"unknown entry size {size!r} "
-                      f"(choices: {','.join(ENTRY_PAYLOAD)})", file=sys.stderr)
-                return 2
-            payload = ENTRY_PAYLOAD[size]
             try:
-                rows.append(_bench_one(algo, payload, args.latency_ns,
-                                       args.ops, args.seed, args.fence_ns,
-                                       args.base_ns))
-            except (KeyError, LogError) as exc:
+                rows.append(_bench_one(algo, ENTRY_PAYLOAD[size],
+                                       args.latency_ns, args.ops, args.seed,
+                                       args.fence_ns, args.base_ns))
+            except LogError as exc:
                 print(f"skipping {algo}/{size}: {exc}", file=sys.stderr)
     _write_csv(args.csv, ["algorithm", "payload_bytes", "latency_ns",
                           "appends_per_sec_wallclock",

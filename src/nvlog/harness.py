@@ -1,13 +1,13 @@
 """Crash-injection test harness.
 
 Replays a small workload script against a log or hash map on simulated
-persistent memory, derives the set of states the map/log may legally recover
-to, then injects crash states (exhaustively after each operation, or sampled
-over the whole run) and checks every recovery lands on a legal state.  It
-adds no fence: crash states run from the last point the program left the
-memory quiescent, and every op boundary since then is a legal state.  Also
-houses round-trip audits, a deliberately broken log variant, and a
-checksum-collision construction that defeats 32-bit CRC validation.
+persistent memory and checks that every injected crash state recovers to a
+state the history allows.  It adds no fence: a window runs from the last
+point the program left the memory quiescent to the next one or to the end
+of the script (sampling makes the whole script one window), and its crash
+states are drawn and checked once, at its end.  Also houses round-trip
+audits, a deliberately broken log variant, and a checksum-collision
+construction that defeats 32-bit CRC validation.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ class ScriptError(Exception):
 
 
 MAP_OPS = ("U", "R", "T", "G")
+# the most arguments each op takes (`crash exhaustive` one, `T` any)
+_MAX_ARGS = {"seed": 1, "crash": 2, "append": 1, "trim": 1, "U": 2, "R": 1,
+             "G": 1}
 
 
 # --------------------------------------------------------------------- scripts
@@ -53,7 +56,8 @@ def parse_script(text: str) -> Script:
         crash exhaustive | sampled K | at-op I
                                  (K > 0 samples, default 10000; I an op
                                  index, 0 <= I < number of ops, default 0,
-                                 checks only the window that ends at op I)
+                                 checks only the crash states whose newest
+                                 persisted write op I issued)
         append HEXBYTES          (log)
         trim [N]                 (log; drop the oldest N entries, default all)
         U key value              (map update)
@@ -61,7 +65,8 @@ def parse_script(text: str) -> Script:
         T k1 v1 k2 v2 ...        (map transaction)
         G key                    (map read, checked against the model)
 
-    A script holds log operations or map operations, not both.
+    A script holds log operations or map operations, not both.  An extra
+    token on any line is a script error.
     """
     script = Script()
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -70,20 +75,21 @@ def parse_script(text: str) -> Script:
             continue
         tok = line.split()
         try:
+            extra = tok[1 + (1 if tok[:2] == ["crash", "exhaustive"]
+                             else _MAX_ARGS.get(tok[0], len(tok))):]
+            if extra:
+                raise ValueError(f"unexpected argument {' '.join(extra)!r}")
             if tok[0] == "seed":
                 script.seed = int(tok[1])
             elif tok[0] == "crash":
                 script.mode = tok[1]
                 if script.mode not in ("exhaustive", "sampled", "at-op"):
                     raise ScriptError(f"unknown crash mode {tok[1]!r}")
-                extra = tok[2 if script.mode == "exhaustive" else 3:]
-                if extra:
-                    raise ValueError(f"unexpected argument {' '.join(extra)!r}")
                 script.mode_arg = int(tok[2]) if len(tok) > 2 else 0
                 if script.mode == "sampled" and tok[2:] and script.mode_arg < 1:
                     raise ValueError(f"sample count {script.mode_arg} "
                                      "is not positive")
-            elif tok[0] in ("append", "A"):
+            elif tok[0] == "append":
                 script.ops.append(("append", bytes.fromhex(tok[1])))
             elif tok[0] == "trim":
                 n = int(tok[1]) if len(tok) > 1 else 0
@@ -232,27 +238,15 @@ def _freeze(state):
     return tuple(sorted(state.items())) if isinstance(state, dict) else state
 
 
-def _check_states(target, states, legal, op_index, report):
-    legal_frozen = {_freeze(s) for s in legal}
-    seen = set()
-    for st in states:
-        if st.cuts in seen:
-            continue
-        seen.add(st.cuts)
-        report.distinct_states += 1
-        recovered = target.recovered_state(target.mem.apply_crash(st))
-        if _freeze(recovered) not in legal_frozen:
-            report.violations.append(
-                Violation(op_index, st.cuts, recovered, tuple(legal)))
-    report.states_checked += len(states)
-
-
 def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
                     payload_len: int = 24, node_lines: int = 1,
                     slots: int = 16, registry: dict | None = None) -> Report:
     """Replay a script and verify every injected crash recovers to a state
-    the operation history allows (a prefix point of the run, and for
-    transactions all-or-nothing)."""
+    the operation history allows (an op boundary, and for transactions
+    all-or-nothing).  Each window is checked once, at its end, and each
+    distinct image once, against the boundaries up to the end of the op
+    that issued its newest persisted write (the window's first op if none
+    persisted): the op its violation carries and `at-op I` keeps."""
     if isinstance(script, str):
         script = parse_script(script)
     if script.kind == "log":
@@ -267,21 +261,38 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
 
     sampled = script.mode == "sampled"
     only = script.mode_arg if script.mode == "at-op" else None
-    legal = [target.model_state()]
+    first, legal, owner = 0, [target.model_state()], {}
     for i, op in enumerate(script.ops):
         target.run_op(op)
         legal.append(target.model_state())
-        if not sampled and only in (None, i):
-            _check_states(target, mem.enumerate_crash_states(), legal, i,
-                          report)
-        if not sampled and mem.quiescent:
+        for line, count in mem.write_counts().items():
+            ops = owner.setdefault(line, [])   # the op that issued each write
+            ops += [i] * (count - len(ops))
+        quiet = not sampled and mem.quiescent
+        if not quiet and i < len(script.ops) - 1:
+            continue
+        if only is None or first <= only <= i:
+            if sampled:
+                states = mem.boundary_crash_states()
+                states += mem.sample_crash_states(script.mode_arg or 10000,
+                                                  seed=script.seed)
+            else:
+                states = mem.enumerate_crash_states()
+            frozen = [_freeze(state) for state in legal]
+            for cuts, st in {st.cuts: st for st in states}.items():
+                j = max((owner[ln][c - 1] for ln, c in cuts if c),
+                        default=first)
+                if only is not None and j != only:
+                    continue
+                report.distinct_states += 1
+                recovered = target.recovered_state(mem.apply_crash(st))
+                if _freeze(recovered) not in frozen[:j + 2 - first]:
+                    report.violations.append(Violation(
+                        j, cuts, recovered, tuple(legal[:j + 2 - first])))
+            report.states_checked += len(states)
+        if quiet:
             mem.checkpoint()
-            legal = legal[-1:]
-    if sampled:
-        states = list(mem.boundary_crash_states())
-        states.extend(mem.sample_crash_states(script.mode_arg or 10000,
-                                              seed=script.seed))
-        _check_states(target, states, legal, len(script.ops) - 1, report)
+        first, legal, owner = i + 1, legal[-1:], {}
     return report
 
 
@@ -406,12 +417,9 @@ def checksum_vulnerability_demo(algo: str, *, samples: int = 0,
     """Append one crafted 112-byte payload and hunt for crash states that
     validate with the wrong contents.  The payload's word 6 is chosen so the
     32-bit checksum cannot see it torn; 64-bit checksums and validity bits
-    are expected to reject every torn state."""
+    are expected to reject every torn state.  The append runs through
+    `run_crash_suite`, exhaustively and, given `samples`, sampled too."""
     payload_len = 112
-    target = _LogTarget(algo, payload_len, 4)
-    mem = target.mem
-    mem.checkpoint()
-
     # craft against the 32-bit checksum's own framing: seq 1, len, payload
     hdr = (0).to_bytes(4, "little") + payload_len.to_bytes(4, "little")
     base_payload = bytes(range(1, 113))
@@ -419,11 +427,12 @@ def checksum_vulnerability_demo(algo: str, *, samples: int = 0,
     v = crc32_collision_word(buf, 8 + 48)     # payload word 6
     payload = base_payload[:48] + v.to_bytes(8, "little") + base_payload[56:]
 
-    target.run_op(("append", payload))
-    states = mem.enumerate_crash_states()
-    if samples:
-        states.extend(mem.sample_crash_states(samples, seed=seed))
-    report = Report(algo, "exhaustive", 1)
-    _check_states(target, states, [(), (payload,)], 0, report)
-    return ChecksumDemo(algo, payload, report.distinct_states,
-                        len(report.violations), report.states_checked)
+    modes = ["exhaustive", f"sampled {samples}"] if samples else ["exhaustive"]
+    reports = [run_crash_suite(f"seed {seed}\ncrash {mode}\n"
+                               f"append {payload.hex()}", algo=algo,
+                               payload_len=payload_len, slots=4)
+               for mode in modes]
+    false_valids = {v.cuts for r in reports for v in r.violations}
+    return ChecksumDemo(algo, payload, reports[0].distinct_states,
+                        len(false_valids),
+                        sum(r.states_checked for r in reports))

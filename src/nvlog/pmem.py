@@ -243,6 +243,10 @@ class SimMemory:
             self._floors.get(line, 0) >= len(evs)
             for line, evs in self._writes.items())
 
+    def write_counts(self) -> dict[int, int]:
+        """line -> writes logged to it since the last checkpoint."""
+        return {line: len(evs) for line, evs in self._writes.items()}
+
     # ------------------------------------------------------------ crash states
 
     def _line_image(self, line: int, cut: int) -> bytes:

@@ -61,6 +61,14 @@ def test_bench_unknown_entry_size(capsys):
     assert code == 2
 
 
+def test_bench_unknown_algorithm(capsys):
+    code = main(["bench", "--algo", "cso-vb,nope", "--ops", "50"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == ("unknown algorithm 'nope' "
+                   f"(choices: {','.join(ALGORITHMS)})\n")
+
+
 @pytest.mark.parametrize("command", ["bench", "ycsb"])
 @pytest.mark.parametrize("ops", ["0", "-5"])
 def test_nonpositive_ops_is_a_usage_error(command, ops, capsys):

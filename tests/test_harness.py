@@ -3,6 +3,8 @@ audits, the append loop's history bound, and the checksum collision
 construction."""
 
 import random
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from nvlog.harness import (BrokenVbLog, EXTRA_ALGORITHMS, Script, ScriptError,
                            run_crash_suite)
 from nvlog.logalg import ALGORITHMS
 from nvlog.logalg.base import TrimError
+from nvlog.pmem import SimMemory
 from nvlog.stps import PersistentHashMap
 
 WORKLOADS = Path(nvlog.__file__).parent / "workloads"
@@ -80,6 +83,19 @@ def test_parse_rejects_crash_directives_that_check_nothing(directive, why):
         parse_script(f"crash {directive}\nU a 1\n")
 
 
+@pytest.mark.parametrize("line", [
+    "U a 1 2", "R a extra", "G a extra", "append 00112233 extra", "trim 1 2",
+    "seed 1 2"])
+def test_parse_rejects_extra_tokens(line):
+    with pytest.raises(ScriptError, match="unexpected argument"):
+        parse_script(line)
+
+
+def test_parse_has_no_append_alias():
+    with pytest.raises(ScriptError, match="unknown op 'A'"):
+        parse_script("A 00112233")
+
+
 def test_crash_directive_defaults():
     # `sampled` draws 10000 samples (beside the boundary states), `at-op`
     # checks op 0
@@ -138,6 +154,28 @@ def test_sampled_suite_with_wrap():
         assert run_crash_suite(script, algo=algo, slots=4).ok
 
 
+def test_sampled_violations_carry_their_op():
+    # broken-vb tears each of the three appends three ways; sampling finds
+    # the same images as enumeration and blames the op that wrote them
+    appends = THREE_APPENDS.replace("trim\n", "")
+    for mode in ("exhaustive", "sampled 300"):
+        report = run_crash_suite(appends.replace("exhaustive", mode),
+                                 algo="broken-vb", registry=EXTRA_ALGORITHMS)
+        assert Counter(v.op_index for v in report.violations) == {
+            0: 3, 1: 3, 2: 3}, mode
+
+
+def test_txn_reuse_loss_violations_hold_pre_and_post():
+    # the known stps transaction loss (ROADMAP item 2); nvbench unpacks
+    # each violation's legal states as the op's (pre, post) pair
+    report = run_crash_suite("crash exhaustive\nT a 2 b 2\nU a 3\nU c 4\n"
+                             "U d 5\n")
+    assert len(report.violations) == 9
+    for v in report.violations:
+        pre, post = v.legal
+        assert isinstance(pre, dict) and isinstance(post, dict)
+
+
 def random_log_script(rng: random.Random, payload_len: int,
                       slots: int) -> str:
     """Appends and trims that fill a tiny log, empty it and wrap it."""
@@ -190,7 +228,7 @@ SHIPPED_VERDICTS = [
       for lines, want in ((1, (48, 0)), (2, (144, 0)), (4, (1770, 0)))],
     # cso-random's trims leave their refills unfenced, so each trim's
     # window runs on into the next append
-    pytest.param("wraparound", "cso-random", True, (79, 0),
+    pytest.param("wraparound", "cso-random", True, (66, 0),
                  id="wraparound-cso-random-exhaustive"),
 ]
 
@@ -206,6 +244,66 @@ def test_shipped_script_verdicts(name, target, exhaustive, want):
         report = run_crash_suite(script, algo=target,
                                  registry=EXTRA_ALGORITHMS)
     assert (report.distinct_states, len(report.violations)) == want
+
+
+def test_every_shipped_script_is_pinned():
+    pinned = {case.values[0] for case in SHIPPED_VERDICTS}
+    assert pinned == {path.stem for path in WORKLOADS.glob("*.txt")}
+
+
+def _widened(text: str, size: int) -> str:
+    return re.sub(r"append (\w+)", lambda m: "append " + bytes.fromhex(
+        m[1]).ljust(size, b"\x5a").hex(), text)
+
+
+PARTITION_CASES = [
+    *[pytest.param(name, algo, size, id=f"{name}-{algo}-{size}")
+      for name in ("three_appends", "wraparound")
+      for algo in sorted(EXTRA_ALGORITHMS)
+      for size in (24, 112) if size == 24 or algo != "atlas"],
+    *[pytest.param("map_smoke", lines, 0, id=f"map_smoke-{lines}")
+      for lines in (1, 2, 4)],
+]
+
+
+@pytest.mark.parametrize("name, target, size", PARTITION_CASES)
+def test_at_op_reports_partition_the_exhaustive_report(name, target, size,
+                                                       monkeypatch):
+    text = (WORKLOADS / f"{name}.txt").read_text()
+    if isinstance(target, int):
+        kw = dict(node_lines=target)
+    else:
+        text = _widened(text, size)
+        kw = dict(algo=target, payload_len=size, registry=EXTRA_ALGORITHMS)
+    images = []   # per report: (epoch, cuts with zero cuts dropped) checked
+    apply_crash = SimMemory.apply_crash
+
+    def recording(mem, state):
+        images[-1].append((state.epoch, tuple(
+            (line, cut) for line, cut in state.cuts if cut)))
+        return apply_crash(mem, state)
+
+    monkeypatch.setattr(SimMemory, "apply_crash", recording)
+
+    def run(mode, arg=0):
+        script = parse_script(text)
+        script.mode, script.mode_arg = mode, arg
+        images.append([])
+        return run_crash_suite(script, **kw)
+
+    whole = run("exhaustive")
+    parts = [run("at-op", i) for i in range(whole.ops_run)]
+    assert sum(p.distinct_states for p in parts) == whole.distinct_states
+    assert all(v.op_index == i for i, p in enumerate(parts)
+               for v in p.violations)
+    assert sorted((v.op_index, v.cuts) for p in parts
+                  for v in p.violations) == \
+        sorted((v.op_index, v.cuts) for v in whole.violations)
+    # each image is checked once, and by exactly one at-op report
+    part_images = [img for imgs in images[1:] for img in imgs]
+    assert len(set(part_images)) == len(part_images)
+    assert sorted(part_images) == sorted(images[0])
+    assert len(images[0]) == whole.distinct_states
 
 
 def test_map_suite_clean():
