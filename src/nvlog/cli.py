@@ -10,12 +10,11 @@ real device.
 from __future__ import annotations
 
 import argparse
-import csv
 import random
 import sys
 import time
 
-from .harness import (EXTRA_ALGORITHMS, ScriptError, parse_script,
+from .harness import (EXTRA_ALGORITHMS, ScriptError, csv_text, parse_script,
                       run_appends, run_crash_suite)
 from .logalg import ALGORITHMS
 from .logalg.base import LogError, UnrecoverableLogError
@@ -32,15 +31,19 @@ FENCE_NS_DEFAULT = 200    # ordering cost per fenced round trip
 BENCH_DRAIN = 512         # appends between full trims; the log holds two batches
 
 
-def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
-    out = open(path, "w", newline="") if path else sys.stdout
+def _write_out(path: str | None, text: str) -> int:
+    """Write `text` to `path`, or to stdout without one.  Returns the exit
+    status: 2, after one stderr line, if the file cannot be written."""
+    if not path:
+        sys.stdout.write(text)
+        return 0
     try:
-        w = csv.writer(out)
-        w.writerow(header)
-        w.writerows(rows)
-    finally:
-        if path:
-            out.close()
+        with open(path, "w", newline="") as f:
+            f.write(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return 2
+    return 0
 
 
 # ----------------------------------------------------------------------- bench
@@ -61,7 +64,7 @@ def _bench_one(algo: str, payload_len: int, latency_ns: int, ops: int,
     rtrips = append_rt / ops
     return [algo, payload_len, latency_ns,
             round(ops / wall, 1) if wall > 0 else "",
-            round(ops * 1e9 / modeled_ns, 1),
+            round(ops * 1e9 / modeled_ns, 1) if modeled_ns else "",
             round(rtrips, 3)]
 
 
@@ -84,11 +87,10 @@ def cmd_bench(args) -> int:
                                        args.fence_ns, args.base_ns))
             except LogError as exc:
                 print(f"skipping {algo}/{size}: {exc}", file=sys.stderr)
-    _write_csv(args.csv, ["algorithm", "payload_bytes", "latency_ns",
-                          "appends_per_sec_wallclock",
-                          "appends_per_sec_modeled",
-                          "roundtrips_per_append"], rows)
-    return 0
+    header = ["algorithm", "payload_bytes", "latency_ns",
+              "appends_per_sec_wallclock", "appends_per_sec_modeled",
+              "roundtrips_per_append"]
+    return _write_out(args.csv, csv_text([header, *rows]))
 
 
 # ----------------------------------------------------------------------- ycsb
@@ -116,7 +118,7 @@ def _run_kv(two_round: bool, set_size: int, ops: int, latency_ns: int,
     modeled_ns = ops * base_ns + (mem.stats.simulated_time_ns - t0_time)
     variant = "two-round-set" if two_round else "single-trip-set"
     return [variant, set_size, latency_ns,
-            round(ops * 1e9 / modeled_ns, 1),
+            round(ops * 1e9 / modeled_ns, 1) if modeled_ns else "",
             round(ops / wall, 1) if wall > 0 else ""]
 
 
@@ -124,10 +126,9 @@ def cmd_ycsb(args) -> int:
     rows = [_run_kv(tr, args.set_size, args.ops, args.latency_ns, args.seed,
                     args.node_lines, args.fence_ns, args.base_ns)
             for tr in (False, True)]
-    _write_csv(args.csv, ["variant", "set_size", "latency_ns",
-                          "ops_per_sec_modeled", "ops_per_sec_wallclock"],
-               rows)
-    return 0
+    header = ["variant", "set_size", "latency_ns", "ops_per_sec_modeled",
+              "ops_per_sec_wallclock"]
+    return _write_out(args.csv, csv_text([header, *rows]))
 
 
 # ------------------------------------------------------------------ crashtest
@@ -160,9 +161,8 @@ def cmd_crashtest(args) -> int:
     except ScriptError as exc:   # a `G` read disagreed with the model
         print(f"{target}: {exc}")
         return 1
-    if args.csv:
-        with open(args.csv, "w") as f:
-            f.write(report.to_csv())
+    if args.csv and _write_out(args.csv, report.to_csv()):
+        return 2
     print(f"{report.target}: {report.ops_run} ops, "
           f"{report.distinct_states} distinct crash states, "
           f"{len(report.violations)} violations")
@@ -216,6 +216,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nvlog",
@@ -223,14 +231,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, ops_default):
-        sp.add_argument("--latency-ns", type=int, default=0,
+        sp.add_argument("--latency-ns", type=_non_negative_int, default=0,
                         help="modeled media write latency per round trip")
         sp.add_argument("--ops", type=_positive_int, default=ops_default)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--csv", metavar="PATH",
                         help="write results to a CSV file instead of stdout")
-        sp.add_argument("--fence-ns", type=int, default=FENCE_NS_DEFAULT)
-        sp.add_argument("--base-ns", type=int, default=BASE_NS_DEFAULT)
+        sp.add_argument("--fence-ns", type=_non_negative_int,
+                        default=FENCE_NS_DEFAULT)
+        sp.add_argument("--base-ns", type=_non_negative_int,
+                        default=BASE_NS_DEFAULT)
 
     b = sub.add_parser("bench", help="append micro-benchmark")
     b.add_argument("--algo", help="comma-separated algorithm names "
@@ -253,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--payload-bytes", type=int, default=24)
     c.add_argument("--node-lines", type=_positive_int, default=1)
     c.add_argument("--exhaustive", action="store_true",
-                   help="force per-operation exhaustive enumeration")
+                   help="force exhaustive enumeration of every window")
     c.add_argument("--csv", metavar="PATH")
     c.set_defaults(func=cmd_crashtest)
 

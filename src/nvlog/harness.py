@@ -62,7 +62,7 @@ def parse_script(text: str) -> Script:
         trim [N]                 (log; drop the oldest N entries, default all)
         U key value              (map update)
         R key                    (map remove)
-        T k1 v1 k2 v2 ...        (map transaction)
+        T k1 v1 k2 v2 ...        (map transaction, each key once)
         G key                    (map read, checked against the model)
 
     A script holds log operations or map operations, not both.  An extra
@@ -125,6 +125,13 @@ def parse_script(text: str) -> Script:
 
 # --------------------------------------------------------------------- reports
 
+def csv_text(rows: list[list]) -> str:
+    """`rows` as the CSV text every report and command writes."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 @dataclass(frozen=True)
 class Violation:
     op_index: int
@@ -147,24 +154,21 @@ class Report:
         return not self.violations
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["target", "mode", "ops", "states_checked",
-                    "distinct_states", "violations"])
-        w.writerow([self.target, self.mode, self.ops_run, self.states_checked,
-                    self.distinct_states, len(self.violations)])
-        for v in self.violations:
-            w.writerow(["violation", v.op_index,
-                        ";".join(f"{ln}:{c}" for ln, c in v.cuts),
-                        repr(v.recovered)])
-        return buf.getvalue()
+        return csv_text([["target", "mode", "ops", "states_checked",
+                          "distinct_states", "violations"],
+                         [self.target, self.mode, self.ops_run,
+                          self.states_checked, self.distinct_states,
+                          len(self.violations)],
+                         *(["violation", v.op_index,
+                            ";".join(f"{ln}:{c}" for ln, c in v.cuts),
+                            repr(v.recovered)] for v in self.violations)])
 
 
 # ------------------------------------------------------------- crash checking
 
 class _LogTarget:
-    def __init__(self, algo: str, payload_len: int, slots: int = 16,
-                 registry: dict | None = None):
+    def __init__(self, algo: str, payload_len: int, slots: int,
+                 registry: dict | None):
         self.log = (registry or ALGORITHMS)[algo].fresh(payload_len, slots)
         self.mem = self.log.mem
         self.handles: list[int] = []
@@ -197,7 +201,7 @@ class _LogTarget:
 
 
 class _StpsTarget:
-    def __init__(self, node_lines: int = 1, slots: int = 32):
+    def __init__(self, node_lines: int, slots: int):
         self.node_lines = node_lines
         self.region = slots * node_lines * 64
         self.mem = SimMemory(self.region)
@@ -409,16 +413,14 @@ class ChecksumDemo:
     payload: bytes
     states_checked: int   # distinct cut tuples after deduplication
     false_valids: int
-    samples_drawn: int = 0
 
 
-def checksum_vulnerability_demo(algo: str, *, samples: int = 0,
-                                seed: int = 0) -> ChecksumDemo:
+def checksum_vulnerability_demo(algo: str) -> ChecksumDemo:
     """Append one crafted 112-byte payload and hunt for crash states that
     validate with the wrong contents.  The payload's word 6 is chosen so the
     32-bit checksum cannot see it torn; 64-bit checksums and validity bits
     are expected to reject every torn state.  The append runs through
-    `run_crash_suite`, exhaustively and, given `samples`, sampled too."""
+    `run_crash_suite`, exhaustively."""
     payload_len = 112
     # craft against the 32-bit checksum's own framing: seq 1, len, payload
     hdr = (0).to_bytes(4, "little") + payload_len.to_bytes(4, "little")
@@ -426,13 +428,7 @@ def checksum_vulnerability_demo(algo: str, *, samples: int = 0,
     buf = hdr + base_payload
     v = crc32_collision_word(buf, 8 + 48)     # payload word 6
     payload = base_payload[:48] + v.to_bytes(8, "little") + base_payload[56:]
-
-    modes = ["exhaustive", f"sampled {samples}"] if samples else ["exhaustive"]
-    reports = [run_crash_suite(f"seed {seed}\ncrash {mode}\n"
-                               f"append {payload.hex()}", algo=algo,
-                               payload_len=payload_len, slots=4)
-               for mode in modes]
-    false_valids = {v.cuts for r in reports for v in r.violations}
-    return ChecksumDemo(algo, payload, reports[0].distinct_states,
-                        len(false_valids),
-                        sum(r.states_checked for r in reports))
+    report = run_crash_suite(f"crash exhaustive\nappend {payload.hex()}",
+                             algo=algo, payload_len=payload_len, slots=4)
+    return ChecksumDemo(algo, payload, report.distinct_states,
+                        len(report.violations))

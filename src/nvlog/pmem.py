@@ -33,13 +33,11 @@ A crash image starts from a copy of ``cached``, which always equals
 ``_base`` (the image at the start of the epoch) with every logged write
 applied, so only the torn lines, those cut below their write count, cost
 work: cut 0 pastes the ``_base`` slice, and any other cut pastes the line
-replayed from ``_base`` through its first ``cut`` writes.  ``apply_crash``
-memoises those replays in ``_torn`` by (line, cut).  Within an epoch a
-line's writes are only appended to, so a memoised image never goes stale;
-``checkpoint()`` clears the memo with the rest of the history.  Fully
-persisted lines are never memoised, and ``persisted_image()`` (the durable
-floors as the cuts) builds with a throwaway memo.  Sampling memoises the
-same way: ``_sampled`` maps each drawn cut tuple to its fixed-up state.
+replayed from ``_base`` through its first ``cut`` writes, memoised in
+``_torn`` by (line, cut).  Within an epoch a line's writes are only
+appended to, so a memoised image never goes stale; ``checkpoint()`` clears
+the memo with the rest of the history.  Fully persisted lines are never
+memoised.
 
 The ``RELEASE`` store tag does not change which crash states are legal; it
 marks the writes around which ``boundary_crash_states`` cuts.
@@ -147,7 +145,6 @@ class SimMemory:
         self._raises: list[tuple[int, int, int]] = []
         self._req_views: dict[int, dict[int, int]] = {}  # k -> _reqs_before(k)
         self._torn: dict[tuple[int, int], bytes] = {}    # (line, cut) -> image
-        self._sampled: dict[tuple[int, ...], CrashState] = {}  # draw -> state
         self._epoch = 0
 
     # ------------------------------------------------------------------ basics
@@ -287,6 +284,20 @@ class SimMemory:
         by_line = dict(zip(lines, cuts))
         return all(by_line.get(line, 0) >= need for line, need in req.items())
 
+    def _cut_ranges(self, at_least_durable: bool = False
+                    ) -> tuple[list[int], list[tuple[int, int]]]:
+        """The written lines in order, and each line's lowest and highest
+        cut: its durable floor under ``at_least_durable`` (else 0), and its
+        write count."""
+        writes = self._writes
+        floors = self._floors if at_least_durable else {}
+        lines = sorted(writes)
+        return lines, [(floors.get(line, 0), len(writes[line]))
+                       for line in lines]
+
+    def _crash_state(self, lines: list[int], cuts) -> CrashState:
+        return CrashState(tuple(zip(lines, cuts)), self._epoch)
+
     def enumerate_crash_states(self, limit: int = 1 << 20,
                                at_least_durable: bool = False) -> list[CrashState]:
         """All persisted images the persist relation allows for this trace.
@@ -295,60 +306,35 @@ class SimMemory:
         crashes at or after the present instant are considered; by default a
         crash at any earlier point of the trace is included too.
         """
-        lines = sorted(self._writes)
-        ranges = []
+        lines, ranges = self._cut_ranges(at_least_durable)
         total = 1
-        for line in lines:
-            lo = self._floors.get(line, 0) if at_least_durable else 0
-            hi = len(self._writes[line])
-            ranges.append(range(lo, hi + 1))
+        for lo, hi in ranges:
             total *= hi - lo + 1
             if total > limit:
                 raise EnumerationLimitError(
                     f"{total}+ candidate cut tuples exceed limit {limit}")
-        states = []
-        for cuts in itertools.product(*ranges):
-            if self._state_valid(lines, cuts):
-                states.append(CrashState(tuple(zip(lines, cuts)), self._epoch))
-        return states
+        product = itertools.product(*(range(lo, hi + 1) for lo, hi in ranges))
+        return [self._crash_state(lines, cuts) for cuts in product
+                if self._state_valid(lines, cuts)]
 
-    def _fix_up(self, lines: list[int], cuts: list[int]) -> None:
-        # Raise cuts until every triggered flush requirement holds.
+    def _fix_up(self, lines: list[int], cuts: list[int]) -> CrashState:
+        """The state with `cuts` raised until every triggered flush
+        requirement holds."""
         while True:
             req = self._reqs_of(lines, cuts)
-            if not req:
-                return
-            changed = False
-            for i, line in enumerate(lines):
-                need = req.get(line, 0)
-                if cuts[i] < need:
-                    cuts[i] = need
-                    changed = True
-            if not changed:
-                return
+            low = [i for i, line in enumerate(lines)
+                   if cuts[i] < req.get(line, 0)]
+            if not low:
+                return self._crash_state(lines, cuts)
+            for i in low:
+                cuts[i] = req[lines[i]]
 
     def sample_crash_state(self, rng: random.Random,
                            at_least_durable: bool = False) -> CrashState:
         """A random cut per written line, raised to meet the flush
-        requirements.  A draw's fix-up reads only the stamps of the writes
-        it keeps and the floors of the fences before them, which nothing
-        later in the epoch changes, so it is memoised per draw until
-        ``checkpoint()``.  The key is the drawn cuts alone: an epoch's
-        written lines only grow, so a key's length names its lines, and a
-        draw made after a new line's first write never meets an earlier
-        one's."""
-        lines = sorted(self._writes)
-        cuts = []
-        for line in lines:
-            lo = self._floors.get(line, 0) if at_least_durable else 0
-            cuts.append(rng.randint(lo, len(self._writes[line])))
-        drawn = tuple(cuts)
-        state = self._sampled.get(drawn)
-        if state is None:
-            self._fix_up(lines, cuts)
-            state = self._sampled[drawn] = CrashState(
-                tuple(zip(lines, cuts)), self._epoch)
-        return state
+        requirements."""
+        lines, ranges = self._cut_ranges(at_least_durable)
+        return self._fix_up(lines, [rng.randint(lo, hi) for lo, hi in ranges])
 
     def sample_crash_states(self, count: int, seed: int = 0,
                             at_least_durable: bool = False):
@@ -359,8 +345,8 @@ class SimMemory:
     def boundary_crash_states(self) -> list[CrashState]:
         """States cut just before/after each release-ordered (metadata) write,
         with every other line fully persisted.  Force-included in sampling."""
-        lines = sorted(self._writes)
-        full = [len(self._writes[line]) for line in lines]
+        lines, ranges = self._cut_ranges()
+        full = [hi for _, hi in ranges]
         states = []
         for i, line in enumerate(lines):
             for idx, ev in enumerate(self._writes[line]):
@@ -369,17 +355,17 @@ class SimMemory:
                 for cut in (idx, idx + 1):
                     cuts = list(full)
                     cuts[i] = cut
-                    self._fix_up(lines, cuts)
-                    states.append(CrashState(tuple(zip(lines, cuts)), self._epoch))
+                    states.append(self._fix_up(lines, cuts))
         return states
 
-    def _crash_image(self, cuts, memo: dict) -> bytearray:
+    def _crash_image(self, cuts) -> bytearray:
         """`cached` with each written line cut back to the prefix `cuts`
         gives it, as (line, cut) pairs; a written line they leave out counts
-        as cut 0.  Torn lines' images come from `memo`, keyed (line, cut)."""
+        as cut 0."""
         cut_of = dict(cuts)
         writes = self._writes
         base = self._base
+        memo = self._torn
         size = LINE_SIZE
         image = bytearray(self.cached)
         for line, evs in writes.items():
@@ -405,11 +391,11 @@ class SimMemory:
     def apply_crash(self, state: CrashState) -> "SimMemory":
         if state.epoch != self._epoch:
             raise StaleCrashStateError("crash state from a different history")
-        return SimMemory._from_image(self._crash_image(state.cuts, self._torn),
+        return SimMemory._from_image(self._crash_image(state.cuts),
                                      self.latency_ns, self.fence_cost_ns)
 
     def persisted_image(self) -> bytes:
-        return bytes(self._crash_image(self._floors.items(), {}))
+        return bytes(self._crash_image(self._floors.items()))
 
     def checkpoint(self) -> None:
         """Collapse history at a quiescent point: everything written so far
@@ -423,7 +409,6 @@ class SimMemory:
         self._raises.clear()
         self._req_views.clear()
         self._torn.clear()
-        self._sampled.clear()
         self._epoch += 1
 
     # -------------------------------------------------------------- snapshots

@@ -289,7 +289,9 @@ class PersistentHashMap:
 
     def txn_update(self, pairs: list[tuple[bytes, bytes]]) -> None:
         """Write several entries with one shared version and a matching
-        transaction counter; recovery applies all of them or none.
+        transaction counter; recovery applies all of them or none.  A key
+        named twice raises StpsError before anything is stored: its members
+        share one version, so recovery could not tell which value came last.
 
         Cost: one fenced round trip, plus one more for each slot after the
         first that the transaction takes from the reuse FIFO (popping a
@@ -297,8 +299,12 @@ class PersistentHashMap:
         n = len(pairs)
         if not 1 <= n <= 255:
             raise StpsError("transactions hold 1..255 elements")
+        seen = set()
         for key, value in pairs:
             self._check_kv(key, value)
+            if key in seen:
+                raise StpsError(f"transaction names key {key!r} twice")
+            seen.add(key)
         self._write(pairs)
 
     def items(self) -> dict[bytes, bytes]:

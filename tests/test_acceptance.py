@@ -210,17 +210,16 @@ def test_flexible_bit_oracle_equivalence():
 def test_crc32_weakness_demonstration():
     """One crafted torn state passes 32-bit checksum validation; the same
     construction under the 64-bit checksum and the validity-bit scheme shows
-    zero false valids across a million sampled crash states."""
+    zero false valids of the 81 crash states the append can leave."""
     planted = checksum_vulnerability_demo("crc32")
-    clean = {algo: checksum_vulnerability_demo(algo, samples=1_000_000)
-             for algo in ("crc64", "cso-vb")}
+    clean = [checksum_vulnerability_demo(algo) for algo in ("crc64", "cso-vb")]
     ok = planted.false_valids == 1 and all(
-        d.false_valids == 0 for d in clean.values())
+        d.false_valids == 0 for d in clean)
     _verdict("crc32-weakness", ok,
-             f"crc32 planted {planted.false_valids}; "
-             + "; ".join(f"{a} {d.false_valids} over {d.samples_drawn} samples"
-                         f" ({d.states_checked} distinct)"
-                         for a, d in clean.items()))
+             f"crc32 planted {planted.false_valids} of "
+             f"{planted.states_checked} states; "
+             + "; ".join(f"{d.algorithm} {d.false_valids} of "
+                         f"{d.states_checked} states" for d in clean))
 
 
 def test_snapshot_round_trip_equivalence():

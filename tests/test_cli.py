@@ -91,6 +91,42 @@ def test_nonpositive_sizes_are_usage_errors(argv, value, capsys):
     assert f"{argv[-1]}: must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["bench", "ycsb"])
+@pytest.mark.parametrize("flag", ["--latency-ns", "--fence-ns", "--base-ns"])
+def test_negative_times_are_usage_errors(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "-100"])
+    assert exc.value.code == 2
+    assert f"{flag}: must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, column", [
+    (["bench", "--algo", "cso-vb", "--entry-lines", "0.5"], 4),
+    (["ycsb", "--set-size", "16"], 3),
+], ids=["bench", "ycsb"])
+def test_zero_modeled_time_leaves_the_rate_empty(argv, column, capsys):
+    # with every modeled cost 0 there is no rate to report, as for wall time
+    code, out = run_main(argv + ["--ops", "50", "--base-ns", "0",
+                                 "--fence-ns", "0"], capsys)
+    rows = read_csv(out)[1:]
+    assert code == 0 and rows
+    assert all(row[column] == "" for row in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--algo", "cso-vb", "--entry-lines", "0.5", "--ops", "50"],
+    ["ycsb", "--set-size", "16", "--ops", "50"],
+    ["crashtest", f"{WORKLOADS}/three_appends.txt"],
+], ids=["bench", "ycsb", "crashtest"])
+def test_unwritable_csv_path_is_one_line(argv, tmp_path, capsys):
+    # exit 2, not a traceback: for crashtest, exit 1 means violations found
+    path = tmp_path / "missing" / "x.csv"
+    code = main(argv + ["--csv", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"cannot write {path}: No such file or directory\n"
+
+
 def test_entry_payloads_fit_declared_lines():
     assert ENTRY_PAYLOAD == {"0.5": 24, "1": 56, "2": 112, "4": 240, "8": 496}
 
@@ -177,6 +213,19 @@ def test_crashtest_map_the_script_overflows(text, why, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("cannot run the script on stps: ") and why in err
+
+
+def test_crashtest_txn_naming_a_key_twice_is_a_usage_error(tmp_path, capsys):
+    # recovery cannot order two values of one key in one transaction, so
+    # the map refuses the transaction rather than recover the wrong one
+    p = tmp_path / "txn.txt"
+    p.write_text("crash exhaustive\nU a 1\nU b 1\nR a\nU b 2\nT z 1 z 2\n"
+                 "G z\n")
+    code = main(["crashtest", str(p)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == ("cannot run the script on stps: transaction names key "
+                   "b'z' twice\n")
 
 
 @pytest.mark.parametrize("count, why", [

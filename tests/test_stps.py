@@ -149,6 +149,23 @@ def test_txn_beyond_capacity_stores_nothing():
         b"a": b"1", b"b": b"2", b"c": b"3", b"d": b"4"}
 
 
+def test_txn_naming_a_key_twice_stores_nothing():
+    # a transaction's members share one version, so recovery could not tell
+    # which of two values of one key came last: the map refuses it
+    mem, m = fresh()
+    m.update(b"a", b"1")
+    m.update(b"b", b"1")
+    m.remove(b"a")
+    m.update(b"b", b"2")
+    writes, fences = mem.write_counts(), mem.stats.sfence_count
+    reuse, version = list(m._reuse), m._next_version
+    with pytest.raises(StpsError, match="b'z' twice"):
+        m.txn_update([(b"z", b"1"), (b"z", b"2")])
+    assert mem.write_counts() == writes and mem.stats.sfence_count == fences
+    assert list(m._reuse) == reuse and m._next_version == version
+    assert recovered_copy(mem, m).items() == m.items() == {b"b": b"2"}
+
+
 def test_append_precondition_enforced():
     mem, m = fresh()
     mem.store_word(0, pack_meta(1, 0, 1, 5))  # bits disagree
@@ -446,6 +463,15 @@ class LiveMap(RuleBasedStateMachine):
                            min_size=1, max_size=4))
     def txn(self, members):
         pairs = [(self.keys[i % len(self.keys)], v) for i, v in members]
+        if len({key for key, _ in pairs}) < len(pairs):
+            # a key named twice is refused before anything is stored
+            mem = self.mem
+            writes, fences = mem.write_counts(), mem.stats.sfence_count
+            with pytest.raises(StpsError, match="twice"):
+                self.m.txn_update(pairs)
+            assert mem.write_counts() == writes
+            assert mem.stats.sfence_count == fences
+            return
         self.write(pairs, self.m.txn_update, pairs)
 
     @rule(i=st.integers(0, 4))
