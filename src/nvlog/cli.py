@@ -10,6 +10,7 @@ real device.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import random
 import sys
 import time
@@ -31,19 +32,17 @@ FENCE_NS_DEFAULT = 200    # ordering cost per fenced round trip
 BENCH_DRAIN = 512         # appends between full trims; the log holds two batches
 
 
-def _write_out(path: str | None, text: str) -> int:
-    """Write `text` to `path`, or to stdout without one.  Returns the exit
-    status: 2, after one stderr line, if the file cannot be written."""
+def _open_csv(path: str | None):
+    """The stream a command writes its CSV to, opened before the command
+    does any work so that a bad path costs none: `path`, or stdout without
+    one.  None, after one stderr line, if `path` cannot be opened."""
     if not path:
-        sys.stdout.write(text)
-        return 0
+        return contextlib.nullcontext(sys.stdout)
     try:
-        with open(path, "w", newline="") as f:
-            f.write(text)
+        return open(path, "w", newline="")
     except OSError as exc:
         print(f"cannot write {path}: {exc.strerror}", file=sys.stderr)
-        return 2
-    return 0
+        return None
 
 
 # ----------------------------------------------------------------------- bench
@@ -78,19 +77,24 @@ def cmd_bench(args) -> int:
             print(f"unknown {what} {unknown[0]!r} "
                   f"(choices: {','.join(choices)})", file=sys.stderr)
             return 2
-    rows = []
-    for algo in algos:
-        for size in sizes:
-            try:
-                rows.append(_bench_one(algo, ENTRY_PAYLOAD[size],
-                                       args.latency_ns, args.ops, args.seed,
-                                       args.fence_ns, args.base_ns))
-            except LogError as exc:
-                print(f"skipping {algo}/{size}: {exc}", file=sys.stderr)
-    header = ["algorithm", "payload_bytes", "latency_ns",
-              "appends_per_sec_wallclock", "appends_per_sec_modeled",
-              "roundtrips_per_append"]
-    return _write_out(args.csv, csv_text([header, *rows]))
+    out = _open_csv(args.csv)
+    if out is None:
+        return 2
+    rows = [["algorithm", "payload_bytes", "latency_ns",
+             "appends_per_sec_wallclock", "appends_per_sec_modeled",
+             "roundtrips_per_append"]]
+    with out as f:
+        for algo in algos:
+            for size in sizes:
+                try:
+                    rows.append(_bench_one(algo, ENTRY_PAYLOAD[size],
+                                           args.latency_ns, args.ops,
+                                           args.seed, args.fence_ns,
+                                           args.base_ns))
+                except LogError as exc:
+                    print(f"skipping {algo}/{size}: {exc}", file=sys.stderr)
+        f.write(csv_text(rows))
+    return 0
 
 
 # ----------------------------------------------------------------------- ycsb
@@ -123,12 +127,18 @@ def _run_kv(two_round: bool, set_size: int, ops: int, latency_ns: int,
 
 
 def cmd_ycsb(args) -> int:
-    rows = [_run_kv(tr, args.set_size, args.ops, args.latency_ns, args.seed,
-                    args.node_lines, args.fence_ns, args.base_ns)
-            for tr in (False, True)]
-    header = ["variant", "set_size", "latency_ns", "ops_per_sec_modeled",
-              "ops_per_sec_wallclock"]
-    return _write_out(args.csv, csv_text([header, *rows]))
+    out = _open_csv(args.csv)
+    if out is None:
+        return 2
+    with out as f:
+        rows = [_run_kv(tr, args.set_size, args.ops, args.latency_ns,
+                        args.seed, args.node_lines, args.fence_ns,
+                        args.base_ns)
+                for tr in (False, True)]
+        header = ["variant", "set_size", "latency_ns", "ops_per_sec_modeled",
+                  "ops_per_sec_wallclock"]
+        f.write(csv_text([header, *rows]))
+    return 0
 
 
 # ------------------------------------------------------------------ crashtest
@@ -161,8 +171,12 @@ def cmd_crashtest(args) -> int:
     except ScriptError as exc:   # a `G` read disagreed with the model
         print(f"{target}: {exc}")
         return 1
-    if args.csv and _write_out(args.csv, report.to_csv()):
-        return 2
+    if args.csv:   # written after the run: a failed run leaves no file
+        out = _open_csv(args.csv)
+        if out is None:
+            return 2
+        with out as f:
+            f.write(report.to_csv())
     print(f"{report.target}: {report.ops_run} ops, "
           f"{report.distinct_states} distinct crash states, "
           f"{len(report.violations)} violations")

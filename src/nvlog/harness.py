@@ -12,14 +12,14 @@ construction that defeats 32-bit CRC validation.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 from dataclasses import dataclass, field
 
 from .crc import crc32c
 from .logalg import ALGORITHMS
-from .logalg.base import (CircularLog, TrimError, UnrecoverableLogError,
-                          words_of)
+from .logalg.base import CircularLog, TrimError, UnrecoverableLogError
 from .logalg.csovb import CsoVbLog
 from .pmem import SimMemory, WORD_SIZE
 from .stps import PersistentHashMap
@@ -250,7 +250,9 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
     all-or-nothing).  Each window is checked once, at its end, and each
     distinct image once, against the boundaries up to the end of the op
     that issued its newest persisted write (the window's first op if none
-    persisted): the op its violation carries and `at-op I` keeps."""
+    persisted): the op its violation carries and `at-op I` keeps.  `at-op
+    I` enumerates only the states of its window's prefix through op I, and
+    its `states_checked` counts those."""
     if isinstance(script, str):
         script = parse_script(script)
     if script.kind == "log":
@@ -280,8 +282,12 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
                 states = mem.boundary_crash_states()
                 states += mem.sample_crash_states(script.mode_arg or 10000,
                                                   seed=script.seed)
-            else:
+            elif only is None:
                 states = mem.enumerate_crash_states()
+            else:   # no line cut past the writes of ops up to `only`
+                states = mem.enumerate_crash_states(prefix={
+                    line: bisect.bisect_right(ops, only)
+                    for line, ops in owner.items()})
             frozen = [_freeze(state) for state in legal]
             for cuts, st in {st.cuts: st for st in states}.items():
                 j = max((owner[ln][c - 1] for ln, c in cuts if c),
@@ -361,13 +367,11 @@ class BrokenVbLog(CsoVbLog):
         bit = self.expected_bit(slot)
         if self.layout.total_len <= 64:
             mem.store_word(addr + self.layout.metadata_slots[0][0], bit)
-            for i, w in enumerate(words_of(payload)):
-                mem.store_word(addr + i * WORD_SIZE, w)
+            mem.store_words(addr, payload)
         else:
             mem.store_word(addr, bit)
             mem.store_word(addr + 120, bit)
-            for i, w in enumerate(words_of(payload)):
-                mem.store_word(addr + WORD_SIZE + i * WORD_SIZE, w)
+            mem.store_words(addr + WORD_SIZE, payload)
 
 
 EXTRA_ALGORITHMS = dict(ALGORITHMS)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..pmem import LINE_SIZE, RELEASE, WORD_SIZE
 from .base import (CircularLog, PayloadError, RecoveredEntry, ROOT_WORD_OFF,
-                   TrimError, UnrecoverableLogError, words_of)
+                   TrimError, UnrecoverableLogError)
 
 ENTRY_BYTES = 32
 PAYLOAD_BYTES = 24
@@ -37,9 +37,8 @@ class AtlasLog(CircularLog):
 
     def _store_entry(self, slot: int, addr: int, payload: bytes) -> None:
         mem = self.mem
-        mem.store_word(addr, 0)  # clear any stale link before becoming reachable
-        for i, w in enumerate(words_of(payload)):
-            mem.store_word(addr + WORD_SIZE + (i * WORD_SIZE), w)
+        # the cleared link first: no stale link before the entry is reachable
+        mem.store_words(addr, bytes(WORD_SIZE) + payload)
         link_addr = self._prev_link_addr()
         if link_addr // LINE_SIZE == addr // LINE_SIZE:
             # same line: the entry's own fence persists the link after it

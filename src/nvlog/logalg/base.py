@@ -64,17 +64,23 @@ def slot_size_for(total: int) -> int:
     return (total + LINE_SIZE - 1) // LINE_SIZE * LINE_SIZE
 
 
+def padded(data: bytes) -> bytes:
+    """`data` zero-padded to whole 8-byte words."""
+    return data + b"\0" * (-len(data) % WORD_SIZE)
+
+
 def words_of(data: bytes) -> list[int]:
     """Little-endian 8-byte words of `data`, the last zero-padded."""
-    padded = data + b"\0" * (-len(data) % WORD_SIZE)
-    return list(struct.unpack(f"<{len(padded) // WORD_SIZE}Q", padded))
+    data = padded(data)
+    return list(struct.unpack(f"<{len(data) // WORD_SIZE}Q", data))
 
 
 class CircularLog:
     """Base class for the slot-oriented log algorithms.
 
     An append is one round trip, and this class owns it: the format's
-    `_store_entry` issues the entry's stores in persist order, `append`
+    `_store_entry` issues the entry's stores in persist order (each run of
+    relaxed payload words as one `store_words` call), `append`
     flushes the slot and fences once, and the format's `_commit` does only
     what must follow that fence.  Recovery loads each scanned slot once and
     the format's `_decode` validates those bytes.  Subclasses implement

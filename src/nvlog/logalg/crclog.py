@@ -54,12 +54,9 @@ class _CrcLog(CircularLog):
 
     def _store_entry(self, slot: int, addr: int, payload: bytes) -> None:
         mem = self.mem
-        hdr = _HDR.pack(self._entry_seq(slot), len(payload))
-        mem.store(addr, hdr)
-        for i in range(0, len(payload), WORD_SIZE):
-            mem.store(addr + WORD_SIZE + i, payload[i:i + WORD_SIZE])
-        checksum = self.crc_fn(hdr + payload)
-        mem.store_word(addr + self._crc_off(), checksum, RELEASE)
+        body = _HDR.pack(self._entry_seq(slot), len(payload)) + payload
+        mem.store_words(addr, body)
+        mem.store_word(addr + self._crc_off(), self.crc_fn(body), RELEASE)
 
     def _decode(self, slot: int, raw: bytes):
         hdr = raw[:_HDR.size]

@@ -111,8 +111,7 @@ class CsoRandomLog(CircularLog):
                            RELEASE)
             mem.clflushopt(mem.line_of(self.base))
         last = len(payload) - WORD_SIZE
-        for off in range(0, last, WORD_SIZE):
-            mem.store(addr + off, payload[off:off + WORD_SIZE])
+        mem.store_words(addr, payload[:last])
         mem.store(addr + last, payload[last:], RELEASE)
 
     def _commit(self, slot: int, addr: int, payload: bytes, needed: int) -> None:

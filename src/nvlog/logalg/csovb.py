@@ -8,8 +8,7 @@ metadata word is the validity bit; the other 63 bits are reserved.
 from __future__ import annotations
 
 from ..pmem import RELEASE, WORD_SIZE
-from .base import (CircularLog, EntryLayout, PayloadError, slot_size_for,
-                   words_of)
+from .base import CircularLog, EntryLayout, PayloadError, slot_size_for
 
 MAX_SINGLE_LINE_PAYLOAD = 56
 MAX_PAYLOAD = 112
@@ -46,12 +45,10 @@ class CsoVbLog(CircularLog):
         mem = self.mem
         bit = self.expected_bit(slot)
         if self.layout.total_len <= 64:
-            for i, w in enumerate(words_of(payload)):
-                mem.store_word(addr + i * WORD_SIZE, w)
+            mem.store_words(addr, payload)
             mem.store_word(addr + self.layout.metadata_slots[0][0], bit, RELEASE)
         else:
-            for i, w in enumerate(words_of(payload)):
-                mem.store_word(addr + WORD_SIZE + i * WORD_SIZE, w)
+            mem.store_words(addr + WORD_SIZE, payload)
             mem.store_word(addr + 120, bit, RELEASE)
             mem.store_word(addr, bit, RELEASE)
 

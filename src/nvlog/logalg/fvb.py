@@ -11,7 +11,7 @@ payload bytes sharing that line) because it is written last.
 from __future__ import annotations
 
 from ..pmem import LINE_SIZE, RELEASE, SimMemory, WORD_SIZE
-from .base import CircularLog, PayloadError, slot_size_for, words_of
+from .base import CircularLog, PayloadError, padded, slot_size_for, words_of
 
 PAIRS_PER_WORD = 6
 
@@ -41,8 +41,7 @@ def write_cacheline(mem: SimMemory, line_addr: int, new: bytes) -> tuple[int, in
         offset = 0
         bit_value = new_words[0] & 1
         return offset, bit_value
-    for k in range(j):
-        mem.store_word(line_addr + k * WORD_SIZE, new_words[k])
+    mem.store_words(line_addr, new[:j * WORD_SIZE])
     mem.store_word(line_addr + j * WORD_SIZE, new_words[j], RELEASE)
     return offset, bit_value
 
@@ -108,9 +107,8 @@ class CsoFvbLog(CircularLog):
                 chunk = chunk + mem.load(line_addr + len(chunk),
                                          LINE_SIZE - len(chunk))
             pairs.append(write_cacheline(mem, line_addr, chunk))
-        data_off = self.meta_words * WORD_SIZE
-        for i, w in enumerate(words_of(payload[:first_len])):
-            mem.store_word(addr + data_off + i * WORD_SIZE, w)
+        mem.store_words(addr + self.meta_words * WORD_SIZE,
+                        padded(payload[:first_len]))
         for mi in range(self.meta_words - 1, 0, -1):
             group = pairs[mi * PAIRS_PER_WORD:(mi + 1) * PAIRS_PER_WORD]
             mem.store_word(addr + mi * WORD_SIZE, pack_meta(group, None))

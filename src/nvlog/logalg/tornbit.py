@@ -6,6 +6,8 @@ must be reassembled on read.
 
 from __future__ import annotations
 
+import struct
+
 from ..pmem import RELEASE, WORD_SIZE
 from .base import CircularLog, words_of
 
@@ -36,9 +38,9 @@ class TornbitLog(CircularLog):
     def _store_entry(self, slot: int, addr: int, payload: bytes) -> None:
         mem = self.mem
         words = pack(payload, self.expected_bit(slot))
-        for i, w in enumerate(words[:-1]):
-            mem.store_word(addr + i * WORD_SIZE, w)
-        mem.store_word(addr + (len(words) - 1) * WORD_SIZE, words[-1], RELEASE)
+        last = len(words) - 1
+        mem.store_words(addr, struct.pack(f"<{last}Q", *words[:last]))
+        mem.store_word(addr + last * WORD_SIZE, words[-1], RELEASE)
 
     def _decode(self, slot: int, raw: bytes):
         bit = self.expected_bit(slot)

@@ -8,7 +8,7 @@ round trip.
 from __future__ import annotations
 
 from ..pmem import RELEASE, WORD_SIZE
-from .base import CircularLog, slot_size_for, words_of
+from .base import CircularLog, padded, slot_size_for
 
 
 class TwoRoundsLog(CircularLog):
@@ -19,8 +19,7 @@ class TwoRoundsLog(CircularLog):
         return slot_size_for(WORD_SIZE + payload_len)
 
     def _store_entry(self, slot: int, addr: int, payload: bytes) -> None:
-        for i, w in enumerate(words_of(payload)):
-            self.mem.store_word(addr + WORD_SIZE + i * WORD_SIZE, w)
+        self.mem.store_words(addr + WORD_SIZE, padded(payload))
 
     def _commit(self, slot: int, addr: int, payload: bytes, needed: int) -> None:
         mem = self.mem

@@ -85,6 +85,9 @@ class WriteEvent(NamedTuple):
     ordering: str
 
 
+_new_event = tuple.__new__   # builds a WriteEvent without its Python __new__
+
+
 @dataclass
 class FlushStats:
     clflushopt_count: int = 0
@@ -197,6 +200,35 @@ class SimMemory:
     def store_word(self, addr: int, value: int, ordering: str = RELAXED) -> None:
         self.store(addr, (value & (2 ** 64 - 1)).to_bytes(WORD_SIZE, "little"), ordering)
 
+    def store_words(self, addr: int, data: bytes) -> None:
+        """Store `data` as a run of relaxed 8-byte stores, low address
+        first, the last one shorter when the length is not a multiple of 8.
+        Logs exactly the events one `store` per 8-byte chunk would, each
+        chunk split at line boundaries, in one call."""
+        n = len(data)
+        if addr < 0 or addr + n > self.capacity:
+            raise UsageError(f"store [{addr}, {addr + n}) out of range")
+        data = bytes(data)
+        self.cached[addr:addr + n] = data
+        fence = self._fences
+        writes = self._writes
+        pos = 0
+        while pos < n:
+            line, off = divmod(addr + pos, LINE_SIZE)
+            stop = min(n, pos + LINE_SIZE - off)   # the run's end in this line
+            # chunks start here and at each later word boundary of the run
+            starts = [pos, *range(pos - pos % WORD_SIZE + WORD_SIZE, stop,
+                                  WORD_SIZE)]
+            delta = off - pos
+            evs = [_new_event(WriteEvent, (fence, s + delta, data[s:e], RELAXED))
+                   for s, e in zip(starts, [*starts[1:], stop])]
+            logged = writes.get(line)
+            if logged is None:
+                writes[line] = evs
+            else:
+                logged += evs
+            pos = stop
+
     # ----------------------------------------------------------------- flushes
 
     def clflushopt(self, line: int) -> None:
@@ -299,17 +331,25 @@ class SimMemory:
         return CrashState(tuple(zip(lines, cuts)), self._epoch)
 
     def enumerate_crash_states(self, limit: int = 1 << 20,
-                               at_least_durable: bool = False) -> list[CrashState]:
+                               at_least_durable: bool = False,
+                               prefix: dict[int, int] | None = None
+                               ) -> list[CrashState]:
         """All persisted images the persist relation allows for this trace.
 
         With ``at_least_durable`` the durable floor is applied, i.e. only
         crashes at or after the present instant are considered; by default a
-        crash at any earlier point of the trace is included too.
+        crash at any earlier point of the trace is included too.  With
+        ``prefix`` (line -> writes), no line is cut past that many of its
+        writes (none for a line left out): the states, in the same order,
+        of a trace holding only those writes.
         """
         lines, ranges = self._cut_ranges(at_least_durable)
+        if prefix is not None:
+            ranges = [(lo, min(hi, prefix.get(line, 0)))
+                      for line, (lo, hi) in zip(lines, ranges)]
         total = 1
         for lo, hi in ranges:
-            total *= hi - lo + 1
+            total *= max(hi - lo + 1, 0)
             if total > limit:
                 raise EnumerationLimitError(
                     f"{total}+ candidate cut tuples exceed limit {limit}")

@@ -189,9 +189,7 @@ class PersistentHashMap:
         data = key + value
         pos = 0
         for run_off, run_len in self._data_runs(len(data)):
-            for off in range(0, run_len, WORD_SIZE):
-                chunk = data[pos + off:pos + min(off + WORD_SIZE, run_len)]
-                mem.store(addr + run_off + off, chunk)
+            mem.store_words(addr + run_off, data[pos:pos + run_len])
             pos += run_len
 
         if self.two_round_commit:

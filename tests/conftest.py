@@ -3,12 +3,13 @@
 `RecordingMemory` is a `SimMemory` that keeps its own trace of every store,
 flush and fence, in issue order, so tests can replay the persist rules from
 that trace without reading the bookkeeping of the engine they check.  It
-splits stores at line boundaries and counts each line's writes itself.
+records a `store_words` run as one store per 8-byte chunk, splits stores at
+line boundaries and counts each line's writes itself.
 """
 
 from typing import NamedTuple
 
-from nvlog.pmem import RELAXED, SimMemory
+from nvlog.pmem import RELAXED, SimMemory, WORD_SIZE
 
 
 class Store(NamedTuple):
@@ -31,11 +32,20 @@ class RecordingMemory(SimMemory):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.trace: list[Store | Flush | Fence] = []
-        self.stores = 0            # store() calls, before any splitting
+        self.stores = 0   # stores issued (a run counts one per word), unsplit
         self._line_writes: dict[int, int] = {}
 
     def store(self, addr, data, ordering=RELAXED):
         super().store(addr, data, ordering)
+        self._record(addr, data, ordering)
+
+    def store_words(self, addr, data):
+        super().store_words(addr, data)
+        for pos in range(0, len(data), WORD_SIZE):
+            self._record(addr + pos, data[pos:pos + WORD_SIZE], RELAXED)
+
+    def _record(self, addr, data, ordering):
+        """One store of `data` at `addr`, split at line boundaries."""
         self.stores += 1
         pos = 0
         while pos < len(data):

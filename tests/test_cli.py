@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import nvlog
+from nvlog import cli
 from nvlog.cli import ENTRY_PAYLOAD, main
 from nvlog.logalg import ALGORITHMS
 from nvlog.pmem import SimMemory
@@ -125,6 +126,25 @@ def test_unwritable_csv_path_is_one_line(argv, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == f"cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--algo", "cso-vb", "--entry-lines", "0.5", "--ops", "50"],
+    ["ycsb", "--set-size", "16", "--ops", "50"],
+], ids=["bench", "ycsb"])
+def test_unwritable_csv_path_is_reported_before_any_work(argv, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+    # a mistyped path must not cost a whole run first
+    ran = []
+    for worker in ("_bench_one", "_run_kv"):
+        monkeypatch.setattr(cli, worker,
+                            lambda *a, worker=worker, **k: ran.append(worker))
+    path = tmp_path / "missing" / "x.csv"
+    code = main(argv + ["--csv", str(path)])
+    assert code == 2 and ran == []
+    assert capsys.readouterr().err == (
+        f"cannot write {path}: No such file or directory\n")
 
 
 def test_entry_payloads_fit_declared_lines():

@@ -306,6 +306,22 @@ def test_at_op_reports_partition_the_exhaustive_report(name, target, size,
     assert len(images[0]) == whole.distinct_states
 
 
+def test_at_op_enumerates_only_its_prefix():
+    # a cso-random trim leaves its refill unfenced, so ops 1 and 2 share a
+    # window; `at-op I` enumerates only that window's states with no line
+    # cut past op I, which are the states of the script cut after op I
+    ops = ["append " + "11" * 24, "trim", "append " + "22" * 24]
+
+    def checked(mode, n):
+        script = f"crash {mode}\n" + "\n".join(ops[:n])
+        return run_crash_suite(script, algo="cso-random").states_checked
+
+    before = checked("exhaustive", 1)
+    assert checked("at-op 1", 3) == checked("exhaustive", 2) - before
+    assert checked("at-op 2", 3) == checked("exhaustive", 3) - before
+    assert checked("at-op 1", 3) < checked("at-op 2", 3)
+
+
 def test_map_suite_clean():
     assert run_crash_suite(MAP_SCRIPT).ok
 

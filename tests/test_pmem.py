@@ -43,10 +43,35 @@ def test_store_word_little_endian():
     assert m.load_word(8) == 0x0102030405060708
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 255), st.binary(max_size=140), st.booleans())
+def test_store_words_logs_one_store_per_chunk(addr, data, fenced):
+    # a run must log exactly the events, fence stamps included, of one
+    # store per 8-byte chunk, each split at line boundaries as store splits
+    data = data[:256 - addr]
+    run, chunks = SimMemory(256), SimMemory(256)
+    for m in (run, chunks):
+        m.store(addr & ~7, b"old", RELEASE)
+        if fenced:
+            m.clflushopt(addr // 64)
+            m.sfence()
+    run.store_words(addr, data)
+    for pos in range(0, len(data), 8):
+        chunks.store(addr + pos, data[pos:pos + 8])
+    assert run._writes == chunks._writes
+    assert all(type(e) is type(c) and e.fence == c.fence
+               for line, evs in run._writes.items()
+               for e, c in zip(evs, chunks._writes[line]))
+    assert run.cached == chunks.cached
+
+
 def test_bounds_checked():
     m = SimMemory(64)
     with pytest.raises(UsageError):
         m.store(60, b"too long!")
+    with pytest.raises(UsageError):
+        m.store_words(56, b"too long!")
+    assert m.write_counts() == {} and m.cached == bytes(64)
     with pytest.raises(UsageError):
         m.load(64, 1)
     with pytest.raises(UsageError):
@@ -184,6 +209,29 @@ def long_trace(seed: int, events: int = 24,
         else:
             m.sfence()
     return m
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bounded_enumeration_is_the_prefix_trace_enumeration(seed):
+    # capping each line's cut at its writes in the first t trace events
+    # gives the states, in order, of a memory that saw only those events
+    m = long_trace(seed)
+    t = random.Random(seed).randrange(len(m.trace) + 1)
+    prefix, writes = SimMemory(256), {}
+    for e in m.trace[:t]:
+        if isinstance(e, Store):
+            prefix.store(e.line * 64 + e.offset_in_line, e.data, e.ordering)
+            writes[e.line] = writes.get(e.line, 0) + 1
+        elif isinstance(e, Flush):
+            prefix.clflushopt(e.line)
+        else:
+            prefix.sfence()
+
+    def persisted(states):
+        return [tuple((ln, c) for ln, c in s.cuts if c) for s in states]
+
+    assert persisted(m.enumerate_crash_states(prefix=writes)) == \
+        persisted(prefix.enumerate_crash_states())
 
 
 def durable_floors(m: RecordingMemory) -> dict[int, int]:
