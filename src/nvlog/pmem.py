@@ -15,29 +15,41 @@ Unflushed lines may spontaneously write back any prefix at any time, so no
 eviction events are modeled.  Crash states are enumerated over the whole
 trace, i.e. power may fail at any point up to and including "now".
 
-The model keeps one record: each line's writes (``_writes``), the durable
-floors and an undo log of floor raises.  Each write is stamped with the number
-of round-trip fences issued before it (``WriteEvent.fence``), which is all the
-second rule needs to know about when it was issued.  ``_floors`` holds each
-line's floor: the writes that fenced flushes made durable.  A round-trip fence
-gets an index (the fence count before it) and appends ``(fence index, line,
-previous floor)`` to ``_raises`` for each pending line whose floor it raises,
-so a fence costs O(pending lines) and the log holds at most one entry per
-flush.  A crash state whose persisted writes carry stamps up to k must honour
-the requirements of every fence before fence k: ``_reqs_before`` copies the
-floors and undoes the raises of fences k and later, newest first, on first
-use, and caches the view by k until ``checkpoint()``.  Later fences get larger
-indices, so a cached view never goes stale.
+The model keeps one record: each line's write records (``_writes``) and unit
+counts (``_counts``), the durable floors and an undo log of floor raises.  A
+unit is what the same-line rule orders: a crash persists a prefix of each
+line's units.  Each store call logs one record per line it touches,
+``(fence, offset_in_line, data, ordering, units, first)``.  A ``store`` is one
+unit at any width (its piece of the line), so a wide store never tears within
+a line.  A ``store_words`` run is one unit per 8-byte chunk it has in the
+line, chunk boundaries counted from the run's start, not from address 0, and
+``first`` is the length of its first chunk there.  ``events(line)`` lists the
+line's units as ``WriteEvent``s, one per store piece or run chunk.  Cuts,
+floors and the raise log count units.
+
+Each record is stamped with the number of round-trip fences issued before it
+(``fence``), which is all the second rule needs to know about when it was
+issued.  ``_floors`` holds each line's floor: the units that fenced flushes
+made durable.  A round-trip fence gets an index (the fence count before it)
+and appends ``(fence index, line, previous floor)`` to ``_raises`` for each
+pending line whose floor it raises, so a fence costs O(pending lines) and the
+log holds at most one entry per flush.  A crash state whose persisted units
+carry stamps up to k must honour the requirements of every fence before
+fence k.  The crash side reads the trace through a ``_Window``, rebuilt only
+after a store, a fence or a checkpoint: the written lines in order, each
+line's unit count, floor and per-unit stamps (``_stamps``, built on first use
+and rebuilt once the line gains units), and the requirement vector of each k
+it meets, the floors with the raises of fences k and later undone.
 
 A crash image starts from a copy of ``cached``, which always equals
 ``_base`` (the image at the start of the epoch) with every logged write
-applied, so only the torn lines, those cut below their write count, cost
+applied, so only the torn lines, those cut below their unit count, cost
 work: cut 0 pastes the ``_base`` slice, and any other cut pastes the line
-replayed from ``_base`` through its first ``cut`` writes, memoised in
-``_torn`` by (line, cut).  Within an epoch a line's writes are only
-appended to, so a memoised image never goes stale; ``checkpoint()`` clears
-the memo with the rest of the history.  Fully persisted lines are never
-memoised.
+replayed from ``_base`` through its first ``cut`` units (whole records, then
+the first chunks of a run the cut tears), memoised in ``_torn`` by (line,
+cut).  Within an epoch a line's records are only appended to, so a memoised
+image never goes stale; ``checkpoint()`` clears the memo with the rest of
+the history.  Fully persisted lines are never memoised.
 
 The ``RELEASE`` store tag does not change which crash states are legal; it
 marks the writes around which ``boundary_crash_states`` cuts.
@@ -46,6 +58,7 @@ marks the writes around which ``boundary_crash_states`` cuts.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import struct
 from dataclasses import dataclass
@@ -79,13 +92,11 @@ class StaleCrashStateError(Exception):
 
 
 class WriteEvent(NamedTuple):
+    """One unit of a line's writes, as `SimMemory.events` lists them."""
     fence: int  # round-trip fences issued before this write, this epoch
     offset_in_line: int
     data: bytes
     ordering: str
-
-
-_new_event = tuple.__new__   # builds a WriteEvent without its Python __new__
 
 
 @dataclass
@@ -100,7 +111,7 @@ class FlushStats:
 class CrashState:
     """One persisted image: per-line prefix counts over the write logs."""
 
-    cuts: tuple[tuple[int, int], ...]  # sorted (line, writes persisted)
+    cuts: tuple[tuple[int, int], ...]  # sorted (line, units persisted)
     epoch: int = 0
 
     def cut(self, line: int) -> int:
@@ -113,6 +124,44 @@ class CrashState:
 def _check_geometry(capacity: int) -> None:
     if capacity <= 0 or capacity % LINE_SIZE != 0:
         raise UsageError(f"capacity {capacity} not a multiple of line size {LINE_SIZE}")
+
+
+class _Window:
+    """The trace as the crash side reads it, valid while no store, fence
+    or checkpoint changes it: the written lines in order, and per line its
+    unit count, durable floor and unit stamps; `reqs` caches requirement
+    vectors by fence index.
+
+    A line's unit stamps are 0, then the fence stamp of each of its units
+    in issue order, so entry c is the stamp of the newest unit a cut of c
+    persists.  They are kept per line in the memory's `_stamps` for the
+    epoch and rebuilt once the line gains units."""
+
+    __slots__ = ("fences", "counts", "lines", "his", "stops", "floors",
+                 "stamps", "reqs")
+
+    def __init__(self, mem: "SimMemory"):
+        counts, writes, known = mem._counts, mem._writes, mem._stamps
+        self.fences = mem._fences
+        self.counts = dict(counts)
+        self.lines = lines = sorted(counts)
+        self.his = his = [counts[line] for line in lines]
+        self.stops = [hi + 1 for hi in his]
+        self.floors = [mem._floors.get(line, 0) for line in lines]
+        self.stamps = []
+        for line, count in zip(lines, his):
+            stamps = known.get(line)
+            if stamps is None or len(stamps) != count + 1:
+                recs = writes[line]
+                if recs[0][0] == recs[-1][0]:   # stamps only grow: one fence
+                    stamps = [0] + [recs[0][0]] * count
+                else:
+                    stamps = [0]
+                    for fence, _, _, _, units, _ in recs:
+                        stamps += [fence] * units
+                known[line] = stamps
+            self.stamps.append(stamps)
+        self.reqs: dict[int, list[int]] = {}
 
 
 class SimMemory:
@@ -140,13 +189,16 @@ class SimMemory:
         self.cached = image
         self._base = bytes(image)  # image at the start of this epoch
         self.stats = FlushStats()
-        self._writes: dict[int, list[WriteEvent]] = {}
+        # line -> (fence, offset_in_line, data, ordering, units, first) records
+        self._writes: dict[int, list[tuple]] = {}
+        self._counts: dict[int, int] = {}   # line -> units logged
         self._floors: dict[int, int] = {}   # per-line durable prefix (fenced flushes)
         self._pending: dict[int, int] = {}  # line -> captured prefix of unfenced flushes
         self._fences = 0                    # round-trip fences this epoch
         # (fence index, line, floor before it) per floor raise, in fence order
         self._raises: list[tuple[int, int, int]] = []
-        self._req_views: dict[int, dict[int, int]] = {}  # k -> _reqs_before(k)
+        self._stamps: dict[int, list[int]] = {}       # line -> unit stamps
+        self._win: _Window | None = None
         self._torn: dict[tuple[int, int], bytes] = {}    # (line, cut) -> image
         self._epoch = 0
 
@@ -160,7 +212,7 @@ class SimMemory:
         return addr // LINE_SIZE
 
     def load(self, addr: int, size: int) -> bytes:
-        if addr < 0 or addr + size > self.capacity:
+        if addr < 0 or size < 0 or addr + size > self.capacity:
             raise UsageError(f"load [{addr}, {addr + size}) out of range")
         return bytes(self.cached[addr:addr + size])
 
@@ -170,6 +222,7 @@ class SimMemory:
     # ------------------------------------------------------------------ stores
 
     def store(self, addr: int, data: bytes, ordering: str = RELAXED) -> None:
+        """One store: a single unit in each line it touches."""
         n = len(data)
         if addr < 0 or addr + n > self.capacity:
             raise UsageError(f"store [{addr}, {addr + n}) out of range")
@@ -177,25 +230,26 @@ class SimMemory:
             return
         self.cached[addr:addr + n] = data
         line, off = divmod(addr, LINE_SIZE)
-        if off + n <= LINE_SIZE:  # within one line: a single event
-            ev = WriteEvent(self._fences, off, bytes(data), ordering)
-            evs = self._writes.get(line)
-            if evs is None:
-                self._writes[line] = [ev]
+        if off + n <= LINE_SIZE:  # within one line: a single record
+            rec = (self._fences, off, bytes(data), ordering, 1, n)
+            recs = self._writes.get(line)
+            if recs is None:
+                self._writes[line] = [rec]
+                self._counts[line] = 1
             else:
-                evs.append(ev)
+                recs.append(rec)
+                self._counts[line] += 1
             return
-        # Split at line boundaries, low address first; each piece is one event.
+        # Split at line boundaries, low address first; each piece is one record.
         pos = 0
         while pos < n:
-            a = addr + pos
-            line = a // LINE_SIZE
-            room = (line + 1) * LINE_SIZE - a
-            chunk = data[pos:pos + room]
+            line, off = divmod(addr + pos, LINE_SIZE)
+            stop = min(n, pos + LINE_SIZE - off)
             self._writes.setdefault(line, []).append(
-                WriteEvent(self._fences, a % LINE_SIZE, bytes(chunk),
-                           ordering))
-            pos += len(chunk)
+                (self._fences, off, bytes(data[pos:stop]), ordering, 1,
+                 stop - pos))
+            self._counts[line] = self._counts.get(line, 0) + 1
+            pos = stop
 
     def store_word(self, addr: int, value: int, ordering: str = RELAXED) -> None:
         self.store(addr, (value & (2 ** 64 - 1)).to_bytes(WORD_SIZE, "little"), ordering)
@@ -203,47 +257,63 @@ class SimMemory:
     def store_words(self, addr: int, data: bytes) -> None:
         """Store `data` as a run of relaxed 8-byte stores, low address
         first, the last one shorter when the length is not a multiple of 8.
-        Logs exactly the events one `store` per 8-byte chunk would, each
-        chunk split at line boundaries, in one call."""
+        Logs one record per line the run touches, one unit per 8-byte chunk
+        in that line (a chunk that crosses a line is one unit in each), so
+        a crash may tear the run between any two chunks, as it may between
+        one `store` per chunk."""
         n = len(data)
         if addr < 0 or addr + n > self.capacity:
             raise UsageError(f"store [{addr}, {addr + n}) out of range")
         data = bytes(data)
         self.cached[addr:addr + n] = data
         fence = self._fences
-        writes = self._writes
+        writes, counts = self._writes, self._counts
         pos = 0
         while pos < n:
             line, off = divmod(addr + pos, LINE_SIZE)
             stop = min(n, pos + LINE_SIZE - off)   # the run's end in this line
-            # chunks start here and at each later word boundary of the run
-            starts = [pos, *range(pos - pos % WORD_SIZE + WORD_SIZE, stop,
-                                  WORD_SIZE)]
-            delta = off - pos
-            evs = [_new_event(WriteEvent, (fence, s + delta, data[s:e], RELAXED))
-                   for s, e in zip(starts, [*starts[1:], stop])]
-            logged = writes.get(line)
-            if logged is None:
-                writes[line] = evs
+            # the first chunk here ends at the run's next word boundary
+            first = min(stop, (pos | (WORD_SIZE - 1)) + 1) - pos
+            units = 1 + (stop - pos - first + WORD_SIZE - 1) // WORD_SIZE
+            rec = (fence, off, data[pos:stop], RELAXED, units, first)
+            recs = writes.get(line)
+            if recs is None:
+                writes[line] = [rec]
+                counts[line] = units
             else:
-                logged += evs
+                recs.append(rec)
+                counts[line] += units
             pos = stop
+
+    def events(self, line: int) -> list[WriteEvent]:
+        """The line's writes since the last checkpoint, one `WriteEvent` per
+        unit in issue order: a store's piece of the line, or one chunk of a
+        word run."""
+        evs = []
+        for fence, off, data, ordering, _, first in self._writes.get(line, ()):
+            starts = [0, *range(first, len(data), WORD_SIZE)]
+            evs += [WriteEvent(fence, off + s, data[s:e], ordering)
+                    for s, e in zip(starts, [*starts[1:], len(data)])]
+        return evs
 
     # ----------------------------------------------------------------- flushes
 
     def clflushopt(self, line: int) -> None:
         if line < 0 or line >= self.num_lines:
             raise UsageError(f"line {line} out of range")
-        captured = len(self._writes.get(line, ()))
+        captured = self._counts.get(line, 0)
         self._pending[line] = max(self._pending.get(line, 0), captured)
         self.stats.clflushopt_count += 1
 
     def flush_range(self, addr: int, size: int) -> None:
-        """Flush every line overlapped by [addr, addr+size)."""
-        first = addr // LINE_SIZE
-        last = (addr + size - 1) // LINE_SIZE
-        for line in range(first, last + 1):
-            self.clflushopt(line)
+        """Flush every line overlapped by [addr, addr+size); an empty range
+        flushes nothing."""
+        if size < 0:
+            raise UsageError(f"flush of negative size {size}")
+        if size:
+            for line in range(addr // LINE_SIZE,
+                              (addr + size - 1) // LINE_SIZE + 1):
+                self.clflushopt(line)
 
     def sfence(self) -> None:
         pending = self._pending
@@ -267,65 +337,51 @@ class SimMemory:
 
     @property
     def quiescent(self) -> bool:
-        """No pending flush, and every logged write at its durable floor."""
+        """No pending flush, and every logged unit at its durable floor."""
+        floors = self._floors
         return not self._pending and all(
-            self._floors.get(line, 0) >= len(evs)
-            for line, evs in self._writes.items())
+            floors.get(line, 0) >= count for line, count in self._counts.items())
 
     def write_counts(self) -> dict[int, int]:
-        """line -> writes logged to it since the last checkpoint."""
-        return {line: len(evs) for line, evs in self._writes.items()}
+        """line -> units logged to it since the last checkpoint."""
+        return dict(self._counts)
 
     # ------------------------------------------------------------ crash states
 
     def _line_image(self, line: int, cut: int) -> bytes:
+        """The line replayed from `_base` through its first `cut` units:
+        whole records, then the first chunks of a run the cut tears."""
         lo = line * LINE_SIZE
         buf = bytearray(self._base[lo:lo + LINE_SIZE])
-        for ev in self._writes.get(line, ())[:cut]:
-            buf[ev.offset_in_line:ev.offset_in_line + len(ev.data)] = ev.data
+        for _, off, data, _, units, first in self._writes[line]:
+            if cut <= 0:
+                break
+            if units > cut:
+                data = data[:first + (cut - 1) * WORD_SIZE]
+            buf[off:off + len(data)] = data
+            cut -= units
         return bytes(buf)
 
-    def _reqs_before(self, k: int) -> dict[int, int]:
-        """line -> writes that the first k round-trip fences made durable."""
-        view = self._req_views.get(k)
-        if view is None:
+    def _window(self) -> _Window:
+        win = self._win
+        if (win is None or win.fences != self._fences
+                or win.counts != self._counts):
+            win = self._win = _Window(self)
+        return win
+
+    def _reqs(self, win: _Window, k: int) -> list[int]:
+        """Per window line, the units that the first k round-trip fences
+        made durable: the floors with the raises of fences k and later
+        undone, newest first."""
+        vec = win.reqs.get(k)
+        if vec is None:
             view = dict(self._floors)
             for fence, line, floor in reversed(self._raises):
                 if fence < k:
                     break
                 view[line] = floor
-            self._req_views[k] = view
-        return view
-
-    def _reqs_of(self, lines: list[int], cuts) -> dict[int, int]:
-        """The flush requirements a crash state with these cuts must meet:
-        those of every fence issued before its newest persisted write."""
-        k = 0
-        writes = self._writes
-        for line, cut in zip(lines, cuts):
-            if cut:
-                fence = writes[line][cut - 1].fence
-                if fence > k:
-                    k = fence
-        return self._reqs_before(k) if k else {}
-
-    def _state_valid(self, lines: list[int], cuts: tuple[int, ...]) -> bool:
-        req = self._reqs_of(lines, cuts)
-        if not req:
-            return True
-        by_line = dict(zip(lines, cuts))
-        return all(by_line.get(line, 0) >= need for line, need in req.items())
-
-    def _cut_ranges(self, at_least_durable: bool = False
-                    ) -> tuple[list[int], list[tuple[int, int]]]:
-        """The written lines in order, and each line's lowest and highest
-        cut: its durable floor under ``at_least_durable`` (else 0), and its
-        write count."""
-        writes = self._writes
-        floors = self._floors if at_least_durable else {}
-        lines = sorted(writes)
-        return lines, [(floors.get(line, 0), len(writes[line]))
-                       for line in lines]
+            vec = win.reqs[k] = [view.get(line, 0) for line in win.lines]
+        return vec
 
     def _crash_state(self, lines: list[int], cuts) -> CrashState:
         return CrashState(tuple(zip(lines, cuts)), self._epoch)
@@ -339,42 +395,51 @@ class SimMemory:
         With ``at_least_durable`` the durable floor is applied, i.e. only
         crashes at or after the present instant are considered; by default a
         crash at any earlier point of the trace is included too.  With
-        ``prefix`` (line -> writes), no line is cut past that many of its
-        writes (none for a line left out): the states, in the same order,
+        ``prefix`` (line -> units), no line is cut past that many of its
+        units (none for a line left out): the states, in the same order,
         of a trace holding only those writes.
         """
-        lines, ranges = self._cut_ranges(at_least_durable)
+        win = self._window()
+        lines, his, stamps = win.lines, win.his, win.stamps
+        los = win.floors if at_least_durable else [0] * len(lines)
         if prefix is not None:
-            ranges = [(lo, min(hi, prefix.get(line, 0)))
-                      for line, (lo, hi) in zip(lines, ranges)]
+            his = [min(hi, prefix.get(line, 0)) for line, hi in zip(lines, his)]
         total = 1
-        for lo, hi in ranges:
+        for lo, hi in zip(los, his):
             total *= max(hi - lo + 1, 0)
             if total > limit:
                 raise EnumerationLimitError(
                     f"{total}+ candidate cut tuples exceed limit {limit}")
-        product = itertools.product(*(range(lo, hi + 1) for lo, hi in ranges))
-        return [self._crash_state(lines, cuts) for cuts in product
-                if self._state_valid(lines, cuts)]
+        states = []
+        # a state must meet the requirements of every fence issued before
+        # its newest persisted unit
+        for cuts in itertools.product(*map(range, los, [hi + 1 for hi in his])):
+            k = max(map(list.__getitem__, stamps, cuts), default=0)
+            if not k or all(map(operator.ge, cuts, self._reqs(win, k))):
+                states.append(self._crash_state(lines, cuts))
+        return states
 
-    def _fix_up(self, lines: list[int], cuts: list[int]) -> CrashState:
+    def _fix_up(self, win: _Window, cuts: list[int]) -> CrashState:
         """The state with `cuts` raised until every triggered flush
         requirement holds."""
-        while True:
-            req = self._reqs_of(lines, cuts)
-            low = [i for i, line in enumerate(lines)
-                   if cuts[i] < req.get(line, 0)]
-            if not low:
-                return self._crash_state(lines, cuts)
-            for i in low:
-                cuts[i] = req[lines[i]]
+        stamps = win.stamps
+        k = max(map(list.__getitem__, stamps, cuts), default=0)
+        while k:
+            req = self._reqs(win, k)
+            if all(map(operator.ge, cuts, req)):
+                break
+            cuts = [c if c >= r else r for c, r in zip(cuts, req)]
+            k = max(map(list.__getitem__, stamps, cuts))
+        return self._crash_state(win.lines, cuts)
 
     def sample_crash_state(self, rng: random.Random,
                            at_least_durable: bool = False) -> CrashState:
         """A random cut per written line, raised to meet the flush
         requirements."""
-        lines, ranges = self._cut_ranges(at_least_durable)
-        return self._fix_up(lines, [rng.randint(lo, hi) for lo, hi in ranges])
+        win = self._window()
+        los = win.floors if at_least_durable else itertools.repeat(0)
+        # randrange(lo, hi + 1) is randint(lo, hi), draw for draw
+        return self._fix_up(win, list(map(rng.randrange, los, win.stops)))
 
     def sample_crash_states(self, count: int, seed: int = 0,
                             at_least_durable: bool = False):
@@ -385,17 +450,17 @@ class SimMemory:
     def boundary_crash_states(self) -> list[CrashState]:
         """States cut just before/after each release-ordered (metadata) write,
         with every other line fully persisted.  Force-included in sampling."""
-        lines, ranges = self._cut_ranges()
-        full = [hi for _, hi in ranges]
+        win = self._window()
         states = []
-        for i, line in enumerate(lines):
-            for idx, ev in enumerate(self._writes[line]):
-                if ev.ordering != RELEASE:
-                    continue
-                for cut in (idx, idx + 1):
-                    cuts = list(full)
-                    cuts[i] = cut
-                    states.append(self._fix_up(lines, cuts))
+        for i, line in enumerate(win.lines):
+            pos = 0
+            for _, _, _, ordering, units, _ in self._writes[line]:
+                if ordering == RELEASE:
+                    for cut in (pos, pos + 1):
+                        cuts = list(win.his)
+                        cuts[i] = cut
+                        states.append(self._fix_up(win, cuts))
+                pos += units
         return states
 
     def _crash_image(self, cuts) -> bytearray:
@@ -403,14 +468,14 @@ class SimMemory:
         gives it, as (line, cut) pairs; a written line they leave out counts
         as cut 0."""
         cut_of = dict(cuts)
-        writes = self._writes
+        counts = self._counts
         base = self._base
         memo = self._torn
         size = LINE_SIZE
         image = bytearray(self.cached)
-        for line, evs in writes.items():
+        for line, count in counts.items():
             cut = cut_of.get(line, 0)
-            if cut < len(evs):
+            if cut < count:
                 lo = line * size
                 if cut:
                     torn = memo.get((line, cut))
@@ -419,10 +484,10 @@ class SimMemory:
                     image[lo:lo + size] = torn
                 else:
                     image[lo:lo + size] = base[lo:lo + size]
-            elif cut > len(evs):
+            elif cut > count:
                 raise StaleCrashStateError(f"cut {cut} beyond line {line} history")
-        if not cut_of.keys() <= writes.keys():
-            for line in cut_of.keys() - writes.keys():
+        if not cut_of.keys() <= counts.keys():
+            for line in cut_of.keys() - counts.keys():
                 if cut_of[line]:
                     raise StaleCrashStateError(
                         f"cut {cut_of[line]} beyond line {line} history")
@@ -444,10 +509,12 @@ class SimMemory:
             raise UsageError("checkpoint before the memory is quiescent")
         self._base = bytes(self.cached)
         self._writes.clear()
+        self._counts.clear()
         self._floors.clear()
         self._fences = 0
         self._raises.clear()
-        self._req_views.clear()
+        self._stamps.clear()
+        self._win = None
         self._torn.clear()
         self._epoch += 1
 

@@ -186,9 +186,11 @@ def test_flexible_bit_oracle_equivalence():
             new[rng.randrange(64)] ^= 1 << rng.randrange(8)
         new = bytes(new)
         mem.store(0, old)
-        mark = len(mem._writes[0])   # line 0's write events, in issue order
+        mem.clflushopt(0)
+        mem.sfence()
+        mem.checkpoint()   # so line 0's events are the writer's alone
         off, bit = write_cacheline(mem, 0, new)
-        stored = mem._writes[0][mark:]
+        stored = mem.events(0)
         diff = int.from_bytes(old, "little") ^ int.from_bytes(new, "little")
         if not diff:
             if stored:

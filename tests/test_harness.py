@@ -362,7 +362,7 @@ def test_audit_cso_random_background_init():
 def retained_writes(algo: str, ops: int) -> int:
     log = ALGORITHMS[algo].fresh(24, 16)
     run_appends(log, bytes(range(24)), ops, 8)
-    return sum(len(evs) for evs in log.mem._writes.values())
+    return sum(log.mem.write_counts().values())
 
 
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))

@@ -4,7 +4,9 @@ application, statistics, and the snapshot format."""
 
 import hashlib
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from conftest import Fence, Flush, RecordingMemory, Store
 from nvlog.pmem import (
     CrashState,
     EnumerationLimitError,
+    RELAXED,
     RELEASE,
     SimMemory,
     SnapshotFormatError,
@@ -31,7 +34,7 @@ def test_store_splits_at_line_boundaries():
     m = SimMemory(256)
     m.store(60, b"abcdefgh")
     lines = [(line, e.offset_in_line, e.data)
-             for line, evs in sorted(m._writes.items()) for e in evs]
+             for line in sorted(m.write_counts()) for e in m.events(line)]
     assert lines == [(0, 60, b"abcd"), (1, 0, b"efgh")]
     assert m.load(60, 8) == b"abcdefgh"
 
@@ -58,10 +61,11 @@ def test_store_words_logs_one_store_per_chunk(addr, data, fenced):
     run.store_words(addr, data)
     for pos in range(0, len(data), 8):
         chunks.store(addr + pos, data[pos:pos + 8])
-    assert run._writes == chunks._writes
-    assert all(type(e) is type(c) and e.fence == c.fence
-               for line, evs in run._writes.items()
-               for e, c in zip(evs, chunks._writes[line]))
+    assert run.write_counts() == chunks.write_counts()
+    for line in chunks.write_counts():
+        assert run.events(line) == chunks.events(line)
+        assert all(type(e) is type(c) and e.fence == c.fence
+                   for e, c in zip(run.events(line), chunks.events(line)))
     assert run.cached == chunks.cached
 
 
@@ -74,8 +78,23 @@ def test_bounds_checked():
     assert m.write_counts() == {} and m.cached == bytes(64)
     with pytest.raises(UsageError):
         m.load(64, 1)
+    for addr, size in ((0, -8), (8, -16), (64, -1)):
+        with pytest.raises(UsageError):
+            m.load(addr, size)
+    with pytest.raises(UsageError):
+        m.flush_range(8, -2)
     with pytest.raises(UsageError):
         SimMemory(100)
+
+
+def test_empty_flush_range_flushes_nothing():
+    m = SimMemory(256)
+    m.store(64, b"x" * 8)
+    for addr in (0, 64, 70, 256):
+        m.flush_range(addr, 0)
+    assert m.stats.clflushopt_count == 0 and not m.pending_flushes
+    m.flush_range(70, 1)
+    assert m.stats.clflushopt_count == 1 and m.pending_flushes
 
 
 # ----------------------------------------------------------------- enumeration
@@ -394,7 +413,7 @@ def test_memoised_samples_match_fresh_replay(seed):
             replay_rng.setstate(before)
             assert got == twin.sample_crash_state(replay_rng,
                                                   at_least_durable=durable)
-            assert [line for line, _ in got.cuts] == sorted(m._writes)
+            assert [line for line, _ in got.cuts] == sorted(m.write_counts())
             continue
         if roll < 0.8:
             op = ("store", 64 * rng.randrange(4) + 8 * rng.randrange(8),
@@ -549,7 +568,7 @@ def test_apply_crash_matches_replay(seed):
         assert crashed_image(m, state) == replay(m, base, state.cuts)
         for line, cut in state.cuts:
             kinds.add("zero" if cut == 0 else
-                     "full" if cut == len(m._writes[line]) else "torn")
+                     "full" if cut == m.write_counts()[line] else "torn")
         # a written line the state leaves out persists nothing
         for i in range(len(state.cuts)):
             short = CrashState(state.cuts[:i] + state.cuts[i + 1:], state.epoch)
@@ -562,6 +581,80 @@ def test_persisted_image_matches_replayed_floors(seed):
     m = long_trace(seed)
     want = replay(m, bytes(m.capacity), durable_floors(m).items())
     assert m.persisted_image() == want
+
+
+def run_trace(seed: int, events: int = 6):
+    """`events` events over 4 lines: word runs of 0-140 bytes at any
+    address (unaligned, often crossing lines), relaxed and RELEASE stores of
+    up to 16 bytes, and flush+fence rounds.  Also returns the (line, cut)
+    pairs that fall between two chunks of one run, from the recorded trace."""
+    rng = random.Random(seed)
+    m = RecordingMemory(256)
+    inside = set()
+    for _ in range(events):
+        roll = rng.random()
+        if roll < 0.45:
+            n = rng.randint(0, 140)
+            before = Counter(e.line for e in m.stores_since(0))
+            mark = len(m.trace)
+            m.store_words(rng.randrange(257 - n), rng.randbytes(n))
+            for line, k in Counter(e.line
+                                   for e in m.stores_since(mark)).items():
+                inside.update((line, before[line] + c) for c in range(1, k))
+        elif roll < 0.6:
+            n = rng.randint(1, 16)
+            m.store(rng.randrange(257 - n), rng.randbytes(n),
+                    rng.choice((RELAXED, RELEASE)))
+        elif roll < 0.85:
+            m.clflushopt(rng.randrange(4))
+            if rng.random() < 0.7:
+                m.sfence()
+        else:
+            m.sfence()
+    return m, inside
+
+
+def line_prefixes(m: RecordingMemory, base: bytes) -> dict[int, list[bytes]]:
+    """Per line, its bytes after each prefix of its recorded store pieces
+    (a run's chunks one by one), replayed over `base`."""
+    size = m.line_size
+    prefixes = {line: [base[line * size:(line + 1) * size]]
+                for line in range(m.num_lines)}
+    for e in m.trace:
+        if isinstance(e, Store):
+            img = bytearray(prefixes[e.line][-1])
+            img[e.offset_in_line:e.offset_in_line + len(e.data)] = e.data
+            prefixes[e.line].append(bytes(img))
+    return prefixes
+
+
+def test_run_traces_tear_runs_and_release():
+    traces = [run_trace(seed) for seed in range(20)]
+    assert sum(bool(inside) for _, inside in traces) >= 15
+    assert sum(any(isinstance(e, Store) and e.ordering == RELEASE
+                   for e in m.trace) for m, _ in traces) >= 5
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_torn_runs_match_replay(seed):
+    # a crash may tear a word run between any two of its chunks: every
+    # enumerated, sampled and boundary image must equal the recorder's
+    # replay of each line's first `cut` store pieces
+    m, inside = run_trace(seed)
+    states = m.enumerate_crash_states()
+    if math.prod(c + 1 for c in m.write_counts().values()) <= 3000:
+        assert cuts_of(states) == brute_force_states(m)
+    assert inside <= {cut for state in states for cut in state.cuts}
+    states += m.boundary_crash_states()
+    for durable in (False, True):
+        states += m.sample_crash_states(50, seed=seed,
+                                        at_least_durable=durable)
+    prefixes = line_prefixes(m, bytes(m.capacity))
+    for state in states:
+        cut_of = dict(state.cuts)
+        want = b"".join(prefixes[line][cut_of.get(line, 0)]
+                        for line in range(m.num_lines))
+        assert crashed_image(m, state) == want
 
 
 def test_torn_line_memo_cleared_by_checkpoint():
@@ -582,8 +675,7 @@ def test_torn_line_memo_cleared_by_checkpoint():
 
 def test_full_cuts_memoise_nothing():
     m = long_trace(3)
-    full = CrashState(tuple((line, len(evs))
-                            for line, evs in sorted(m._writes.items())))
+    full = CrashState(tuple(sorted(m.write_counts().items())))
     assert crashed_image(m, full) == m.load(0, m.capacity)
     assert m._torn == {}
 

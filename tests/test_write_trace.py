@@ -15,7 +15,7 @@ from conftest import RecordingMemory, Store
 from nvlog.harness import EXTRA_ALGORITHMS
 from nvlog.logalg.base import PayloadError
 from nvlog.logalg.csorandom import RANDOM_VALUE
-from nvlog.pmem import LINE_SIZE, SimMemory, WORD_SIZE
+from nvlog.pmem import CrashState, LINE_SIZE, SimMemory, WORD_SIZE
 from nvlog.stps import PersistentHashMap
 
 SIZES = (20, 24, 56, 112, 240, 496)
@@ -109,10 +109,35 @@ def test_write_trace_is_pinned():
     digest = hashlib.sha256()
     for case, mem in scripted_memories(SimMemory):
         digest.update(case.encode())
-        for line in sorted(mem._writes):
-            for ev in mem._writes[line]:
+        for line in sorted(mem.write_counts()):
+            for ev in mem.events(line):
                 digest.update(repr((line, ev.fence, ev.offset_in_line,
                                     ev.data, ev.ordering)).encode())
         digest.update(repr(mem.stats).encode())
     assert digest.hexdigest() == (
         "01f9146be805b21e1c3be027c78b7b755a659aa70e0f2696d7c38a0085070fb4")
+
+
+def test_crash_images_are_pinned():
+    # the images apply_crash builds after the scripts above for every
+    # at-least-durable enumerated state, every boundary state and 20
+    # samples, and each line's bytes when it alone is cut after each of its
+    # units: any change to which bytes a cut persists, a torn run's first
+    # chunks included, moves this digest
+    digest = hashlib.sha256()
+    for case, mem in scripted_memories(SimMemory):
+        digest.update(case.encode())
+        states = mem.enumerate_crash_states(at_least_durable=True)
+        states += mem.boundary_crash_states()
+        states += mem.sample_crash_states(20, seed=0)
+        for state in states:
+            digest.update(repr(state.cuts).encode())
+            digest.update(mem.apply_crash(state).load(0, mem.capacity))
+        full = sorted(mem.write_counts().items())
+        for i, (line, count) in enumerate(full):
+            for cut in range(count):
+                state = CrashState((*full[:i], (line, cut), *full[i + 1:]))
+                digest.update(mem.apply_crash(state).load(line * LINE_SIZE,
+                                                          LINE_SIZE))
+    assert digest.hexdigest() == (
+        "6c7913301dfd80d3348d7ec89561f0fe9d343638cd707df4e385f52cc758e866")
