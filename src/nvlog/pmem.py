@@ -37,9 +37,8 @@ log holds at most one entry per flush.  A crash state whose persisted units
 carry stamps up to k must honour the requirements of every fence before
 fence k.  The crash side reads the trace through a ``_Window``, rebuilt only
 after a store, a fence or a checkpoint: the written lines in order, each
-line's unit count, floor and per-unit stamps (``_stamps``, built on first use
-and rebuilt once the line gains units), and the requirement vector of each k
-it meets, the floors with the raises of fences k and later undone.
+line's unit count, floor and per-unit stamps, and the requirement vector of
+each k it meets, the floors with the raises of fences k and later undone.
 
 A crash image starts from a copy of ``cached``, which always equals
 ``_base`` (the image at the start of the epoch) with every logged write
@@ -134,14 +133,13 @@ class _Window:
 
     A line's unit stamps are 0, then the fence stamp of each of its units
     in issue order, so entry c is the stamp of the newest unit a cut of c
-    persists.  They are kept per line in the memory's `_stamps` for the
-    epoch and rebuilt once the line gains units."""
+    persists."""
 
     __slots__ = ("fences", "counts", "lines", "his", "stops", "floors",
                  "stamps", "reqs")
 
     def __init__(self, mem: "SimMemory"):
-        counts, writes, known = mem._counts, mem._writes, mem._stamps
+        counts, writes = mem._counts, mem._writes
         self.fences = mem._fences
         self.counts = dict(counts)
         self.lines = lines = sorted(counts)
@@ -149,17 +147,10 @@ class _Window:
         self.stops = [hi + 1 for hi in his]
         self.floors = [mem._floors.get(line, 0) for line in lines]
         self.stamps = []
-        for line, count in zip(lines, his):
-            stamps = known.get(line)
-            if stamps is None or len(stamps) != count + 1:
-                recs = writes[line]
-                if recs[0][0] == recs[-1][0]:   # stamps only grow: one fence
-                    stamps = [0] + [recs[0][0]] * count
-                else:
-                    stamps = [0]
-                    for fence, _, _, _, units, _ in recs:
-                        stamps += [fence] * units
-                known[line] = stamps
+        for line in lines:
+            stamps = [0]
+            for fence, _, _, _, units, _ in writes[line]:
+                stamps += [fence] * units
             self.stamps.append(stamps)
         self.reqs: dict[int, list[int]] = {}
 
@@ -197,7 +188,6 @@ class SimMemory:
         self._fences = 0                    # round-trip fences this epoch
         # (fence index, line, floor before it) per floor raise, in fence order
         self._raises: list[tuple[int, int, int]] = []
-        self._stamps: dict[int, list[int]] = {}       # line -> unit stamps
         self._win: _Window | None = None
         self._torn: dict[tuple[int, int], bytes] = {}    # (line, cut) -> image
         self._epoch = 0
@@ -513,7 +503,6 @@ class SimMemory:
         self._floors.clear()
         self._fences = 0
         self._raises.clear()
-        self._stamps.clear()
         self._win = None
         self._torn.clear()
         self._epoch += 1
