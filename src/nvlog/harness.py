@@ -5,7 +5,10 @@ persistent memory and checks that every injected crash state recovers to a
 state the history allows.  It adds no fence: a window runs from the last
 point the program left the memory quiescent to the next one or to the end
 of the script (sampling makes the whole script one window), and its crash
-states are drawn and checked once, at its end.  Also houses round-trip
+states are drawn and checked once, at its end.  Each distinct state is
+judged once, and recovery runs once per read path: a state that agrees with
+an earlier one on every written line that recovery loaded takes its
+recovered value.  Also houses round-trip
 audits, a deliberately broken log variant, and a checksum-collision
 construction that defeats 32-bit CRC validation.
 """
@@ -242,6 +245,64 @@ def _freeze(state):
     return tuple(sorted(state.items())) if isinstance(state, dict) else state
 
 
+class _ReadPaths:
+    """The recovered states of one window, kept on a tree of read paths:
+    recovery runs once per path.
+
+    Recovery is a deterministic function of the bytes it loads, and a line
+    the window did not write reads the same in every state.  So states
+    that agree on the cuts of the written lines recovery has loaded so far
+    make the same next load, and, by induction over the loads, states that
+    agree on every written line a recovery loaded load the same bytes in
+    the same order and recover the same value.
+
+    No other state can share a recovery that loaded every written line.
+    Once one has, the window records no more loads and only looks up the
+    paths it has: in enumeration order the recoveries after it add no
+    shared path in any crash-check window measured, and recording costs
+    every load.  Skipping a recording changes which states run recovery,
+    never what they recover."""
+
+    def __init__(self, mem: SimMemory, target):
+        self.mem = mem
+        self.target = target
+        # A node is a list [i, {cut: node}]: recovery loads the written line
+        # at position i of the cuts next.  Any other node is the state
+        # recovery returns there (a log's tuple or a map's dict).
+        self.root = None
+        self.recording = True
+        self.at: dict[int, int] = {}   # written line -> position in cuts
+
+    def recovered(self, state):
+        cuts = state.cuts
+        node, parent, depth = self.root, None, 0
+        while type(node) is list:
+            parent, depth = node, depth + 1
+            node = node[1].get(cuts[node[0]][1])
+        if node is not None:
+            return node
+        if not self.recording:
+            return self.target.recovered_state(self.mem.apply_crash(state))
+        crashed = self.mem.apply_crash(state, record_loads=True)
+        recovered = self.target.recovered_state(crashed)
+        at = self.at
+        if not at:   # every state of a window cuts the same lines
+            at.update((line, i) for i, (line, _) in enumerate(cuts))
+        path = [at[line] for line in dict.fromkeys(crashed.loaded_lines)
+                if line in at]
+        if len(path) == len(cuts):   # no other state can share it
+            self.recording = False
+            return recovered
+        node = recovered
+        for i in reversed(path[depth:]):   # the part no earlier state took
+            node = [i, {cuts[i][1]: node}]
+        if parent is None:
+            self.root = node
+        else:
+            parent[1][cuts[parent[0]][1]] = node
+        return recovered
+
+
 def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
                     payload_len: int = 24, node_lines: int = 1,
                     slots: int = 16, registry: dict | None = None) -> Report:
@@ -252,7 +313,8 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
     that issued its newest persisted write (the window's first op if none
     persisted): the op its violation carries and `at-op I` keeps.  `at-op
     I` enumerates only the states of its window's prefix through op I, and
-    its `states_checked` counts those."""
+    its `states_checked` counts those.  Recovery runs once per read path of
+    a window (`_ReadPaths`)."""
     if isinstance(script, str):
         script = parse_script(script)
     if script.kind == "log":
@@ -289,13 +351,14 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
                     line: bisect.bisect_right(ops, only)
                     for line, ops in owner.items()})
             frozen = [_freeze(state) for state in legal]
+            reads = _ReadPaths(mem, target)
             for cuts, st in {st.cuts: st for st in states}.items():
                 j = max((owner[ln][c - 1] for ln, c in cuts if c),
                         default=first)
                 if only is not None and j != only:
                     continue
                 report.distinct_states += 1
-                recovered = target.recovered_state(mem.apply_crash(st))
+                recovered = reads.recovered(st)
                 if _freeze(recovered) not in frozen[:j + 2 - first]:
                     report.violations.append(Violation(
                         j, cuts, recovered, tuple(legal[:j + 2 - first])))

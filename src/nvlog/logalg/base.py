@@ -82,8 +82,11 @@ class CircularLog:
     `_store_entry` issues the entry's stores in persist order (each run of
     relaxed payload words as one `store_words` call), `append`
     flushes the slot and fences once, and the format's `_commit` does only
-    what must follow that fence.  Recovery loads each scanned slot once and
-    the format's `_decode` validates those bytes.  Subclasses implement
+    what must follow that fence.  Recovery hands each scanned slot's address
+    to the format's `_decode`, which loads the slot in the order it
+    validates it: a slot within one line in one load, a slot across lines
+    one line at a time (`_load_through`), each only once the checks of the
+    lines before it pass.  Subclasses implement
     `_slot_bytes`, `_store_entry` and `_decode`.  Payload length is fixed per
     log instance; the geometry classmethods size a log without building one.
     """
@@ -159,8 +162,8 @@ class CircularLog:
     def _commit(self, slot: int, addr: int, payload: bytes, needed: int) -> None:
         """Whatever must follow the fence that made the entry durable."""
 
-    def _decode(self, slot: int, raw: bytes):
-        """(payload, slots consumed) if `raw`, the slot's bytes, hold a valid
+    def _decode(self, slot: int, addr: int):
+        """(payload, slots consumed) if the slot at `addr` holds a valid
         entry under the current head/polarity, else None."""
         raise NotImplementedError
 
@@ -177,6 +180,15 @@ class CircularLog:
 
     def slot_addr(self, slot: int) -> int:
         return self.base + HEADER_BYTES + slot * self.slot_size
+
+    def _load_through(self, addr: int, raw: bytes, off: int) -> bytes:
+        """`raw`, the first bytes of the slot at `addr`, extended by one
+        load through the line that holds slot offset `off`."""
+        n = len(raw)
+        if off < n:
+            return raw
+        end = min(self.slot_size, ((addr + off) | (LINE_SIZE - 1)) + 1 - addr)
+        return raw + self.mem.load(addr + n, end - n)
 
     def expected_bit(self, slot: int) -> int:
         return self.polarity if slot >= self.head else 1 - self.polarity
@@ -229,8 +241,7 @@ class CircularLog:
         slot = self.head
         scanned = 0
         while scanned < self.nslots:
-            res = self._decode(slot, self.mem.load(self.slot_addr(slot),
-                                                   self.slot_size))
+            res = self._decode(slot, self.slot_addr(slot))
             if res is None:
                 break
             payload, consumed = res

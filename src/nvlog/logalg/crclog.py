@@ -26,6 +26,8 @@ class _CrcLog(CircularLog):
     def __init__(self, *args, **kwargs):
         self.epoch = 0
         super().__init__(*args, **kwargs)
+        padded = (self.payload_len + WORD_SIZE - 1) // WORD_SIZE * WORD_SIZE
+        self._crc_off = WORD_SIZE + padded   # after the header and payload
 
     @classmethod
     def _slot_bytes(cls, payload_len: int) -> int:
@@ -48,27 +50,23 @@ class _CrcLog(CircularLog):
         """The epoch as stored in the head word once the head passes `slot`."""
         return self.epoch if slot >= self.head else (self.epoch + 1) & _EPOCH_MASK
 
-    def _crc_off(self) -> int:
-        padded = (self.payload_len + WORD_SIZE - 1) // WORD_SIZE * WORD_SIZE
-        return WORD_SIZE + padded
-
     def _store_entry(self, slot: int, addr: int, payload: bytes) -> None:
         mem = self.mem
         body = _HDR.pack(self._entry_seq(slot), len(payload)) + payload
         mem.store_words(addr, body)
-        mem.store_word(addr + self._crc_off(), self.crc_fn(body), RELEASE)
+        mem.store_word(addr + self._crc_off, self.crc_fn(body), RELEASE)
 
-    def _decode(self, slot: int, raw: bytes):
-        hdr = raw[:_HDR.size]
-        seq, length = _HDR.unpack(hdr)
+    def _decode(self, slot: int, addr: int):
+        # the checksum covers every byte, so the slot is one load
+        raw = self.mem.load(addr, self.slot_size)
+        seq, length = _HDR.unpack_from(raw)
         if seq != self._entry_seq(slot) or length != self.payload_len:
             return None
-        payload = raw[WORD_SIZE:WORD_SIZE + self.payload_len]
-        off = self._crc_off()
+        off = self._crc_off
         crc = int.from_bytes(raw[off:off + WORD_SIZE], "little")
-        if crc != self.crc_fn(hdr + payload):
+        if crc != self.crc_fn(raw[:WORD_SIZE + length]):
             return None
-        return payload, 1
+        return raw[WORD_SIZE:WORD_SIZE + length], 1
 
 
 class Crc32Log(_CrcLog):

@@ -124,21 +124,26 @@ class CsoRandomLog(CircularLog):
         mem.flush_range(saddr, self.slot_size)
         mem.sfence()
 
-    def _decode(self, slot: int, raw: bytes):
+    def _decode(self, slot: int, addr: int):
         if slot == self._stop:
             return None
+        raw = self._load_through(addr, b"", 0)
         if raw[:WORD_SIZE] == _S_BYTES:
             return None  # stray sentinel: not a data entry
-        payload = raw[:self.payload_len]
-        if all(raw[off:off + WORD_SIZE] != _R_BYTES for off in self._checks):
-            return payload, 1
+        for off in self._checks:   # one per line
+            raw = self._load_through(addr, raw, off)
+            if raw[off:off + WORD_SIZE] == _R_BYTES:
+                break
+        else:
+            return raw[:self.payload_len], 1
         # Collision or torn write: only a valid sentinel in the next slot
         # proves the entry was fully persisted.
         nxt = self.mem.load(self.slot_addr((slot + 1) % self.nslots),
                             self.slot_size)
         if all(nxt[off:off + WORD_SIZE] == _S_BYTES
                for off in (0, *self._checks)):
-            return payload, 2
+            raw = self._load_through(addr, raw, self.payload_len - 1)
+            return raw[:self.payload_len], 2
         return None
 
     def _before_head_moves(self) -> None:

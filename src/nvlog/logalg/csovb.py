@@ -52,9 +52,11 @@ class CsoVbLog(CircularLog):
             mem.store_word(addr + 120, bit, RELEASE)
             mem.store_word(addr, bit, RELEASE)
 
-    def _decode(self, slot: int, raw: bytes):
+    def _decode(self, slot: int, addr: int):
         bit = self.expected_bit(slot)
-        for off, _ in self.layout.metadata_slots:
+        raw = b""
+        for off, _ in self.layout.metadata_slots:   # one per line
+            raw = self._load_through(addr, raw, off)
             if raw[off] & 1 != bit:  # bit 0 of a little-endian word
                 return None
         start = WORD_SIZE if self.layout.total_len > 64 else 0

@@ -114,7 +114,8 @@ class CsoFvbLog(CircularLog):
             mem.store_word(addr + mi * WORD_SIZE, pack_meta(group, None))
         mem.store_word(addr, pack_meta(pairs[:PAIRS_PER_WORD], bit), RELEASE)
 
-    def _decode(self, slot: int, raw: bytes):
+    def _decode(self, slot: int, addr: int):
+        raw = self._load_through(addr, b"", 0)
         meta = words_of(raw[:self.meta_words * WORD_SIZE])
         if meta[0] >> 63 != self.expected_bit(slot):
             return None
@@ -123,8 +124,8 @@ class CsoFvbLog(CircularLog):
             n = min(self.lines - 1 - mi * PAIRS_PER_WORD, PAIRS_PER_WORD)
             pairs.extend(unpack_meta(word, n))
         for li, (off, val) in enumerate(pairs, 1):
-            if not check_cacheline(raw[li * LINE_SIZE:(li + 1) * LINE_SIZE],
-                                   off, val):
+            raw = self._load_through(addr, raw, li * LINE_SIZE)
+            if not check_cacheline(raw[li * LINE_SIZE:], off, val):
                 return None
         start = self.meta_words * WORD_SIZE
         return raw[start:start + self.payload_len], 1

@@ -42,9 +42,12 @@ class TornbitLog(CircularLog):
         mem.store_words(addr, struct.pack(f"<{last}Q", *words[:last]))
         mem.store_word(addr + last * WORD_SIZE, words[-1], RELEASE)
 
-    def _decode(self, slot: int, raw: bytes):
+    def _decode(self, slot: int, addr: int):
         bit = self.expected_bit(slot)
-        words = words_of(raw)
-        if any(w >> 63 != bit for w in words):
-            return None
-        return unpack(words, self.payload_len), 1
+        raw = b""
+        while len(raw) < self.slot_size:   # a line at a time
+            checked = len(raw)
+            raw = self._load_through(addr, raw, checked)
+            if any(w >> 63 != bit for w in words_of(raw[checked:])):
+                return None
+        return unpack(words_of(raw), self.payload_len), 1

@@ -27,7 +27,9 @@ class TwoRoundsLog(CircularLog):
         mem.clflushopt(mem.line_of(addr))
         mem.sfence()
 
-    def _decode(self, slot: int, raw: bytes):
+    def _decode(self, slot: int, addr: int):
+        raw = self._load_through(addr, b"", 0)
         if raw[0] & 1 != self.expected_bit(slot):
             return None
+        raw = self._load_through(addr, raw, self.slot_size - 1)
         return raw[WORD_SIZE:WORD_SIZE + self.payload_len], 1

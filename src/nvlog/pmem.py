@@ -50,6 +50,10 @@ cut).  Within an epoch a line's records are only appended to, so a memoised
 image never goes stale; ``checkpoint()`` clears the memo with the rest of
 the history.  Fully persisted lines are never memoised.
 
+``apply_crash(state, record_loads=True)`` gives a crash memory that lists
+the lines its loads touch, in load order, so a caller can tell which lines
+a recovery read; other memories do not record.
+
 The ``RELEASE`` store tag does not change which crash states are legal; it
 marks the writes around which ``boundary_crash_states`` cuts.
 """
@@ -483,11 +487,16 @@ class SimMemory:
                         f"cut {cut_of[line]} beyond line {line} history")
         return image
 
-    def apply_crash(self, state: CrashState) -> "SimMemory":
+    def apply_crash(self, state: CrashState,
+                    record_loads: bool = False) -> "SimMemory":
+        """A memory holding the image `state` persists.  With
+        `record_loads`, it lists in `loaded_lines` the lines its loads
+        touch, in load order."""
         if state.epoch != self._epoch:
             raise StaleCrashStateError("crash state from a different history")
-        return SimMemory._from_image(self._crash_image(state.cuts),
-                                     self.latency_ns, self.fence_cost_ns)
+        cls = _LoadRecordingMemory if record_loads else SimMemory
+        return cls._from_image(self._crash_image(state.cuts),
+                               self.latency_ns, self.fence_cost_ns)
 
     def persisted_image(self) -> bytes:
         return bytes(self._crash_image(self._floors.items()))
@@ -536,3 +545,19 @@ class SimMemory:
                 f"expected {capacity} image bytes, found {len(body)}")
         _check_geometry(capacity)
         return cls._from_image(bytearray(body))
+
+
+class _LoadRecordingMemory(SimMemory):
+    """A crash memory that appends to `loaded_lines` the lines each load
+    touches, in load order; a plain `SimMemory` pays nothing for it."""
+
+    def _start(self, *args) -> None:
+        super()._start(*args)
+        self.loaded_lines: list[int] = []
+
+    def load(self, addr: int, size: int) -> bytes:
+        data = super().load(addr, size)
+        if size:
+            self.loaded_lines += range(addr // LINE_SIZE,
+                                       (addr + size - 1) // LINE_SIZE + 1)
+        return data

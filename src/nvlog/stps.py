@@ -320,11 +320,13 @@ class PersistentHashMap:
         size = self.slot_size
         region = mem.load(self.base, self.nslots * size)
         raws = [region[off:off + size] for off in range(0, len(region), size)]
+        zero = bytes(size)   # never written: decodes to None, needs no reset
         parsed: dict[int, ParsedEntry] = {}
         for slot, raw in enumerate(raws):
-            e = self._decode(raw)
-            if e is not None:
-                parsed[slot] = e
+            if raw != zero:
+                e = self._decode(raw)
+                if e is not None:
+                    parsed[slot] = e
         by_version: dict[int, list[int]] = {}
         for slot, e in parsed.items():
             by_version.setdefault(e.version, []).append(slot)
@@ -347,11 +349,13 @@ class PersistentHashMap:
         # reinitialize everything else
         self._reuse = deque()
         touched = False
-        for slot in range(self.nslots):
+        for slot, raw in enumerate(raws):
             if slot in live_slots:
                 continue
+            self._reuse.append(slot)
+            if raw == zero:
+                continue
             addr = self.slot_addr(slot)
-            raw = raws[slot]
             dirty = False
             if any(raw[:WORD_SIZE]):
                 mem.store_word(addr, 0)
@@ -363,7 +367,6 @@ class PersistentHashMap:
             if dirty:
                 mem.flush_range(addr, size)
                 touched = True
-            self._reuse.append(slot)
         if touched:
             mem.sfence()
         self._bump = self.nslots

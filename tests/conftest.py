@@ -1,5 +1,6 @@
 """Shared test helpers.
 
+`widened` pads every `append` payload of a crash script to a given size.
 `RecordingMemory` is a `SimMemory` that keeps its own trace of every store,
 flush and fence, in issue order, so tests can replay the persist rules from
 that trace without reading the bookkeeping of the engine they check.  It
@@ -7,6 +8,7 @@ records a `store_words` run as one store per 8-byte chunk, splits stores at
 line boundaries and counts each line's writes itself.
 """
 
+import re
 from typing import NamedTuple
 
 from nvlog.pmem import RELAXED, SimMemory, WORD_SIZE
@@ -71,3 +73,10 @@ class RecordingMemory(SimMemory):
     def stores_since(self, mark: int) -> list[Store]:
         """The store pieces recorded after trace position `mark`."""
         return [e for e in self.trace[mark:] if isinstance(e, Store)]
+
+
+def widened(text: str, size: int) -> str:
+    """`text`, a crash script, with each `append` payload padded to `size`
+    bytes with 0x5a."""
+    return re.sub(r"append (\w+)", lambda m: "append " + bytes.fromhex(
+        m[1]).ljust(size, b"\x5a").hex(), text)

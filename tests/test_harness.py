@@ -3,21 +3,20 @@ audits, the append loop's history bound, and the checksum collision
 construction."""
 
 import random
-import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import nvlog
+from conftest import widened
 from nvlog.crc import crc32c
 from nvlog.harness import (BrokenVbLog, EXTRA_ALGORITHMS, Script, ScriptError,
-                           audit_roundtrips, checksum_vulnerability_demo,
-                           crc32_collision_word, parse_script, run_appends,
-                           run_crash_suite)
+                           _LogTarget, _ReadPaths, audit_roundtrips,
+                           checksum_vulnerability_demo, crc32_collision_word,
+                           parse_script, run_appends, run_crash_suite)
 from nvlog.logalg import ALGORITHMS
 from nvlog.logalg.base import TrimError
-from nvlog.pmem import SimMemory
 from nvlog.stps import PersistentHashMap
 
 WORKLOADS = Path(nvlog.__file__).parent / "workloads"
@@ -251,11 +250,6 @@ def test_every_shipped_script_is_pinned():
     assert pinned == {path.stem for path in WORKLOADS.glob("*.txt")}
 
 
-def _widened(text: str, size: int) -> str:
-    return re.sub(r"append (\w+)", lambda m: "append " + bytes.fromhex(
-        m[1]).ljust(size, b"\x5a").hex(), text)
-
-
 PARTITION_CASES = [
     *[pytest.param(name, algo, size, id=f"{name}-{algo}-{size}")
       for name in ("three_appends", "wraparound")
@@ -273,17 +267,17 @@ def test_at_op_reports_partition_the_exhaustive_report(name, target, size,
     if isinstance(target, int):
         kw = dict(node_lines=target)
     else:
-        text = _widened(text, size)
+        text = widened(text, size)
         kw = dict(algo=target, payload_len=size, registry=EXTRA_ALGORITHMS)
     images = []   # per report: (epoch, cuts with zero cuts dropped) checked
-    apply_crash = SimMemory.apply_crash
+    judge = _ReadPaths.recovered
 
-    def recording(mem, state):
+    def recording(reads, state):
         images[-1].append((state.epoch, tuple(
             (line, cut) for line, cut in state.cuts if cut)))
-        return apply_crash(mem, state)
+        return judge(reads, state)
 
-    monkeypatch.setattr(SimMemory, "apply_crash", recording)
+    monkeypatch.setattr(_ReadPaths, "recovered", recording)
 
     def run(mode, arg=0):
         script = parse_script(text)
@@ -304,6 +298,30 @@ def test_at_op_reports_partition_the_exhaustive_report(name, target, size,
     assert len(set(part_images)) == len(part_images)
     assert sorted(part_images) == sorted(images[0])
     assert len(images[0]) == whole.distinct_states
+
+
+@pytest.mark.parametrize("algo, most", [("cso-fvb", 40), ("tornbit", 40),
+                                        ("two-rounds", 40), ("crc64", None)])
+def test_recovery_runs_once_per_read_path(algo, most, monkeypatch):
+    # a 240-byte append window: the validity formats share recoveries among
+    # states that agree on every line recovery loaded; a checksum reads the
+    # whole slot, so crc64 recovers each state
+    runs = Counter()
+    recovered_state = _LogTarget.recovered_state
+
+    def counted(target, crashed):
+        runs["recoveries"] += 1
+        return recovered_state(target, crashed)
+
+    monkeypatch.setattr(_LogTarget, "recovered_state", counted)
+    payload = random.Random(4).randbytes(240)
+    report = run_crash_suite(f"crash at-op 0\nappend {payload.hex()}\ntrim",
+                             algo=algo, payload_len=240)
+    assert report.ok and report.distinct_states > 5000
+    if most is None:
+        assert runs["recoveries"] == report.distinct_states
+    else:
+        assert runs["recoveries"] <= most
 
 
 def test_at_op_enumerates_only_its_prefix():

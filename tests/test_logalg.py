@@ -347,6 +347,31 @@ def test_csorandom_init_flushes_batched():
     assert mem.stats.fenced_roundtrips <= 1
 
 
+# ------------------------------------------------------------ read order
+
+@pytest.mark.parametrize("algo, size, loaded", [
+    ("cso-vb", 112, [0, 1]), ("cso-fvb", 112, [0, 1]),
+    ("cso-fvb", 240, [0, 1]), ("tornbit", 112, [0, 1]),
+    ("tornbit", 240, [0, 1]), ("two-rounds", 240, [0, 1]),
+    # a torn line leaves its last word R, so the next slot's sentinel is read
+    ("cso-random", 112, [0, 1, 3, 4])])
+def test_torn_first_slot_line_ends_recovery_reads(algo, size, loaded):
+    # recovery loads the header line, then slot 0's first line (line 1),
+    # where the torn check fails: no later line of the slot is loaded
+    mem, log, region = fresh(algo, payload_len=size, slots=4)
+    mem.checkpoint()
+    log.append(bytes(range(1, size + 1)))
+    count = mem.write_counts()[1]
+    torn = [s for s in mem.enumerate_crash_states()
+            if 0 < s.cut(1) < count and all(
+                c == mem.write_counts()[ln] for ln, c in s.cuts if ln != 1)]
+    assert len(torn) == count - 1
+    for state in torn:
+        crashed = mem.apply_crash(state, record_loads=True)
+        assert ALGORITHMS[algo].attach(crashed, 0, region, size).recover() == []
+        assert list(dict.fromkeys(crashed.loaded_lines)) == loaded
+
+
 # ------------------------------------------------------------------ checksums
 
 @pytest.mark.parametrize("algo", ["crc32", "crc64"])

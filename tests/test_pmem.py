@@ -543,6 +543,19 @@ def test_apply_crash_empty_and_full():
     assert m.apply_crash(full).load(0, 16) == b"new line 0 data!"
 
 
+def test_apply_crash_records_loaded_lines_on_request():
+    m = SimMemory(256)
+    m.store(0, b"x" * 8)
+    state = m.enumerate_crash_states()[-1]
+    assert not hasattr(m.apply_crash(state), "loaded_lines")
+    crashed = m.apply_crash(state, record_loads=True)
+    assert crashed.load(0, 8) == b"x" * 8
+    crashed.load_word(136)
+    crashed.load(60, 72)
+    crashed.load(192, 0)
+    assert crashed.loaded_lines == [0, 2, 0, 1, 2]
+
+
 def test_apply_crash_partial_matches_manual_replay():
     m = SimMemory(64)
     writes = [(0, b"11111111"), (4, b"2222"), (8, b"33333333")]

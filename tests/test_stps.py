@@ -315,6 +315,27 @@ def test_recovery_resets_dead_slot_with_only_a_later_validity_byte():
     assert list(m._reuse) == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("node_lines", [1, 4])
+def test_recovery_resets_only_written_dead_slots(node_lines):
+    # a, b, c take slots 0-2 and the tombstone for b slot 3; slots 4-7
+    # were never written, so recovery stores nothing there but still
+    # queues them for reuse in slot order
+    region = 8 * node_lines * 64
+    mem = RecordingMemory(region)
+    m = PersistentHashMap(mem, 0, region, node_lines=node_lines)
+    for key in (b"a", b"b", b"c"):
+        m.update(key, b"v")
+    m.remove(b"b")
+    mark = len(mem.trace)
+    r = PersistentHashMap(mem, 0, region, node_lines=node_lines).recover()
+    assert r.items() == {b"a": b"v", b"c": b"v"}
+    assert list(r._reuse) == [1, 3, 4, 5, 6, 7]
+    stored = {e.line // node_lines for e in mem.trace[mark:]
+              if isinstance(e, Store)}
+    assert stored == {1, 3}
+    assert mem.trace[-1] == Fence()
+
+
 def test_recovered_map_usable_for_more_updates():
     mem, m = fresh()
     m.update(b"a", b"1")
