@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import csv
 import io
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .crc import crc32c
 from .logalg import ALGORITHMS
@@ -40,12 +40,12 @@ _MAX_ARGS = {"seed": 1, "crash": 2, "append": 1, "trim": 1, "U": 2, "R": 1,
 
 # --------------------------------------------------------------------- scripts
 
-@dataclass
 class Script:
-    ops: list[tuple] = field(default_factory=list)
-    seed: int = 0
-    mode: str = "exhaustive"   # exhaustive | sampled | at-op
-    mode_arg: int = 0
+    def __init__(self):
+        self.ops: list[tuple] = []
+        self.seed = 0
+        self.mode = "exhaustive"   # exhaustive | sampled | at-op
+        self.mode_arg = 0
 
     @property
     def kind(self) -> str:
@@ -135,22 +135,20 @@ def csv_text(rows: list[list]) -> str:
     return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     op_index: int
     cuts: tuple[tuple[int, int], ...]
     recovered: object
-    legal: tuple
+    legal: tuple   # the boundary states before and after op `op_index`
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     target: str
     mode: str
     ops_run: int
-    states_checked: int = 0
-    distinct_states: int = 0
-    violations: list[Violation] = field(default_factory=list)
+    states_checked: int
+    distinct_states: int
+    violations: list[Violation]
 
     @property
     def ok(self) -> bool:
@@ -309,12 +307,13 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
     """Replay a script and verify every injected crash recovers to a state
     the operation history allows (an op boundary, and for transactions
     all-or-nothing).  Each window is checked once, at its end, and each
-    distinct image once, against the boundaries up to the end of the op
-    that issued its newest persisted write (the window's first op if none
-    persisted): the op its violation carries and `at-op I` keeps.  `at-op
-    I` enumerates only the states of its window's prefix through op I, and
-    its `states_checked` counts those.  Recovery runs once per read path of
-    a window (`_ReadPaths`)."""
+    distinct image once, by durable linearizability: an image whose newest
+    persisted write op j issued (the window's first op if none persisted)
+    recovers to the boundary before op j or after it, the pair its
+    violation carries.  `at-op I` keeps the images with j = I, enumerates
+    only its window's prefix through op I, and counts those states in
+    `states_checked`.  Recovery runs once per read path of a window
+    (`_ReadPaths`)."""
     if isinstance(script, str):
         script = parse_script(script)
     if script.kind == "log":
@@ -324,12 +323,12 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
         target = _StpsTarget(node_lines, slots)
         name = "stps"
     mem = target.mem
-    report = Report(name, script.mode, len(script.ops))
     mem.checkpoint()   # formatting the region is not crashable history
 
     sampled = script.mode == "sampled"
     only = script.mode_arg if script.mode == "at-op" else None
     first, legal, owner = 0, [target.model_state()], {}
+    checked, distinct, violations = 0, 0, []
     for i, op in enumerate(script.ops):
         target.run_op(op)
         legal.append(target.model_state())
@@ -357,22 +356,22 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
                         default=first)
                 if only is not None and j != only:
                     continue
-                report.distinct_states += 1
+                distinct += 1
                 recovered = reads.recovered(st)
-                if _freeze(recovered) not in frozen[:j + 2 - first]:
-                    report.violations.append(Violation(
-                        j, cuts, recovered, tuple(legal[:j + 2 - first])))
-            report.states_checked += len(states)
+                if _freeze(recovered) not in frozen[j - first:j + 2 - first]:
+                    violations.append(Violation(j, cuts, recovered, tuple(
+                        legal[j - first:j + 2 - first])))
+            checked += len(states)
         if quiet:
             mem.checkpoint()
         first, legal, owner = i + 1, legal[-1:], {}
-    return report
+    return Report(name, script.mode, len(script.ops), checked, distinct,
+                  violations)
 
 
 # --------------------------------------------------------- round-trip audits
 
-@dataclass(frozen=True)
-class RoundTripAudit:
+class RoundTripAudit(NamedTuple):
     algorithm: str
     payload_len: int
     appends: int
@@ -474,8 +473,7 @@ def crc32_collision_word(buf: bytes, word_off: int) -> int:
     raise AssertionError("64->32 bit linear map had a trivial kernel")
 
 
-@dataclass(frozen=True)
-class ChecksumDemo:
+class ChecksumDemo(NamedTuple):
     algorithm: str
     payload: bytes
     states_checked: int   # distinct cut tuples after deduplication

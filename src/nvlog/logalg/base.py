@@ -11,7 +11,7 @@ never consulted by recovery.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..pmem import LINE_SIZE, RELEASE, SimMemory, WORD_SIZE
 
@@ -40,15 +40,12 @@ class UnrecoverableLogError(LogError):
     pass
 
 
-@dataclass(frozen=True)
-class EntryLayout:
-    payload_len: int
+class EntryLayout(NamedTuple):
     total_len: int
     metadata_slots: tuple[tuple[int, int], ...]  # (offset in entry, width)
 
 
-@dataclass(frozen=True)
-class RecoveredEntry:
+class RecoveredEntry(NamedTuple):
     payload: bytes
     slot: int
     rank: int  # 0 = oldest

@@ -21,10 +21,10 @@ def layout(payload_len: int) -> EntryLayout:
     if payload_len <= 0 or payload_len % WORD_SIZE:
         raise PayloadError("payload must be a positive multiple of 8 bytes")
     if payload_len <= MAX_SINGLE_LINE_PAYLOAD:
-        return EntryLayout(payload_len, payload_len + WORD_SIZE,
+        return EntryLayout(payload_len + WORD_SIZE,
                            ((payload_len, WORD_SIZE),))
     if payload_len <= MAX_PAYLOAD:
-        return EntryLayout(payload_len, 128, ((0, WORD_SIZE), (120, WORD_SIZE)))
+        return EntryLayout(128, ((0, WORD_SIZE), (120, WORD_SIZE)))
     raise PayloadError(
         f"payload {payload_len} exceeds two lines minus two words; "
         "use the flexible-bit or randomized log")

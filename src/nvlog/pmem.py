@@ -64,7 +64,6 @@ import itertools
 import operator
 import random
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 LINE_SIZE = 64
@@ -102,16 +101,22 @@ class WriteEvent(NamedTuple):
     ordering: str
 
 
-@dataclass
-class FlushStats:
-    clflushopt_count: int = 0
-    sfence_count: int = 0
-    fenced_roundtrips: int = 0
-    simulated_time_ns: int = 0
+class FlushStats:   # one live object per memory: callers keep it for deltas
+    __slots__ = ("clflushopt_count", "sfence_count", "fenced_roundtrips",
+                 "simulated_time_ns")
+
+    def __init__(self):
+        self.clflushopt_count = 0
+        self.sfence_count = 0
+        self.fenced_roundtrips = 0
+        self.simulated_time_ns = 0
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"FlushStats({fields})"
 
 
-@dataclass(frozen=True)
-class CrashState:
+class CrashState(NamedTuple):
     """One persisted image: per-line prefix counts over the write logs."""
 
     cuts: tuple[tuple[int, int], ...]  # sorted (line, units persisted)

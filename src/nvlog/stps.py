@@ -26,12 +26,10 @@ all its members under one version, each op ending in one commit fence.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .pmem import LINE_SIZE, RELEASE, SimMemory, WORD_SIZE
 
-_V1 = 1
-_V2 = 2
 _TXN_SHIFT = 2
 _VER_SHIFT = 10
 _VER_MAX = (1 << 54) - 1
@@ -57,8 +55,7 @@ def pack_meta(v1: int, v2: int, txncount: int, version: int) -> int:
     return v1 | (v2 << 1) | (txncount << _TXN_SHIFT) | (version << _VER_SHIFT)
 
 
-@dataclass(frozen=True)
-class ParsedEntry:
+class ParsedEntry(NamedTuple):
     key: bytes
     value: bytes
     version: int

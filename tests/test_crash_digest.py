@@ -68,8 +68,8 @@ CASES = {
                       "5cd3bd9bcc2385926435c52b40dfdaa3"
                       "7c05204ca38a21d2bc2522abdffe7e40"),
     "wraparound": (lambda: _log_runs("wraparound"), True,
-                   "a798d9fd880de1e016cd1ae05ebbc3a3"
-                   "f1c5dd260ad341fab8559996c0e51b6e"),
+                   "766fa2e9640e3afa16159236769068ec"
+                   "c99aa0c9accb666b996390ede1f3a3b8"),
     "map_smoke": (_map_runs, True,
                   "003ca4d9530671bc7ec40d4c70400d08"
                   "aacd3eca563ad141a7f0df1e6b9beeb2"),

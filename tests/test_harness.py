@@ -17,6 +17,7 @@ from nvlog.harness import (BrokenVbLog, EXTRA_ALGORITHMS, Script, ScriptError,
                            parse_script, run_appends, run_crash_suite)
 from nvlog.logalg import ALGORITHMS
 from nvlog.logalg.base import TrimError
+from nvlog.logalg.csovb import CsoVbLog
 from nvlog.stps import PersistentHashMap
 
 WORKLOADS = Path(nvlog.__file__).parent / "workloads"
@@ -175,6 +176,35 @@ def test_txn_reuse_loss_violations_hold_pre_and_post():
         assert isinstance(pre, dict) and isinstance(post, dict)
 
 
+class NoFenceVbLog(CsoVbLog):
+    """cso-vb whose append flushes its slot but issues no fence."""
+
+    name = "cso-vb-no-fence"
+
+    def append(self, payload):
+        self.mem.sfence = lambda: None   # shadows the method for this call
+        try:
+            return super().append(payload)
+        finally:
+            del self.mem.sfence
+
+
+@pytest.mark.parametrize("algo, violations", [("cso-vb", 0),
+                                               (NoFenceVbLog.name, 64)])
+def test_an_image_recovers_to_a_boundary_of_its_own_op(algo, violations):
+    # with no fence the two appends share one window; an image that holds
+    # the second entry but lost the first must not pass as the boundary
+    # before the first append
+    script = "crash exhaustive\n" + "".join(
+        f"append {bytes([b] * 56).hex()}\n" for b in (1, 2))
+    registry = {**ALGORITHMS, NoFenceVbLog.name: NoFenceVbLog}
+    report = run_crash_suite(script, algo=algo, payload_len=56, slots=2,
+                             registry=registry)
+    assert report.distinct_states
+    assert len(report.violations) == violations
+    assert all(len(v.legal) == 2 for v in report.violations)
+
+
 def random_log_script(rng: random.Random, payload_len: int,
                       slots: int) -> str:
     """Appends and trims that fill a tiny log, empty it and wrap it."""
@@ -243,6 +273,8 @@ def test_shipped_script_verdicts(name, target, exhaustive, want):
         report = run_crash_suite(script, algo=target,
                                  registry=EXTRA_ALGORITHMS)
     assert (report.distinct_states, len(report.violations)) == want
+    # each violation names the boundaries before and after its op
+    assert all(len(v.legal) == 2 for v in report.violations)
 
 
 def test_every_shipped_script_is_pinned():
