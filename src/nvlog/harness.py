@@ -20,7 +20,7 @@ import csv
 import io
 from typing import NamedTuple
 
-from .crc import crc32c
+from .crc import crc32c, crc_term
 from .logalg import ALGORITHMS
 from .logalg.base import CircularLog, TrimError, UnrecoverableLogError
 from .logalg.csovb import CsoVbLog
@@ -442,21 +442,15 @@ EXTRA_ALGORITHMS[BrokenVbLog.name] = BrokenVbLog
 
 # --------------------------------------------------- checksum collision demo
 
-def _crc32_linear_delta(buf0: bytes, word_off: int, v: int) -> int:
-    b = bytearray(buf0)
-    b[word_off:word_off + 8] = v.to_bytes(8, "little")
-    return crc32c(bytes(b)) ^ crc32c(buf0)
-
-
 def crc32_collision_word(buf: bytes, word_off: int) -> int:
     """A nonzero 64-bit value v such that XORing it into buf at word_off
     leaves the CRC32C unchanged.  XOR deltas map to CRC deltas by a GF(2)-
-    linear function, whose kernel for a 64-bit word under a 32-bit checksum
-    is nontrivial; linearize around a zeroed word so set == xor."""
-    buf0 = bytearray(buf)
-    buf0[word_off:word_off + 8] = bytes(8)
-    buf0 = bytes(buf0)
-    basis = [_crc32_linear_delta(buf0, word_off, 1 << i) for i in range(64)]
+    linear function, the word's `crc_term`, which depends only on len(buf)
+    and word_off; its kernel for a 64-bit word under a 32-bit checksum is
+    nontrivial."""
+    n = len(buf)
+    basis = [crc_term(crc32c, n, word_off, (1 << i).to_bytes(8, "little"))
+             for i in range(64)]
     pivots: dict[int, tuple[int, int]] = {}   # bit -> (vector, combination)
     for i, vec in enumerate(basis):
         combo = 1 << i

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 
-from ..crc import crc32c, crc64_ecma
+from ..crc import crc32c, crc64_ecma, crc_by_lines
 from ..pmem import RELEASE, WORD_SIZE
 from .base import CircularLog, slot_size_for
 
@@ -64,7 +64,8 @@ class _CrcLog(CircularLog):
             return None
         off = self._crc_off
         crc = int.from_bytes(raw[off:off + WORD_SIZE], "little")
-        if crc != self.crc_fn(raw[:WORD_SIZE + length]):
+        # torn images of a slot share its lines' versions: sum their terms
+        if crc != crc_by_lines(self.crc_fn, raw[:WORD_SIZE + length]):
             return None
         return raw[WORD_SIZE:WORD_SIZE + length], 1
 

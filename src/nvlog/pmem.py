@@ -436,9 +436,15 @@ class SimMemory:
         """A random cut per written line, raised to meet the flush
         requirements."""
         win = self._window()
-        los = win.floors if at_least_durable else itertools.repeat(0)
-        # randrange(lo, hi + 1) is randint(lo, hi), draw for draw
-        return self._fix_up(win, list(map(rng.randrange, los, win.stops)))
+        # lo + _randbelow(stop - lo) is what randrange(lo, stop) computes,
+        # draw for draw, without its argument checks
+        below = rng._randbelow
+        if at_least_durable:
+            cuts = [lo + below(stop - lo)
+                    for lo, stop in zip(win.floors, win.stops)]
+        else:
+            cuts = list(map(below, win.stops))
+        return self._fix_up(win, cuts)
 
     def sample_crash_states(self, count: int, seed: int = 0,
                             at_least_durable: bool = False):

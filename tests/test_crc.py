@@ -2,9 +2,11 @@
 
 import zlib
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from nvlog.crc import crc32c, crc64_ecma
+from nvlog import crc
+from nvlog.crc import crc32c, crc64_ecma, crc_by_lines
+from nvlog.harness import run_crash_suite
 
 
 def test_crc32c_check_value():
@@ -65,3 +67,36 @@ def test_single_bit_sensitivity(data):
     flipped = bytes([data[0] ^ 1]) + data[1:]
     assert crc32c(data) != crc32c(flipped)
     assert crc64_ecma(data) != crc64_ecma(flipped)
+
+
+# ---------------------------------------------------- line-summed checksums
+
+@given(st.integers(0, 300).flatmap(lambda n: st.binary(min_size=n,
+                                                       max_size=n)))
+@example(b"")
+@example(bytes(range(37)))     # shorter than a line, tail not a word
+@example(bytes(range(64)))     # one whole line
+@example(bytes(range(192)))    # whole lines only
+@example(bytes(range(67)))     # a line and a 3-byte tail
+@example(bytes(range(250)))    # 3 lines and 58 bytes, 2 past a word
+def test_line_summed_crcs_match_direct(data):
+    assert crc_by_lines(crc32c, data) == crc32c(data)
+    assert crc_by_lines(crc64_ecma, data) == crc64_ecma(data)
+
+
+def test_term_caches_are_bounded():
+    assert crc.crc_term.cache_info().maxsize is not None
+    assert crc._zeros_crc.cache_info().maxsize is not None
+
+
+def test_crash_report_is_the_same_with_terms_cold_or_warm():
+    # one torn 4-line crc64 slot: 6,561 images recovered from cached terms
+    payload = bytes(range(7, 247))
+    script = f"crash at-op 0\nappend {payload.hex()}\ntrim"
+    crc.crc_term.cache_clear()
+    crc._zeros_crc.cache_clear()
+    cold = run_crash_suite(script, algo="crc64", payload_len=240)
+    assert crc.crc_term.cache_info().hits > 0
+    warm = run_crash_suite(script, algo="crc64", payload_len=240)
+    assert cold == warm
+    assert cold.distinct_states == 6561 and not cold.violations

@@ -432,6 +432,13 @@ def test_collision_word_is_in_kernel():
     assert crc32c(bytes(patched)) == crc32c(buf)
 
 
+def test_collision_word_for_demo_buffer_is_pinned():
+    # the demo's framing (seq 0, len 112) and payload bytes 1..112, word 6
+    buf = (0).to_bytes(4, "little") + (112).to_bytes(4, "little") \
+        + bytes(range(1, 113))
+    assert crc32_collision_word(buf, 8 + 48) == 0x105EC76F1
+
+
 def test_crc32_demo_finds_planted_false_valid():
     demo = checksum_vulnerability_demo("crc32")
     assert demo.false_valids == 1

@@ -440,6 +440,28 @@ def test_sample_memo_cleared_by_checkpoint():
     assert state.epoch == 1 and [ln for ln, _ in state.cuts] == [1]
 
 
+@pytest.mark.parametrize("durable", [False, True])
+def test_sampler_draws_as_randrange_does(durable):
+    # callers share their generator with other draws, so the sampler must
+    # take the states and consume the generator exactly as drawing each cut
+    # by randrange(floor or 0, units + 1) did
+    m = SimMemory(64 * 40)
+    for rnd in range(3):
+        for line in range(33):
+            m.store(64 * line + 8 * rnd, bytes([rnd + 1]) * 8)
+            if (line + rnd) % 3 == 0:
+                m.clflushopt(line)
+        m.sfence()
+    fast, slow = random.Random(5), random.Random(5)
+    win = m._window()
+    los = win.floors if durable else [0] * len(win.lines)
+    for _ in range(2000):
+        want = m._fix_up(win, list(map(slow.randrange, los, win.stops)))
+        assert m.sample_crash_state(fast, at_least_durable=durable) == want
+    assert fast.getstate() == slow.getstate()
+    assert any(los) == durable
+
+
 def test_at_least_durable_respects_floor():
     m = SimMemory(256)
     m.store(0, b"1" * 8)
