@@ -146,11 +146,12 @@ def cmd_ycsb(args) -> int:
 def cmd_crashtest(args) -> int:
     try:
         if args.script == "-":
-            text = sys.stdin.read()
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:
-            text = open(args.script).read()
+            with open(args.script, encoding="utf-8") as f:
+                text = f.read()
         script = parse_script(text)
-    except (OSError, ScriptError) as exc:
+    except (OSError, UnicodeDecodeError, ScriptError) as exc:
         print(f"script error: {exc}", file=sys.stderr)
         return 2
     if args.exhaustive:

@@ -5,17 +5,16 @@ persistent memory and checks that every injected crash state recovers to a
 state the history allows.  It adds no fence: a window runs from the last
 point the program left the memory quiescent to the next one or to the end
 of the script (sampling makes the whole script one window), and its crash
-states are drawn and checked once, at its end.  Each distinct state is
-judged once, and recovery runs once per read path: a state that agrees with
-an earlier one on every written line that recovery loaded takes its
-recovered value.  Also houses round-trip
-audits, a deliberately broken log variant, and a checksum-collision
-construction that defeats 32-bit CRC validation.
+states are drawn and checked once, at its end (`crash at-op I`: right after
+op I).  Each distinct state is judged once, and recovery runs once per read
+path: a state that agrees with an earlier one on every written line that
+recovery loaded takes its recovered value.  Also houses round-trip audits,
+a deliberately broken log variant, and a checksum-collision construction
+that defeats 32-bit CRC validation.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 from typing import NamedTuple
@@ -310,10 +309,10 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
     distinct image once, by durable linearizability: an image whose newest
     persisted write op j issued (the window's first op if none persisted)
     recovers to the boundary before op j or after it, the pair its
-    violation carries.  `at-op I` keeps the images with j = I, enumerates
-    only its window's prefix through op I, and counts those states in
-    `states_checked`.  Recovery runs once per read path of a window
-    (`_ReadPaths`)."""
+    violation carries.  `at-op I` checks right after op I runs instead:
+    it enumerates the memory as op I left it, keeps the images with j = I,
+    and counts every state it enumerated in `states_checked`.  Recovery runs
+    once per read path of a window (`_ReadPaths`)."""
     if isinstance(script, str):
         script = parse_script(script)
     if script.kind == "log":
@@ -336,19 +335,14 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
             ops = owner.setdefault(line, [])   # the op that issued each write
             ops += [i] * (count - len(ops))
         quiet = not sampled and mem.quiescent
-        if not quiet and i < len(script.ops) - 1:
-            continue
-        if only is None or first <= only <= i:
+        end = quiet or i == len(script.ops) - 1   # the window ends here
+        if (i == only) if only is not None else end:
             if sampled:
                 states = mem.boundary_crash_states()
                 states += mem.sample_crash_states(script.mode_arg or 10000,
                                                   seed=script.seed)
-            elif only is None:
+            else:
                 states = mem.enumerate_crash_states()
-            else:   # no line cut past the writes of ops up to `only`
-                states = mem.enumerate_crash_states(prefix={
-                    line: bisect.bisect_right(ops, only)
-                    for line, ops in owner.items()})
             frozen = [_freeze(state) for state in legal]
             reads = _ReadPaths(mem, target)
             for cuts, st in {st.cuts: st for st in states}.items():
@@ -364,7 +358,7 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
             checked += len(states)
         if quiet:
             mem.checkpoint()
-        first, legal, owner = i + 1, legal[-1:], {}
+            first, legal, owner = i + 1, legal[-1:], {}
     return Report(name, script.mode, len(script.ops), checked, distinct,
                   violations)
 
@@ -428,7 +422,7 @@ class BrokenVbLog(CsoVbLog):
         mem = self.mem
         bit = self.expected_bit(slot)
         if self.layout.total_len <= 64:
-            mem.store_word(addr + self.layout.metadata_slots[0][0], bit)
+            mem.store_word(addr + self.layout.metadata_slots[0], bit)
             mem.store_words(addr, payload)
         else:
             mem.store_word(addr, bit)

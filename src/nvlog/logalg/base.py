@@ -42,7 +42,7 @@ class UnrecoverableLogError(LogError):
 
 class EntryLayout(NamedTuple):
     total_len: int
-    metadata_slots: tuple[tuple[int, int], ...]  # (offset in entry, width)
+    metadata_slots: tuple[int, ...]  # metadata word offsets in the entry
 
 
 class RecoveredEntry(NamedTuple):

@@ -21,10 +21,9 @@ def layout(payload_len: int) -> EntryLayout:
     if payload_len <= 0 or payload_len % WORD_SIZE:
         raise PayloadError("payload must be a positive multiple of 8 bytes")
     if payload_len <= MAX_SINGLE_LINE_PAYLOAD:
-        return EntryLayout(payload_len + WORD_SIZE,
-                           ((payload_len, WORD_SIZE),))
+        return EntryLayout(payload_len + WORD_SIZE, (payload_len,))
     if payload_len <= MAX_PAYLOAD:
-        return EntryLayout(128, ((0, WORD_SIZE), (120, WORD_SIZE)))
+        return EntryLayout(128, (0, 120))
     raise PayloadError(
         f"payload {payload_len} exceeds two lines minus two words; "
         "use the flexible-bit or randomized log")
@@ -46,7 +45,7 @@ class CsoVbLog(CircularLog):
         bit = self.expected_bit(slot)
         if self.layout.total_len <= 64:
             mem.store_words(addr, payload)
-            mem.store_word(addr + self.layout.metadata_slots[0][0], bit, RELEASE)
+            mem.store_word(addr + self.layout.metadata_slots[0], bit, RELEASE)
         else:
             mem.store_words(addr + WORD_SIZE, payload)
             mem.store_word(addr + 120, bit, RELEASE)
@@ -55,7 +54,7 @@ class CsoVbLog(CircularLog):
     def _decode(self, slot: int, addr: int):
         bit = self.expected_bit(slot)
         raw = b""
-        for off, _ in self.layout.metadata_slots:   # one per line
+        for off in self.layout.metadata_slots:   # one per line
             raw = self._load_through(addr, raw, off)
             if raw[off] & 1 != bit:  # bit 0 of a little-endian word
                 return None

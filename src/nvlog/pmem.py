@@ -19,13 +19,18 @@ The model keeps one record: each line's write records (``_writes``) and unit
 counts (``_counts``), the durable floors and an undo log of floor raises.  A
 unit is what the same-line rule orders: a crash persists a prefix of each
 line's units.  Each store call logs one record per line it touches,
-``(fence, offset_in_line, data, ordering, units, first)``.  A ``store`` is one
-unit at any width (its piece of the line), so a wide store never tears within
-a line.  A ``store_words`` run is one unit per 8-byte chunk it has in the
-line, chunk boundaries counted from the run's start, not from address 0, and
-``first`` is the length of its first chunk there.  ``events(line)`` lists the
-line's units as ``WriteEvent``s, one per store piece or run chunk.  Cuts,
-floors and the raise log count units.
+``(fence, offset_in_line, data, ordering, units, first)``, and one routine
+(``_log``) writes them all but a single-line ``store``'s, which ``store``
+appends itself.  A ``store`` is one unit at any width (its piece of the
+line), so a wide store never tears within a line.  A ``store_words`` run is
+one unit per 8-byte chunk it has in the line, chunk boundaries counted from
+the run's start, not from address 0, and ``first`` is the length of its
+first chunk there.  One generator (``_units``) splits a line's records into
+units, ``(fence, offset_in_line, data, ordering)`` in issue order: a store's
+piece of the line, or one chunk of a run.  ``events(line)`` lists them as
+``WriteEvent``s, torn line images replay them and ``boundary_crash_states``
+finds the ``RELEASE`` ones in them.  Cuts, floors and the raise log count
+units.
 
 Each record is stamped with the number of round-trip fences issued before it
 (``fence``), which is all the second rule needs to know about when it was
@@ -43,12 +48,12 @@ each k it meets, the floors with the raises of fences k and later undone.
 A crash image starts from a copy of ``cached``, which always equals
 ``_base`` (the image at the start of the epoch) with every logged write
 applied, so only the torn lines, those cut below their unit count, cost
-work: cut 0 pastes the ``_base`` slice, and any other cut pastes the line
-replayed from ``_base`` through its first ``cut`` units (whole records, then
-the first chunks of a run the cut tears), memoised in ``_torn`` by (line,
-cut).  Within an epoch a line's records are only appended to, so a memoised
-image never goes stale; ``checkpoint()`` clears the memo with the rest of
-the history.  Fully persisted lines are never memoised.
+work: cut 0 pastes the ``_base`` slice, and any other cut pastes the
+``_base`` slice with the line's first ``cut`` units applied, memoised in
+``_torn`` by (line, cut).  Within an epoch a line's records are only
+appended to, so a memoised image never goes stale; ``checkpoint()`` clears
+the memo with the rest of the history.  Fully persisted lines are never
+memoised.
 
 ``apply_crash(state, record_loads=True)`` gives a crash memory that lists
 the lines its loads touch, in load order, so a caller can tell which lines
@@ -142,7 +147,9 @@ class _Window:
 
     A line's unit stamps are 0, then the fence stamp of each of its units
     in issue order, so entry c is the stamp of the newest unit a cut of c
-    persists."""
+    persists.  They are read off each record's fence and unit count, not
+    split out by `SimMemory._units`: a window is rebuilt for a one-off
+    sample after every long epoch, and unit by unit that costs a multiple."""
 
     __slots__ = ("fences", "counts", "lines", "his", "stops", "floors",
                  "stamps", "reqs")
@@ -239,16 +246,7 @@ class SimMemory:
                 recs.append(rec)
                 self._counts[line] += 1
             return
-        # Split at line boundaries, low address first; each piece is one record.
-        pos = 0
-        while pos < n:
-            line, off = divmod(addr + pos, LINE_SIZE)
-            stop = min(n, pos + LINE_SIZE - off)
-            self._writes.setdefault(line, []).append(
-                (self._fences, off, bytes(data[pos:stop]), ordering, 1,
-                 stop - pos))
-            self._counts[line] = self._counts.get(line, 0) + 1
-            pos = stop
+        self._log(addr, bytes(data), ordering, n)
 
     def store_word(self, addr: int, value: int, ordering: str = RELAXED) -> None:
         self.store(addr, (value & (2 ** 64 - 1)).to_bytes(WORD_SIZE, "little"), ordering)
@@ -256,25 +254,32 @@ class SimMemory:
     def store_words(self, addr: int, data: bytes) -> None:
         """Store `data` as a run of relaxed 8-byte stores, low address
         first, the last one shorter when the length is not a multiple of 8.
-        Logs one record per line the run touches, one unit per 8-byte chunk
-        in that line (a chunk that crosses a line is one unit in each), so
-        a crash may tear the run between any two chunks, as it may between
+        A crash may tear the run between any two chunks, as it may between
         one `store` per chunk."""
         n = len(data)
         if addr < 0 or addr + n > self.capacity:
             raise UsageError(f"store [{addr}, {addr + n}) out of range")
         data = bytes(data)
         self.cached[addr:addr + n] = data
+        self._log(addr, data, RELAXED, WORD_SIZE)
+
+    def _log(self, addr: int, data: bytes, ordering: str, width: int) -> None:
+        """Log `data`, stored at `addr`, as a run of `width`-byte chunks
+        counted from its start: one record per line it touches, one unit
+        per chunk in that line (a chunk that crosses a line is one unit in
+        each).  A `store` is one chunk as wide as itself; any other
+        `width` is WORD_SIZE, the chunk `_units` splits runs by."""
         fence = self._fences
         writes, counts = self._writes, self._counts
+        n = len(data)
         pos = 0
         while pos < n:
             line, off = divmod(addr + pos, LINE_SIZE)
             stop = min(n, pos + LINE_SIZE - off)   # the run's end in this line
-            # the first chunk here ends at the run's next word boundary
-            first = min(stop, (pos | (WORD_SIZE - 1)) + 1) - pos
-            units = 1 + (stop - pos - first + WORD_SIZE - 1) // WORD_SIZE
-            rec = (fence, off, data[pos:stop], RELAXED, units, first)
+            # the first chunk here ends at the run's next chunk boundary
+            first = min(stop, pos - pos % width + width) - pos
+            units = 1 + (stop - pos - first + width - 1) // width
+            rec = (fence, off, data[pos:stop], ordering, units, first)
             recs = writes.get(line)
             if recs is None:
                 writes[line] = [rec]
@@ -284,16 +289,19 @@ class SimMemory:
                 counts[line] += units
             pos = stop
 
-    def events(self, line: int) -> list[WriteEvent]:
-        """The line's writes since the last checkpoint, one `WriteEvent` per
-        unit in issue order: a store's piece of the line, or one chunk of a
-        word run."""
-        evs = []
+    def _units(self, line: int):
+        """The line's units since the last checkpoint, in issue order, as
+        (fence, offset_in_line, data, ordering): a store's piece of the
+        line, or one chunk of a word run."""
         for fence, off, data, ordering, _, first in self._writes.get(line, ()):
-            starts = [0, *range(first, len(data), WORD_SIZE)]
-            evs += [WriteEvent(fence, off + s, data[s:e], ordering)
-                    for s, e in zip(starts, [*starts[1:], len(data)])]
-        return evs
+            start, stop = 0, first
+            while start < len(data):
+                yield fence, off + start, data[start:stop], ordering
+                start, stop = stop, stop + WORD_SIZE
+
+    def events(self, line: int) -> list[WriteEvent]:
+        """The line's units as `WriteEvent`s, in issue order."""
+        return [WriteEvent(*unit) for unit in self._units(line)]
 
     # ----------------------------------------------------------------- flushes
 
@@ -348,17 +356,11 @@ class SimMemory:
     # ------------------------------------------------------------ crash states
 
     def _line_image(self, line: int, cut: int) -> bytes:
-        """The line replayed from `_base` through its first `cut` units:
-        whole records, then the first chunks of a run the cut tears."""
+        """The line replayed from `_base` through its first `cut` units."""
         lo = line * LINE_SIZE
         buf = bytearray(self._base[lo:lo + LINE_SIZE])
-        for _, off, data, _, units, first in self._writes[line]:
-            if cut <= 0:
-                break
-            if units > cut:
-                data = data[:first + (cut - 1) * WORD_SIZE]
+        for _, off, data, _ in itertools.islice(self._units(line), cut):
             buf[off:off + len(data)] = data
-            cut -= units
         return bytes(buf)
 
     def _window(self) -> _Window:
@@ -386,33 +388,27 @@ class SimMemory:
         return CrashState(tuple(zip(lines, cuts)), self._epoch)
 
     def enumerate_crash_states(self, limit: int = 1 << 20,
-                               at_least_durable: bool = False,
-                               prefix: dict[int, int] | None = None
+                               at_least_durable: bool = False
                                ) -> list[CrashState]:
         """All persisted images the persist relation allows for this trace.
 
         With ``at_least_durable`` the durable floor is applied, i.e. only
         crashes at or after the present instant are considered; by default a
-        crash at any earlier point of the trace is included too.  With
-        ``prefix`` (line -> units), no line is cut past that many of its
-        units (none for a line left out): the states, in the same order,
-        of a trace holding only those writes.
+        crash at any earlier point of the trace is included too.
         """
         win = self._window()
-        lines, his, stamps = win.lines, win.his, win.stamps
+        lines, stamps = win.lines, win.stamps
         los = win.floors if at_least_durable else [0] * len(lines)
-        if prefix is not None:
-            his = [min(hi, prefix.get(line, 0)) for line, hi in zip(lines, his)]
         total = 1
-        for lo, hi in zip(los, his):
-            total *= max(hi - lo + 1, 0)
+        for lo, hi in zip(los, win.his):
+            total *= hi - lo + 1
             if total > limit:
                 raise EnumerationLimitError(
                     f"{total}+ candidate cut tuples exceed limit {limit}")
         states = []
         # a state must meet the requirements of every fence issued before
         # its newest persisted unit
-        for cuts in itertools.product(*map(range, los, [hi + 1 for hi in his])):
+        for cuts in itertools.product(*map(range, los, win.stops)):
             k = max(map(list.__getitem__, stamps, cuts), default=0)
             if not k or all(map(operator.ge, cuts, self._reqs(win, k))):
                 states.append(self._crash_state(lines, cuts))
@@ -458,14 +454,12 @@ class SimMemory:
         win = self._window()
         states = []
         for i, line in enumerate(win.lines):
-            pos = 0
-            for _, _, _, ordering, units, _ in self._writes[line]:
+            for pos, (_, _, _, ordering) in enumerate(self._units(line)):
                 if ordering == RELEASE:
                     for cut in (pos, pos + 1):
                         cuts = list(win.his)
                         cuts[i] = cut
                         states.append(self._fix_up(win, cuts))
-                pos += units
         return states
 
     def _crash_image(self, cuts) -> bytearray:

@@ -279,6 +279,29 @@ def test_crashtest_directive_that_checks_nothing(directive, why, tmp_path,
     assert err.strip() == f"script error: {why}"
 
 
+NOT_UTF8 = b"\xff\xfe\x00append 00\n"
+
+
+def test_crashtest_script_file_not_utf8(tmp_path, capsys):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(NOT_UTF8)
+    code = main(["crashtest", str(p)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("script error: ") and "can't decode" in err
+    assert err.splitlines() == [err.strip()]
+
+
+def test_crashtest_stdin_not_utf8(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8),
+                                                       encoding="utf-8"))
+    code = main(["crashtest", "-"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("script error: ") and "can't decode" in err
+    assert err.splitlines() == [err.strip()]
+
+
 def test_crashtest_window_past_the_enumeration_limit(tmp_path, capsys):
     # one 496-byte crc64 append has too many crash states to enumerate
     p = tmp_path / "big.txt"

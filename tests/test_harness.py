@@ -17,6 +17,7 @@ from nvlog.harness import (BrokenVbLog, EXTRA_ALGORITHMS, Script, ScriptError,
                            parse_script, run_appends, run_crash_suite)
 from nvlog.logalg import ALGORITHMS
 from nvlog.logalg.base import TrimError
+from nvlog.logalg.csorandom import CsoRandomLog
 from nvlog.logalg.csovb import CsoVbLog
 from nvlog.stps import PersistentHashMap
 
@@ -176,10 +177,8 @@ def test_txn_reuse_loss_violations_hold_pre_and_post():
         assert isinstance(pre, dict) and isinstance(post, dict)
 
 
-class NoFenceVbLog(CsoVbLog):
-    """cso-vb whose append flushes its slot but issues no fence."""
-
-    name = "cso-vb-no-fence"
+class NoFence:
+    """Mixed into a log: its append flushes the slot but issues no fence."""
 
     def append(self, payload):
         self.mem.sfence = lambda: None   # shadows the method for this call
@@ -187,6 +186,10 @@ class NoFenceVbLog(CsoVbLog):
             return super().append(payload)
         finally:
             del self.mem.sfence
+
+
+class NoFenceVbLog(NoFence, CsoVbLog):
+    name = "cso-vb-no-fence"
 
 
 @pytest.mark.parametrize("algo, violations", [("cso-vb", 0),
@@ -370,6 +373,45 @@ def test_at_op_enumerates_only_its_prefix():
     assert checked("at-op 1", 3) == checked("exhaustive", 2) - before
     assert checked("at-op 2", 3) == checked("exhaustive", 3) - before
     assert checked("at-op 1", 3) < checked("at-op 2", 3)
+
+
+class NoFenceRandomLog(NoFence, CsoRandomLog):
+    name = "cso-random-no-fence"
+
+
+def test_at_op_violations_name_only_lines_written_through_their_op():
+    # one window of four ops: `at-op I` checks the memory as op I left it,
+    # so its cuts never name the header line that only the trim writes
+    registry = {NoFenceRandomLog.name: NoFenceRandomLog}
+    kw = dict(algo=NoFenceRandomLog.name, payload_len=24, slots=3,
+              registry=registry)
+    text = "\n".join([*(f"append {bytes([b] * 24).hex()}" for b in (1, 2, 3)),
+                      "trim 1"])
+    target = _LogTarget(kw["algo"], 24, 3, registry)
+    target.mem.checkpoint()
+    written = []   # per op: the lines written through it
+    for op in parse_script(text).ops:
+        target.run_op(op)
+        written.append(set(target.mem.write_counts()))
+
+    def run(mode, arg=0):
+        script = parse_script(text)
+        script.mode, script.mode_arg = mode, arg
+        return run_crash_suite(script, **kw)
+
+    def persisted(violations):
+        return sorted((v.op_index, tuple((ln, c) for ln, c in v.cuts if c))
+                      for v in violations)
+
+    whole = run("exhaustive")
+    parts = [run("at-op", i) for i in range(4)]
+    assert len(whole.violations) == 45
+    assert persisted(v for p in parts for v in p.violations) == \
+        persisted(whole.violations)
+    assert written[2] < written[3]
+    for i, p in enumerate(parts):
+        assert all({ln for ln, _ in v.cuts} <= written[i]
+                   for v in p.violations)
 
 
 def test_map_suite_clean():

@@ -155,18 +155,18 @@ def test_geometry_matches_construction(algo, payload_len):
 
 def test_csovb_layout_24():
     lay = csovb.layout(24)
-    assert lay.total_len == 32 and lay.metadata_slots == ((24, 8),)
+    assert lay.total_len == 32 and lay.metadata_slots == (24,)
 
 
 def test_csovb_layout_56():
     lay = csovb.layout(56)
-    assert lay.total_len == 64 and lay.metadata_slots == ((56, 8),)
+    assert lay.total_len == 64 and lay.metadata_slots == (56,)
 
 
 def test_csovb_layout_112():
     lay = csovb.layout(112)
     assert lay.total_len == 128
-    assert lay.metadata_slots == ((0, 8), (120, 8))
+    assert lay.metadata_slots == (0, 120)
 
 
 def test_csovb_rejects_three_lines():

@@ -228,29 +228,6 @@ def long_trace(seed: int, events: int = 24,
     return m
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_bounded_enumeration_is_the_prefix_trace_enumeration(seed):
-    # capping each line's cut at its writes in the first t trace events
-    # gives the states, in order, of a memory that saw only those events
-    m = long_trace(seed)
-    t = random.Random(seed).randrange(len(m.trace) + 1)
-    prefix, writes = SimMemory(256), {}
-    for e in m.trace[:t]:
-        if isinstance(e, Store):
-            prefix.store(e.line * 64 + e.offset_in_line, e.data, e.ordering)
-            writes[e.line] = writes.get(e.line, 0) + 1
-        elif isinstance(e, Flush):
-            prefix.clflushopt(e.line)
-        else:
-            prefix.sfence()
-
-    def persisted(states):
-        return [tuple((ln, c) for ln, c in s.cuts if c) for s in states]
-
-    assert persisted(m.enumerate_crash_states(prefix=writes)) == \
-        persisted(prefix.enumerate_crash_states())
-
-
 def durable_floors(m: RecordingMemory) -> dict[int, int]:
     """Per line, the writes that fenced flushes made durable, replayed from
     the recorded trace."""
