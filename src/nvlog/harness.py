@@ -6,9 +6,13 @@ state the history allows.  It adds no fence: a window runs from the last
 point the program left the memory quiescent to the next one or to the end
 of the script (sampling makes the whole script one window), and its crash
 states are drawn and checked once, at its end (`crash at-op I`: right after
-op I).  Each distinct state is judged once, and recovery runs once per read
-path: a state that agrees with an earlier one on every written line that
-recovery loaded takes its recovered value.  Also houses round-trip audits,
+op I).  States travel as cut vectors, one cut per written line of the
+window in line order.  Each distinct state is judged once, against the
+window's owner columns (which op issued each unit) and its legal states,
+and recovery runs once per read path: a state that agrees with an earlier
+one on every written line that recovery loaded takes its recovered value.
+Every other recovery reads a copy of the window's one crash image buffer,
+patched only where the cuts changed.  Also houses round-trip audits,
 a deliberately broken log variant, and a checksum-collision construction
 that defeats 32-bit CRC validation.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from typing import NamedTuple
 
 from .crc import crc32c, crc_term
@@ -61,7 +66,8 @@ def parse_script(text: str) -> Script:
                                  checks only the crash states whose newest
                                  persisted write op I issued)
         append HEXBYTES          (log)
-        trim [N]                 (log; drop the oldest N entries, default all)
+        trim [N]                 (log; drop the oldest N >= 1 entries,
+                                 default all)
         U key value              (map update)
         R key                    (map remove)
         T k1 v1 k2 v2 ...        (map transaction, each key once)
@@ -94,9 +100,10 @@ def parse_script(text: str) -> Script:
             elif tok[0] == "append":
                 script.ops.append(("append", bytes.fromhex(tok[1])))
             elif tok[0] == "trim":
-                n = int(tok[1]) if len(tok) > 1 else 0
-                if n < 0:
-                    raise ValueError(f"negative trim count {n}")
+                n = int(tok[1]) if len(tok) > 1 else None   # None: all
+                if n is not None and n < 1:
+                    raise ValueError(f"negative trim count {n}" if n else
+                                     "trim count 0 is not positive")
                 script.ops.append(("trim", n))
             elif tok[0] == "U":
                 script.ops.append(("U", tok[1].encode(), tok[2].encode()))
@@ -179,7 +186,7 @@ class _LogTarget:
             self.handles.append(self.log.append(op[1]))
             self.live.append(op[1])
         elif op[0] == "trim":
-            n = op[1] or len(self.live)
+            n = len(self.live) if op[1] is None else op[1]
             if n > len(self.live):
                 raise TrimError(f"trim {n}: only {len(self.live)} live entries")
             if n:
@@ -244,7 +251,8 @@ def _freeze(state):
 
 class _ReadPaths:
     """The recovered states of one window, kept on a tree of read paths:
-    recovery runs once per path.
+    recovery runs once per path.  States are cut vectors, one cut per
+    written line in the window's line order.
 
     Recovery is a deterministic function of the bytes it loads, and a line
     the window did not write reads the same in every state.  So states
@@ -260,31 +268,31 @@ class _ReadPaths:
     every load.  Skipping a recording changes which states run recovery,
     never what they recover."""
 
-    def __init__(self, mem: SimMemory, target):
+    def __init__(self, mem: SimMemory, target, win):
         self.mem = mem
         self.target = target
+        self.win = win
         # A node is a list [i, {cut: node}]: recovery loads the written line
-        # at position i of the cuts next.  Any other node is the state
+        # at position i of the vector next.  Any other node is the state
         # recovery returns there (a log's tuple or a map's dict).
         self.root = None
         self.recording = True
-        self.at: dict[int, int] = {}   # written line -> position in cuts
+        self.at = {line: i for i, line in enumerate(win.lines)}
 
-    def recovered(self, state):
-        cuts = state.cuts
+    def recovered(self, cuts: tuple[int, ...]):
         node, parent, depth = self.root, None, 0
         while type(node) is list:
             parent, depth = node, depth + 1
-            node = node[1].get(cuts[node[0]][1])
+            node = node[1].get(cuts[node[0]])
         if node is not None:
             return node
+        mem, target = self.mem, self.target
+        image = bytearray(mem._image(self.win, cuts))   # the buffer stays
         if not self.recording:
-            return self.target.recovered_state(self.mem.apply_crash(state))
-        crashed = self.mem.apply_crash(state, record_loads=True)
-        recovered = self.target.recovered_state(crashed)
+            return target.recovered_state(mem._crash_memory(image))
+        crashed = mem._crash_memory(image, record_loads=True)
+        recovered = target.recovered_state(crashed)
         at = self.at
-        if not at:   # every state of a window cuts the same lines
-            at.update((line, i) for i, (line, _) in enumerate(cuts))
         path = [at[line] for line in dict.fromkeys(crashed.loaded_lines)
                 if line in at]
         if len(path) == len(cuts):   # no other state can share it
@@ -292,11 +300,11 @@ class _ReadPaths:
             return recovered
         node = recovered
         for i in reversed(path[depth:]):   # the part no earlier state took
-            node = [i, {cuts[i][1]: node}]
+            node = [i, {cuts[i]: node}]
         if parent is None:
             self.root = node
         else:
-            parent[1][cuts[parent[0]][1]] = node
+            parent[1][cuts[parent[0]]] = node
         return recovered
 
 
@@ -311,8 +319,15 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
     recovers to the boundary before op j or after it, the pair its
     violation carries.  `at-op I` checks right after op I runs instead:
     it enumerates the memory as op I left it, keeps the images with j = I,
-    and counts every state it enumerated in `states_checked`.  Recovery runs
-    once per read path of a window (`_ReadPaths`)."""
+    and counts every state it enumerated in `states_checked`.
+
+    A window's states are cut vectors in its line order: enumerated ones
+    come from the product, once each; sampled and boundary ones are
+    deduplicated in first-seen order.  Op j is the largest entry of the
+    window's owner columns at the vector's cuts, where column i holds the
+    window's first op at cut 0 and at cut c the op that issued line i's
+    c-th unit.  Recovery runs once per read path of a window
+    (`_ReadPaths`), on images patched into one buffer per window."""
     if isinstance(script, str):
         script = parse_script(script)
     if script.kind == "log":
@@ -337,25 +352,32 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
         quiet = not sampled and mem.quiescent
         end = quiet or i == len(script.ops) - 1   # the window ends here
         if (i == only) if only is not None else end:
+            win = mem._window()
             if sampled:
                 states = mem.boundary_crash_states()
                 states += mem.sample_crash_states(script.mode_arg or 10000,
                                                   seed=script.seed)
+                checked += len(states)
+                second = operator.itemgetter(1)
+                vectors = [tuple(map(second, cuts)) for cuts
+                           in dict.fromkeys(st.cuts for st in states)]
             else:
-                states = mem.enumerate_crash_states()
+                vectors = mem._vectors(win)
+                checked += len(vectors)
+            lines = win.lines
+            own = [[first, *owner[line]] for line in lines]
             frozen = [_freeze(state) for state in legal]
-            reads = _ReadPaths(mem, target)
-            for cuts, st in {st.cuts: st for st in states}.items():
-                j = max((owner[ln][c - 1] for ln, c in cuts if c),
-                        default=first)
+            reads = _ReadPaths(mem, target, win)
+            for cuts in vectors:
+                j = max(map(list.__getitem__, own, cuts), default=first)
                 if only is not None and j != only:
                     continue
                 distinct += 1
-                recovered = reads.recovered(st)
+                recovered = reads.recovered(cuts)
                 if _freeze(recovered) not in frozen[j - first:j + 2 - first]:
-                    violations.append(Violation(j, cuts, recovered, tuple(
-                        legal[j - first:j + 2 - first])))
-            checked += len(states)
+                    violations.append(Violation(
+                        j, tuple(zip(lines, cuts)), recovered,
+                        tuple(legal[j - first:j + 2 - first])))
         if quiet:
             mem.checkpoint()
             first, legal, owner = i + 1, legal[-1:], {}

@@ -57,11 +57,13 @@ class _CrcLog(CircularLog):
         mem.store_word(addr + self._crc_off, self.crc_fn(body), RELEASE)
 
     def _decode(self, slot: int, addr: int):
-        # the checksum covers every byte, so the slot is one load
-        raw = self.mem.load(addr, self.slot_size)
+        # the header line first: a slot whose seq or length fails is not
+        # read on; the checksum covers every byte, so the rest is one load
+        raw = self._load_through(addr, b"", 0)
         seq, length = _HDR.unpack_from(raw)
         if seq != self._entry_seq(slot) or length != self.payload_len:
             return None
+        raw = self._load_through(addr, raw, self.slot_size - 1)
         off = self._crc_off
         crc = int.from_bytes(raw[off:off + WORD_SIZE], "little")
         # torn images of a slot share its lines' versions: sum their terms

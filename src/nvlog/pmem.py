@@ -45,15 +45,33 @@ after a store, a fence or a checkpoint: the written lines in order, each
 line's unit count, floor and per-unit stamps, and the requirement vector of
 each k it meets, the floors with the raises of fences k and later undone.
 
-A crash image starts from a copy of ``cached``, which always equals
-``_base`` (the image at the start of the epoch) with every logged write
-applied, so only the torn lines, those cut below their unit count, cost
-work: cut 0 pastes the ``_base`` slice, and any other cut pastes the
-``_base`` slice with the line's first ``cut`` units applied, memoised in
-``_torn`` by (line, cut).  Within an epoch a line's records are only
-appended to, so a memoised image never goes stale; ``checkpoint()`` clears
-the memo with the rest of the history.  Fully persisted lines are never
-memoised.
+Within a window a crash state is a cut vector: a tuple of cuts, one per
+written line in line order.  ``_vectors`` yields the legal ones in product
+order, and ``enumerate_crash_states`` zips each with the lines into a
+``CrashState``.  A window in which no unit carries a nonzero stamp (no unit
+was stored after a round-trip fence of the epoch, as in the window of an
+append that fences once) triggers no requirement, so its legal vectors are
+the whole product and no tuple is tested.  A sampled or boundary state is
+fixed up in one pass: its cuts are raised to the requirement vector of the
+newest stamp k they persist.  That raise persists no unit stamped k or
+later, since the fences before fence k made durable only units issued
+before them, so it triggers no further requirement and one pass gives what
+raising until nothing is triggered would.  The sampler draws each cut as
+``randrange(floor, count + 1)`` would, draw for draw.
+
+Each window keeps one crash image buffer, which starts as a copy of
+``cached``: that always equals ``_base`` (the image at the start of the
+epoch) with every logged write applied, so it shows every line fully
+persisted.  To show a vector, ``_image`` pastes only the lines whose cut
+differs from the vector the buffer showed last; in product order that is
+mostly the last line.  A full cut pastes the line from ``cached``, cut 0
+the ``_base`` slice, and any other cut the ``_base`` slice with the line's
+first ``cut`` units applied, memoised in ``_torn`` by (line, cut).  Within
+an epoch a line's records are only appended to, so a memoised image never
+goes stale; ``checkpoint()`` clears the memo with the rest of the history.
+Fully persisted lines are never memoised.  A crash memory of the harness's
+judge gets a copy of the buffer; ``apply_crash`` hands its memory the
+buffer itself, so a one-off state costs no more than one image.
 
 ``apply_crash(state, record_loads=True)`` gives a crash memory that lists
 the lines its loads touch, in load order, so a caller can tell which lines
@@ -142,8 +160,11 @@ def _check_geometry(capacity: int) -> None:
 class _Window:
     """The trace as the crash side reads it, valid while no store, fence
     or checkpoint changes it: the written lines in order, and per line its
-    unit count, durable floor and unit stamps; `reqs` caches requirement
-    vectors by fence index.
+    unit count, durable floor and unit stamps; whether any unit carries a
+    nonzero stamp (`fenced`); `reqs` caches requirement vectors by fence
+    index; `draws` holds the sampler's floors, spans and span bit lengths,
+    by `at_least_durable`; and `image` is the window's crash image buffer,
+    showing the cut vector `shown`.
 
     A line's unit stamps are 0, then the fence stamp of each of its units
     in issue order, so entry c is the stamp of the newest unit a cut of c
@@ -152,7 +173,7 @@ class _Window:
     sample after every long epoch, and unit by unit that costs a multiple."""
 
     __slots__ = ("fences", "counts", "lines", "his", "stops", "floors",
-                 "stamps", "reqs")
+                 "stamps", "fenced", "reqs", "draws", "image", "shown")
 
     def __init__(self, mem: "SimMemory"):
         counts, writes = mem._counts, mem._writes
@@ -168,7 +189,12 @@ class _Window:
             for fence, _, _, _, units, _ in writes[line]:
                 stamps += [fence] * units
             self.stamps.append(stamps)
+        # a line's stamps ascend, so its last is its largest
+        self.fenced = any(stamps[-1] for stamps in self.stamps)
         self.reqs: dict[int, list[int]] = {}
+        self.draws: dict[bool, tuple[list[int], list[int], list[int]]] = {}
+        self.image: bytearray | None = None
+        self.shown: tuple[int, ...] = ()
 
 
 class SimMemory:
@@ -384,8 +410,26 @@ class SimMemory:
             vec = win.reqs[k] = [view.get(line, 0) for line in win.lines]
         return vec
 
-    def _crash_state(self, lines: list[int], cuts) -> CrashState:
-        return CrashState(tuple(zip(lines, cuts)), self._epoch)
+    def _vectors(self, win: _Window, limit: int = 1 << 20,
+                 at_least_durable: bool = False) -> list[tuple[int, ...]]:
+        """The window's legal cut vectors, in product order; with
+        ``at_least_durable`` only those at or above the durable floor."""
+        los = win.floors if at_least_durable else [0] * len(win.lines)
+        total = 1
+        for lo, hi in zip(los, win.his):
+            total *= hi - lo + 1
+            if total > limit:
+                raise EnumerationLimitError(
+                    f"{total}+ candidate cut tuples exceed limit {limit}")
+        vectors = itertools.product(*map(range, los, win.stops))
+        if not win.fenced:   # no requirement can trigger: all are legal
+            return list(vectors)
+        # a state must meet the requirements of every fence issued before
+        # its newest persisted unit
+        stamps, reqs = win.stamps, self._reqs
+        return [cuts for cuts in vectors
+                if not (k := max(map(list.__getitem__, stamps, cuts)))
+                or all(map(operator.ge, cuts, reqs(win, k)))]
 
     def enumerate_crash_states(self, limit: int = 1 << 20,
                                at_least_durable: bool = False
@@ -397,49 +441,44 @@ class SimMemory:
         crash at any earlier point of the trace is included too.
         """
         win = self._window()
-        lines, stamps = win.lines, win.stamps
-        los = win.floors if at_least_durable else [0] * len(lines)
-        total = 1
-        for lo, hi in zip(los, win.his):
-            total *= hi - lo + 1
-            if total > limit:
-                raise EnumerationLimitError(
-                    f"{total}+ candidate cut tuples exceed limit {limit}")
-        states = []
-        # a state must meet the requirements of every fence issued before
-        # its newest persisted unit
-        for cuts in itertools.product(*map(range, los, win.stops)):
-            k = max(map(list.__getitem__, stamps, cuts), default=0)
-            if not k or all(map(operator.ge, cuts, self._reqs(win, k))):
-                states.append(self._crash_state(lines, cuts))
-        return states
+        lines, epoch = win.lines, self._epoch
+        return [CrashState(tuple(zip(lines, cuts)), epoch)
+                for cuts in self._vectors(win, limit, at_least_durable)]
 
     def _fix_up(self, win: _Window, cuts: list[int]) -> CrashState:
-        """The state with `cuts` raised until every triggered flush
-        requirement holds."""
-        stamps = win.stamps
-        k = max(map(list.__getitem__, stamps, cuts), default=0)
-        while k:
-            req = self._reqs(win, k)
-            if all(map(operator.ge, cuts, req)):
-                break
-            cuts = [c if c >= r else r for c, r in zip(cuts, req)]
-            k = max(map(list.__getitem__, stamps, cuts))
-        return self._crash_state(win.lines, cuts)
+        """The state with `cuts` raised to meet every triggered flush
+        requirement, in one pass: to max(cuts, reqs(k)), k the newest stamp
+        `cuts` persist.  One pass is exact because reqs(k) persists no unit
+        stamped k or later: the fences before fence k made durable only
+        units issued before them, so the raise triggers no requirement
+        beyond reqs(k)."""
+        k = max(map(list.__getitem__, win.stamps, cuts), default=0)
+        if k:
+            cuts = [c if c >= r else r
+                    for c, r in zip(cuts, self._reqs(win, k))]
+        return CrashState(tuple(zip(win.lines, cuts)), self._epoch)
 
     def sample_crash_state(self, rng: random.Random,
                            at_least_durable: bool = False) -> CrashState:
         """A random cut per written line, raised to meet the flush
         requirements."""
         win = self._window()
-        # lo + _randbelow(stop - lo) is what randrange(lo, stop) computes,
-        # draw for draw, without its argument checks
-        below = rng._randbelow
-        if at_least_durable:
-            cuts = [lo + below(stop - lo)
-                    for lo, stop in zip(win.floors, win.stops)]
-        else:
-            cuts = list(map(below, win.stops))
+        draws = win.draws.get(at_least_durable)
+        if draws is None:
+            los = win.floors if at_least_durable else [0] * len(win.lines)
+            spans = list(map(operator.sub, win.stops, los))
+            draws = win.draws[at_least_durable] = (
+                los, spans, [span.bit_length() for span in spans])
+        # lo + rng._randbelow(span), which randrange(lo, stop) computes,
+        # draw for draw: the fewest bits that cover the span, drawn again
+        # until they fall below it
+        getrandbits = rng.getrandbits
+        cuts = []
+        for lo, span, bits in zip(*draws):
+            r = getrandbits(bits)
+            while r >= span:
+                r = getrandbits(bits)
+            cuts.append(lo + r)
         return self._fix_up(win, cuts)
 
     def sample_crash_states(self, count: int, seed: int = 0,
@@ -462,49 +501,63 @@ class SimMemory:
                         states.append(self._fix_up(win, cuts))
         return states
 
-    def _crash_image(self, cuts) -> bytearray:
-        """`cached` with each written line cut back to the prefix `cuts`
-        gives it, as (line, cut) pairs; a written line they leave out counts
-        as cut 0."""
-        cut_of = dict(cuts)
-        counts = self._counts
-        base = self._base
-        memo = self._torn
+    def _image(self, win: _Window, cuts) -> bytearray:
+        """The window's crash image buffer, showing the cut vector `cuts`:
+        only the lines whose cut differs from the vector it showed last
+        are pasted again.  It starts as a copy of `cached`, which shows
+        every line fully persisted."""
+        image = win.image
+        if image is None:
+            image = win.image = bytearray(self.cached)
+            win.shown = tuple(win.his)
+        shown = win.shown
         size = LINE_SIZE
-        image = bytearray(self.cached)
-        for line, count in counts.items():
-            cut = cut_of.get(line, 0)
-            if cut < count:
-                lo = line * size
-                if cut:
-                    torn = memo.get((line, cut))
-                    if torn is None:
-                        torn = memo[line, cut] = self._line_image(line, cut)
-                    image[lo:lo + size] = torn
-                else:
-                    image[lo:lo + size] = base[lo:lo + size]
-            elif cut > count:
-                raise StaleCrashStateError(f"cut {cut} beyond line {line} history")
-        if not cut_of.keys() <= counts.keys():
-            for line in cut_of.keys() - counts.keys():
-                if cut_of[line]:
-                    raise StaleCrashStateError(
-                        f"cut {cut_of[line]} beyond line {line} history")
+        for i, cut in enumerate(cuts):
+            if cut == shown[i]:
+                continue
+            line = win.lines[i]
+            lo = line * size
+            if cut == win.his[i]:
+                image[lo:lo + size] = self.cached[lo:lo + size]
+            elif cut:
+                torn = self._torn.get((line, cut))
+                if torn is None:
+                    torn = self._torn[line, cut] = self._line_image(line, cut)
+                image[lo:lo + size] = torn
+            else:
+                image[lo:lo + size] = self._base[lo:lo + size]
+        win.shown = tuple(cuts)
         return image
+
+    def _crash_memory(self, image: bytearray,
+                      record_loads: bool = False) -> "SimMemory":
+        """A memory that takes the crash image `image` as its own; see
+        `apply_crash`."""
+        cls = _LoadRecordingMemory if record_loads else SimMemory
+        return cls._from_image(image, self.latency_ns, self.fence_cost_ns)
 
     def apply_crash(self, state: CrashState,
                     record_loads: bool = False) -> "SimMemory":
-        """A memory holding the image `state` persists.  With
-        `record_loads`, it lists in `loaded_lines` the lines its loads
-        touch, in load order."""
+        """A memory holding the image `state` persists; a written line it
+        leaves out counts as cut 0.  With `record_loads`, it lists in
+        `loaded_lines` the lines its loads touch, in load order."""
         if state.epoch != self._epoch:
             raise StaleCrashStateError("crash state from a different history")
-        cls = _LoadRecordingMemory if record_loads else SimMemory
-        return cls._from_image(self._crash_image(state.cuts),
-                               self.latency_ns, self.fence_cost_ns)
+        win = self._window()
+        cut_of = dict(state.cuts)
+        cuts = tuple(cut_of.pop(line, 0) for line in win.lines)
+        for line, cut in itertools.chain(zip(win.lines, cuts),
+                                         cut_of.items()):
+            if cut > win.counts.get(line, 0):
+                raise StaleCrashStateError(
+                    f"cut {cut} beyond line {line} history")
+        image = self._image(win, cuts)
+        win.image = None   # a one-off state: its memory takes the buffer
+        return self._crash_memory(image, record_loads)
 
     def persisted_image(self) -> bytes:
-        return bytes(self._crash_image(self._floors.items()))
+        win = self._window()
+        return bytes(self._image(win, win.floors))
 
     def checkpoint(self) -> None:
         """Collapse history at a quiescent point: everything written so far

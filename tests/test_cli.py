@@ -190,6 +190,16 @@ def test_crashtest_empty_script_exits_zero(tmp_path, capsys):
     assert code == 0
 
 
+def test_crashtest_trim_of_nothing_is_a_script_error(tmp_path, capsys):
+    p = tmp_path / "trim0.txt"
+    p.write_text("append " + "00" * 24 + "\ntrim 0\ntrim 1\n")
+    code = main(["crashtest", str(p)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("script error: line 2: 'trim 0': ")
+    assert "trim count 0 is not positive" in err
+
+
 def test_crashtest_payload_the_log_cannot_hold(capsys):
     # a usage error (2), not a traceback, whose exit code 1 means violations
     code = main(["crashtest", f"{WORKLOADS}/three_appends.txt",

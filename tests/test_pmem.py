@@ -5,6 +5,7 @@ application, statistics, and the snapshot format."""
 import hashlib
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 
@@ -437,6 +438,65 @@ def test_sampler_draws_as_randrange_does(durable):
         assert m.sample_crash_state(fast, at_least_durable=durable) == want
     assert fast.getstate() == slow.getstate()
     assert any(los) == durable
+
+
+def iterative_fix_up(m: SimMemory, win, cuts: list[int]) -> CrashState:
+    """The reference fix-up: raise `cuts` to the requirement vector of the
+    newest stamp they persist, and again, until they meet it."""
+    stamps = win.stamps
+    k = max(map(list.__getitem__, stamps, cuts), default=0)
+    while k:
+        req = m._reqs(win, k)
+        if all(map(operator.ge, cuts, req)):
+            break
+        cuts = [max(c, r) for c, r in zip(cuts, req)]
+        k = max(map(list.__getitem__, stamps, cuts))
+    return CrashState(tuple(zip(win.lines, cuts)), m._epoch)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_one_pass_fix_up_matches_the_iterative_raise(seed):
+    # random cuts, cuts drawn at or above the durable floors, and the floors
+    # themselves, on short, long and 60-event traces
+    rng = random.Random(seed)
+    raised = 0
+    for m in (random_trace(seed), long_trace(seed),
+              long_trace(seed, events=60)):
+        win = m._window()
+        # why one raise suffices: reqs(k) persists no unit stamped k or later
+        for k in range(1, m._fences + 1):
+            assert max(map(list.__getitem__, win.stamps, m._reqs(win, k)),
+                       default=0) < k
+        draws = [[rng.randrange(lo, stop) for lo, stop in zip(los, win.stops)]
+                 for los in ([0] * len(win.lines), win.floors)
+                 for _ in range(150)]
+        for cuts in draws + [list(win.floors)]:
+            want = iterative_fix_up(m, win, cuts)
+            assert m._fix_up(win, cuts) == want
+            raised += [c for _, c in want.cuts] != cuts
+    assert raised
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fence_free_window_is_the_whole_product(seed):
+    # stores and flushes, with at most a fence after the last store: no
+    # unit carries a nonzero stamp, so every cut tuple is legal
+    rng = random.Random(seed)
+    m = RecordingMemory(256)
+    for _ in range(8):
+        if rng.random() < 0.7:
+            m.store(64 * rng.randrange(4) + 8 * rng.randrange(8),
+                    bytes([rng.randrange(1, 256)]))
+        elif m.write_counts():
+            m.clflushopt(rng.choice(sorted(m.write_counts())))
+    if seed % 2:
+        m.sfence()
+    win = m._window()
+    assert not win.fenced
+    assert m._vectors(win) == list(itertools.product(*map(range, win.stops)))
+    assert m._vectors(win, at_least_durable=True) == list(
+        itertools.product(*map(range, win.floors, win.stops)))
+    assert cuts_of(m.enumerate_crash_states()) == brute_force_states(m)
 
 
 def test_at_least_durable_respects_floor():
