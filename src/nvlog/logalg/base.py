@@ -10,6 +10,7 @@ never consulted by recovery.
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import NamedTuple
 
@@ -66,10 +67,15 @@ def padded(data: bytes) -> bytes:
     return data + b"\0" * (-len(data) % WORD_SIZE)
 
 
+@functools.lru_cache(maxsize=64)
+def _words_struct(nbytes: int) -> struct.Struct:
+    return struct.Struct(f"<{nbytes // WORD_SIZE}Q")
+
+
 def words_of(data: bytes) -> list[int]:
     """Little-endian 8-byte words of `data`, the last zero-padded."""
     data = padded(data)
-    return list(struct.unpack(f"<{len(data) // WORD_SIZE}Q", data))
+    return list(_words_struct(len(data)).unpack(data))
 
 
 class CircularLog:

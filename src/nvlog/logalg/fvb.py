@@ -10,10 +10,13 @@ payload bytes sharing that line) because it is written last.
 
 from __future__ import annotations
 
+import struct
+
 from ..pmem import LINE_SIZE, RELEASE, SimMemory, WORD_SIZE
 from .base import CircularLog, PayloadError, padded, slot_size_for, words_of
 
 PAIRS_PER_WORD = 6
+_WORD = struct.Struct("<Q")
 
 
 def write_cacheline(mem: SimMemory, line_addr: int, new: bytes) -> tuple[int, int]:
@@ -26,24 +29,17 @@ def write_cacheline(mem: SimMemory, line_addr: int, new: bytes) -> tuple[int, in
     if line_addr % LINE_SIZE or len(new) != LINE_SIZE:
         raise PayloadError("need a full line at a line-aligned address")
     old = mem.load(line_addr, LINE_SIZE)
-    new_words = words_of(new)
-    old_words = words_of(old)
-    j = -1
-    for k in range(7, -1, -1):
-        diff = new_words[k] ^ old_words[k]
-        if diff:
-            j = k
-            intra = (diff & -diff).bit_length() - 1  # count trailing zeros
-            offset = 64 * j + intra
-            bit_value = (new_words[j] >> intra) & 1
-            break
-    if j < 0:
-        offset = 0
-        bit_value = new_words[0] & 1
-        return offset, bit_value
+    # the line as one little-endian integer: word j is bits 64j..64j+63
+    diff = int.from_bytes(new, "little") ^ int.from_bytes(old, "little")
+    if not diff:
+        return 0, new[0] & 1
+    j = (diff.bit_length() - 1) >> 6   # the last differing word
+    word_diff = diff >> (64 * j)       # nothing above word j differs
+    offset = 64 * j + (word_diff & -word_diff).bit_length() - 1
     mem.store_words(line_addr, new[:j * WORD_SIZE])
-    mem.store_word(line_addr + j * WORD_SIZE, new_words[j], RELEASE)
-    return offset, bit_value
+    mem.store_word(line_addr + j * WORD_SIZE,
+                   _WORD.unpack_from(new, j * WORD_SIZE)[0], RELEASE)
+    return offset, new[offset >> 3] >> (offset & 7) & 1
 
 
 def check_cacheline(line: bytes, offset: int, bit_value: int) -> bool:

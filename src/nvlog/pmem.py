@@ -12,8 +12,10 @@ rules:
   after the fence.
 
 Unflushed lines may spontaneously write back any prefix at any time, so no
-eviction events are modeled.  Crash states are enumerated over the whole
-trace, i.e. power may fail at any point up to and including "now".
+eviction events are modeled.  ``flush_range`` checks its whole range before
+it flushes a line, and flushes each line through ``clflushopt``.  Crash
+states are enumerated over the whole trace, i.e. power may fail at any point
+up to and including "now".
 
 The model keeps one record: each line's write records (``_writes``) and unit
 counts (``_counts``), the durable floors and an undo log of floor raises.  A
@@ -21,8 +23,10 @@ unit is what the same-line rule orders: a crash persists a prefix of each
 line's units.  Each store call logs one record per line it touches,
 ``(fence, offset_in_line, data, ordering, units, first)``, and one routine
 (``_log``) writes them all but a single-line ``store``'s, which ``store``
-appends itself.  A ``store`` is one unit at any width (its piece of the
-line), so a wide store never tears within a line.  A ``store_words`` run is
+appends itself.  ``_log`` writes a run that fits in one line as one record
+without its per-line loop, the record the loop would give.  A ``store`` is
+one unit at any width (its piece of the line), so a wide store never tears
+within a line.  A ``store_words`` run is
 one unit per 8-byte chunk it has in the line, chunk boundaries counted from
 the run's start, not from address 0, and ``first`` is the length of its
 first chunk there.  One generator (``_units``) splits a line's records into
@@ -91,6 +95,9 @@ from typing import NamedTuple
 
 LINE_SIZE = 64
 WORD_SIZE = 8
+_LINE_SHIFT = LINE_SIZE.bit_length() - 1   # line of an address: addr >> this
+_LINE_MASK = LINE_SIZE - 1                 # offset in its line: addr & this
+_WORD = struct.Struct("<Q")
 
 RELAXED = "relaxed"
 RELEASE = "release"
@@ -261,8 +268,9 @@ class SimMemory:
         if not n:
             return
         self.cached[addr:addr + n] = data
-        line, off = divmod(addr, LINE_SIZE)
+        off = addr & _LINE_MASK
         if off + n <= LINE_SIZE:  # within one line: a single record
+            line = addr >> _LINE_SHIFT
             rec = (self._fences, off, bytes(data), ordering, 1, n)
             recs = self._writes.get(line)
             if recs is None:
@@ -275,7 +283,7 @@ class SimMemory:
         self._log(addr, bytes(data), ordering, n)
 
     def store_word(self, addr: int, value: int, ordering: str = RELAXED) -> None:
-        self.store(addr, (value & (2 ** 64 - 1)).to_bytes(WORD_SIZE, "little"), ordering)
+        self.store(addr, _WORD.pack(value & (2 ** 64 - 1)), ordering)
 
     def store_words(self, addr: int, data: bytes) -> None:
         """Store `data` as a run of relaxed 8-byte stores, low address
@@ -294,10 +302,28 @@ class SimMemory:
         counted from its start: one record per line it touches, one unit
         per chunk in that line (a chunk that crosses a line is one unit in
         each).  A `store` is one chunk as wide as itself; any other
-        `width` is WORD_SIZE, the chunk `_units` splits runs by."""
+        `width` is WORD_SIZE, the chunk `_units` splits runs by.  A run
+        within one line is logged without the loop; an empty run logs
+        nothing."""
         fence = self._fences
         writes, counts = self._writes, self._counts
         n = len(data)
+        off = addr & _LINE_MASK
+        if off + n <= LINE_SIZE:   # the loop's one record, at pos = 0
+            if not n:
+                return
+            line = addr >> _LINE_SHIFT
+            first = n if n < width else width
+            units = 1 + (n - first + width - 1) // width
+            rec = (fence, off, data, ordering, units, first)
+            recs = writes.get(line)
+            if recs is None:
+                writes[line] = [rec]
+                counts[line] = units
+            else:
+                recs.append(rec)
+                counts[line] += units
+            return
         pos = 0
         while pos < n:
             line, off = divmod(addr + pos, LINE_SIZE)
@@ -332,28 +358,34 @@ class SimMemory:
     # ----------------------------------------------------------------- flushes
 
     def clflushopt(self, line: int) -> None:
-        if line < 0 or line >= self.num_lines:
+        if line < 0 or line * LINE_SIZE >= self.capacity:
             raise UsageError(f"line {line} out of range")
         captured = self._counts.get(line, 0)
-        self._pending[line] = max(self._pending.get(line, 0), captured)
+        pending = self._pending
+        if pending.get(line, -1) < captured:
+            pending[line] = captured
         self.stats.clflushopt_count += 1
 
     def flush_range(self, addr: int, size: int) -> None:
-        """Flush every line overlapped by [addr, addr+size); an empty range
-        flushes nothing."""
+        """Flush every line overlapped by [addr, addr+size), each through
+        `clflushopt`; an empty range flushes nothing.  The whole range is
+        bounds-checked before any line is flushed."""
         if size < 0:
             raise UsageError(f"flush of negative size {size}")
+        if addr < 0 or addr + size > self.capacity:
+            raise UsageError(f"flush [{addr}, {addr + size}) out of range")
         if size:
-            for line in range(addr // LINE_SIZE,
-                              (addr + size - 1) // LINE_SIZE + 1):
-                self.clflushopt(line)
+            flush = self.clflushopt
+            for line in range(addr >> _LINE_SHIFT,
+                              ((addr + size - 1) >> _LINE_SHIFT) + 1):
+                flush(line)
 
     def sfence(self) -> None:
-        pending = self._pending
-        self.stats.sfence_count += 1
+        pending, stats = self._pending, self.stats
+        stats.sfence_count += 1
         if pending:
-            self.stats.fenced_roundtrips += 1
-            self.stats.simulated_time_ns += self.latency_ns + self.fence_cost_ns
+            stats.fenced_roundtrips += 1
+            stats.simulated_time_ns += self.latency_ns + self.fence_cost_ns
             k = self._fences
             floors = self._floors
             for line, captured in pending.items():

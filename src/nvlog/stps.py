@@ -25,6 +25,7 @@ all its members under one version, each op ending in one commit fence.
 
 from __future__ import annotations
 
+import struct
 from collections import deque
 from typing import NamedTuple
 
@@ -34,7 +35,9 @@ _TXN_SHIFT = 2
 _VER_SHIFT = 10
 _VER_MAX = (1 << 54) - 1
 
-_HDR_BYTES = WORD_SIZE + 3  # meta word, klen+flags, vlen
+_HDR = struct.Struct("<QBH")   # meta word, klen+flags, vlen
+_KV_HDR = struct.Struct("<BH")  # the header after the meta word
+_HDR_BYTES = _HDR.size
 _TOMBSTONE = 0x80
 _KLEN_MASK = 0x7F
 
@@ -122,11 +125,15 @@ class PersistentHashMap:
         agrees on, or None.  The meta word holds two bits; each later line's
         validity byte holds bit 0, and bit 1 too while the line also holds
         key bytes."""
-        v = raw[0] & 1
-        if (raw[0] >> 1) & 1 != v:
+        b0 = raw[0]
+        v = b0 & 1
+        if (b0 >> 1) & 1 != v:
             return None
+        bit_offs = self._bit_offs
+        if not bit_offs:
+            return v
         dual = self._dual_for(raw[WORD_SIZE] & _KLEN_MASK)
-        for i, off in enumerate(self._bit_offs):
+        for i, off in enumerate(bit_offs):
             b = raw[off]
             if b & 1 != v or (i + 1 < dual and (b >> 1) & 1 != v):
                 return None
@@ -134,23 +141,25 @@ class PersistentHashMap:
 
     def _decode(self, raw: bytes) -> ParsedEntry | None:
         """Validate and decode a slot from its bytes `raw`."""
-        meta = int.from_bytes(raw[:WORD_SIZE], "little")
+        meta, kbyte, vlen = _HDR.unpack_from(raw)
         version = meta >> _VER_SHIFT
-        kbyte = raw[WORD_SIZE]
         klen = kbyte & _KLEN_MASK
-        vlen = raw[WORD_SIZE + 1] | raw[WORD_SIZE + 2] << 8
+        n = klen + vlen
         if (version == 0 or klen == 0 or klen > self.max_key
-                or klen + vlen > self.capacity or self._slot_bit(raw) is None):
+                or n > self.capacity or self._slot_bit(raw) is None):
             return None
-        data = b"".join([raw[off:off + n]
-                         for off, n in self._data_runs(klen + vlen)])
+        if n <= self._run0:   # all in line 0's run
+            data = raw[_HDR_BYTES:_HDR_BYTES + n]
+        else:
+            data = b"".join([raw[off:off + size]
+                             for off, size in self._data_runs(n)])
         return ParsedEntry(data[:klen], data[klen:], version,
                            (meta >> _TXN_SHIFT) & 0xFF, bool(kbyte & _TOMBSTONE))
 
     def parse_entry(self, slot: int) -> ParsedEntry | None:
         """Validate and decode a slot; None if invalid, dead, or implausible."""
-        return self._decode(self.mem.load(self.slot_addr(slot),
-                                          self.slot_size))
+        size = self.slot_size
+        return self._decode(self.mem.load(self.base + slot * size, size))
 
     def append_entry(self, slot: int, key: bytes, value: bytes, version: int,
                      txncount: int, *, tombstone: bool = False) -> None:
@@ -160,48 +169,63 @@ class PersistentHashMap:
         Precondition: all of the slot's validity bits are equal.  The first
         bit set flips before any data store and the second flips after all of
         them, so an interrupted write can never read back as a mixture."""
-        mem = self.mem
-        addr = self.slot_addr(slot)
         self._check_kv(key, value)
+        self._store_slot(slot, key, value, version, txncount, tombstone)
+
+    def _store_slot(self, slot: int, key: bytes, value: bytes, version: int,
+                    txncount: int, tombstone: bool) -> None:
+        """`append_entry` without its key and value check.  `_write`
+        stores every entry through this; `update` and `txn_update` check
+        each pair once before `_write`, and a tombstone's key was checked
+        when it was indexed.  Key and value go out as one word run when
+        they fit in line 0's data run, which they always do with 1-line
+        nodes."""
         if version > _VER_MAX or not 1 <= txncount <= 255:
             raise StpsError("bad version or transaction count")
-        raw = mem.load(addr, self.slot_size)
+        mem = self.mem
+        size = self.slot_size
+        addr = self.base + slot * size
+        raw = mem.load(addr, size)
         old = self._slot_bit(raw)
         if old is None:
             raise InvariantError(f"slot {slot} validity bits disagree")
         new = old ^ 1
-        dual = self._dual_for(len(key))
+        klen = len(key)
         bit_offs = self._bit_offs
 
         # first flip: line 0 via the meta word, plus line 1 when it holds key
-        meta = int.from_bytes(raw[:WORD_SIZE], "little")
+        meta = _HDR.unpack_from(raw)[0]
         mem.store_word(addr, (meta & ~1) | new)
-        if dual > 1 and bit_offs:
+        if bit_offs and klen > self._run0:
             b = raw[bit_offs[0]]
             mem.store(addr + bit_offs[0], bytes([(b & ~1) | new]))
 
-        kbyte = len(key) | (_TOMBSTONE if tombstone else 0)
-        hdr = bytes([kbyte]) + len(value).to_bytes(2, "little")
-        mem.store(addr + WORD_SIZE, hdr)
+        mem.store(addr + WORD_SIZE, _KV_HDR.pack(
+            klen | _TOMBSTONE if tombstone else klen, len(value)))
         data = key + value
-        pos = 0
-        for run_off, run_len in self._data_runs(len(data)):
-            mem.store_words(addr + run_off, data[pos:pos + run_len])
-            pos += run_len
+        if len(data) <= self._run0:
+            mem.store_words(addr + _HDR_BYTES, data)
+        else:
+            pos = 0
+            for run_off, run_len in self._data_runs(len(data)):
+                mem.store_words(addr + run_off, data[pos:pos + run_len])
+                pos += run_len
 
         if self.two_round_commit:
-            mem.flush_range(addr, self.slot_size)
+            mem.flush_range(addr, size)
             mem.sfence()
 
-        new_meta = pack_meta(new, new, txncount, version)
+        new_meta = (new | new << 1 | txncount << _TXN_SHIFT
+                    | version << _VER_SHIFT)
         if self.node_lines == 1:
             mem.store_word(addr, new_meta, RELEASE)
         else:
             mem.store_word(addr, new_meta)
+            dual = self._dual_for(klen)
             for i, off in enumerate(bit_offs):
                 val = new | (new << 1) if i + 1 < dual else new
                 mem.store(addr + off, bytes([val]))
-        mem.flush_range(addr, self.slot_size)
+        mem.flush_range(addr, size)
         if self.two_round_commit:
             mem.sfence()
 
@@ -226,46 +250,45 @@ class PersistentHashMap:
     def _write(self, pairs: list[tuple[bytes, bytes | None]]) -> None:
         """The one write path: store `(key, value)` pairs under one version
         and transaction count, then one commit fence.  A None value is a
-        tombstone (only `remove` writes one, alone): it is never indexed,
-        and for an absent key nothing is written.  The version is used up
-        once a slot is taken, so a write that fails part way never shares
-        it with the next.  Replaced and tombstone slots join the reuse FIFO
-        only after the commit fence.  A write the free slots cannot hold
-        raises CapacityError before it stores anything."""
-        members = sum(value is not None for _, value in pairs)
-        if members > len(self._reuse) + self.nslots - self._bump:
+        tombstone (only `remove` writes one, alone, for an indexed key): it
+        is never indexed.  The version is used up once a slot is taken, so
+        a write that fails part way never shares it with the next.
+        Replaced and tombstone slots join the reuse FIFO only after the
+        commit fence.  A write the free slots cannot hold raises
+        CapacityError before it stores anything."""
+        index, reuse = self._index, self._reuse
+        n = len(pairs)
+        # the members must fit in the free slots; a tombstone, which comes
+        # alone, is not counted
+        if (pairs[0][1] is not None
+                and n > len(reuse) + self.nslots - self._bump):
             raise CapacityError("map region exhausted and nothing is reusable")
         version = self._next_version
-        n = len(pairs)
         freed = []
         popped = False
         for key, value in pairs:
-            old = self._index.get(key, -1)
-            tombstone = value is None
-            if tombstone and old == -1:
-                continue
+            old = index.get(key, -1)
             # Reused slots are only safe once every earlier-queued slot's
             # overwrite is durable; a second pop inside one fence window could
             # leave a torn tombstone next to a torn target, resurrecting a
             # removed key.  Fence before popping again.
-            if self._reuse:
+            if reuse:
                 if popped:
                     self.mem.sfence()
                 popped = True
             slot = self._alloc()
             self._next_version = version + 1
-            self.append_entry(slot, key, value or b"", version, n,
-                              tombstone=tombstone)
+            tombstone = value is None
+            self._store_slot(slot, key, value or b"", version, n, tombstone)
             if tombstone:
-                del self._index[key]
+                del index[key]
                 freed += [old, slot]
             else:
-                self._index[key] = slot
+                index[key] = slot
                 if old != -1:
                     freed.append(old)
-        if self._next_version > version:   # something was written
-            self.mem.sfence()
-            self._reuse.extend(freed)
+        self.mem.sfence()
+        reuse.extend(freed)
 
     # ------------------------------------------------------------- public ops
 
@@ -280,7 +303,8 @@ class PersistentHashMap:
         self._write([(key, value)])
 
     def remove(self, key: bytes) -> None:
-        self._write([(key, None)])
+        if key in self._index:   # an absent key's remove writes nothing
+            self._write([(key, None)])
 
     def txn_update(self, pairs: list[tuple[bytes, bytes]]) -> None:
         """Write several entries with one shared version and a matching

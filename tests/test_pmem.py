@@ -96,6 +96,20 @@ def test_empty_flush_range_flushes_nothing():
     assert m.stats.clflushopt_count == 1 and m.pending_flushes
 
 
+@pytest.mark.parametrize("addr, size", [(192, 128), (-64, 128), (320, 0)])
+def test_flush_range_out_of_range_flushes_nothing(addr, size):
+    # the whole range is checked before any line is flushed, so a failing
+    # flush leaves no line pending for the next fence to charge
+    m = SimMemory(256)
+    m.store(192, b"x" * 8)
+    with pytest.raises(UsageError):
+        m.flush_range(addr, size)
+    assert not m.pending_flushes
+    assert repr(m.stats) == repr(SimMemory(256).stats)
+    m.sfence()
+    assert m.stats.fenced_roundtrips == 0 and m.stats.simulated_time_ns == 0
+
+
 # ----------------------------------------------------------------- enumeration
 
 def test_same_line_pair_yields_three_states():

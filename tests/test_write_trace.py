@@ -11,7 +11,7 @@ import hashlib
 import random
 from collections import Counter
 
-from conftest import RecordingMemory, Store
+from conftest import Fence, Flush, RecordingMemory, Store
 from nvlog.harness import EXTRA_ALGORITHMS
 from nvlog.logalg.base import PayloadError
 from nvlog.logalg.csorandom import RANDOM_VALUE
@@ -96,10 +96,15 @@ def scripted_memories(mem_cls):
 
 def test_recorder_sees_every_logged_write():
     # the recorder's per-line Store counts must equal the engine's write
-    # counts, or its checks of a format's events see only part of them
+    # counts, and its Flush and Fence counts the engine's clflushopt and
+    # sfence counts, or its checks of a format's events see only part of
+    # them (a fast path that bypasses clflushopt or sfence fails here)
     for case, mem in scripted_memories(RecordingMemory):
         seen = Counter(e.line for e in mem.trace if isinstance(e, Store))
         assert dict(seen) == mem.write_counts(), case
+        kinds = Counter(type(e) for e in mem.trace)
+        assert kinds[Flush] == mem.stats.clflushopt_count, case
+        assert kinds[Fence] == mem.stats.sfence_count, case
 
 
 def test_write_trace_is_pinned():
