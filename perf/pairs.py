@@ -32,6 +32,15 @@ generators (`nvbench/workloads.py`), so a round does what nvbench's does:
   log/cso-fvb        one `log_pair`'s 1280 appends and trims, cso-fvb 496 B
   log/crc64          the same for crc64 at 240 B
 
+Recovery probes (CPU seconds per recovered entry), one per log of
+`harness.EXTRA_ALGORITHMS`, at the payload size of crash-check's per-op
+log scripts (24 B for atlas, 112 B for the others):
+
+  recover/ALGO       `attach` and `recover` of a full 16-slot log, RECOVERS
+                     times in a row on its own memory, over the entries
+                     recovered (a crc log's line terms are warm after the
+                     first)
+
 Crash-check probes (CPU seconds per call), each round built from
 `crash_scripts` and parsed as `crash_round` parses them; a round's scripts
 differ only in their random payloads and values, so every round of a check
@@ -42,6 +51,8 @@ rounds do:
   stps/4@1           the 4-line map script at op 1
   cso-fvb/240@0      the cso-fvb 240-B append/trim script at op 0
   sampled/crc64      the crc64 sampled fill/drain/refill script
+  crash/per-op       every at-op check of the round, summed
+  crash/sampled      the round's eight sampled checks, summed
   crash/round        every check of the round, summed
 
 Prints per probe each tree's min and median over its processes (each
@@ -72,13 +83,20 @@ CALL_PROBES = ("store/3", "store_word", "store_words/56", "store_words/248",
                "store_words/496", "clflushopt", "flush_range/1",
                "flush_range/8", "clflushopt+sfence")
 WORKLOAD_PROBES = ("kv/round", "log/cso-fvb", "log/crc64")
+RECOVER_PROBES = ("recover/cso-vb", "recover/cso-random", "recover/cso-fvb",
+                  "recover/tornbit", "recover/crc32", "recover/crc64",
+                  "recover/two-rounds", "recover/atlas", "recover/broken-vb")
 CRASH_PROBES = ("crc64/240@0", "stps/4@1", "cso-fvb/240@0", "sampled/crc64",
-                "crash/round")
-PROBES = CALL_PROBES + WORKLOAD_PROBES + CRASH_PROBES
+                "crash/per-op", "crash/sampled", "crash/round")
+# sums over a round's calls: each call counts in its half (per-op or
+# sampled) and in the whole round
+SUMS = ("crash/per-op", "crash/sampled", "crash/round")
+PROBES = CALL_PROBES + WORKLOAD_PROBES + RECOVER_PROBES + CRASH_PROBES
 SEED = 3
 ROUNDS = 3
 CALLS = 20000
 LINES = 64
+RECOVERS = 50
 
 
 # ------------------------------------------------------------ per call
@@ -186,6 +204,24 @@ def _log_round(workloads, rng, algo: str) -> float:
     return time.process_time() - t0
 
 
+def _recover_per_entry(harness, algo: str) -> float:
+    """CPU seconds per recovered entry of a full 16-slot log, attached and
+    recovered RECOVERS times."""
+    cls = harness.EXTRA_ALGORITHMS[algo]
+    payload_len = 24 if algo == "atlas" else 112
+    log = cls.fresh(payload_len, 16)
+    rng = random.Random(SEED)
+    for _ in range(log.nslots):
+        log.append(rng.randbytes(payload_len))
+    mem, size = log.mem, log.size
+    t0 = time.process_time()
+    for _ in range(RECOVERS):
+        entries = cls.attach(mem, 0, size, payload_len).recover()
+    dt = time.process_time() - t0
+    assert len(entries) == log.nslots
+    return dt / (RECOVERS * len(entries))
+
+
 # ---------------------------------------------------------- crash check
 
 def _calls(round_scripts, seed, harness, samples):
@@ -211,20 +247,23 @@ def _calls(round_scripts, seed, harness, samples):
 def _crash_round(workloads, harness, rng, best: dict) -> None:
     """Time one crash-check round's named calls into `best`."""
     scripts = workloads.crash_scripts(rng)
-    total = 0.0
+    totals = dict.fromkeys(SUMS, 0.0)
     for name, script, kw in _calls(scripts, rng.randrange(1 << 30), harness,
                                    workloads.CC_SAMPLES):
-        if name not in best and "crash/round" not in best:
+        half = "crash/sampled" if name.startswith("sampled/") else "crash/per-op"
+        if not {name, half, "crash/round"} & best.keys():
             continue
         t0 = time.process_time()
         harness.run_crash_suite(script, registry=harness.EXTRA_ALGORITHMS,
                                 **kw)
         dt = time.process_time() - t0
-        total += dt
+        totals[half] += dt
+        totals["crash/round"] += dt
         if name in best:
             best[name] = min(best[name], dt)
-    if "crash/round" in best:
-        best["crash/round"] = min(best["crash/round"], total)
+    for name, total in totals.items():
+        if name in best:
+            best[name] = min(best[name], total)
 
 
 # ---------------------------------------------------------------- child
@@ -248,6 +287,9 @@ def child(src: str, probes: list[str]) -> dict:
         elif probe.startswith("log/"):
             rng = random.Random(SEED)
             best[probe] = min(_log_round(workloads, rng, probe[4:])
+                              for _ in range(ROUNDS))
+        elif probe in RECOVER_PROBES:
+            best[probe] = min(_recover_per_entry(harness, probe[8:])
                               for _ in range(ROUNDS))
     crash = {p: best[p] for p in probes if p in CRASH_PROBES}
     if crash:

@@ -11,8 +11,10 @@ window in line order.  Each distinct state is judged once, against the
 window's owner columns (which op issued each unit) and its legal states,
 and recovery runs once per read path: a state that agrees with an earlier
 one on every written line that recovery loaded takes its recovered value.
-Every other recovery reads a copy of the window's one crash image buffer,
-patched only where the cuts changed.  Also houses round-trip audits,
+Every other recovery runs on the check's one reader (a log attached, or a
+map built, once per check), pointed at a memory over a copy of the
+window's one crash image buffer, patched only where the cuts changed.  A
+state pays for its recovery and little else.  Also houses round-trip audits,
 a deliberately broken log variant, and a checksum-collision construction
 that defeats 32-bit CRC validation.
 """
@@ -20,6 +22,7 @@ that defeats 32-bit CRC validation.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import operator
 from typing import NamedTuple
@@ -174,10 +177,18 @@ class Report(NamedTuple):
 # ------------------------------------------------------------- crash checking
 
 class _LogTarget:
+    """A log and the live entries a script has appended to it.  Crash
+    images recover on one reader attached once per check: `recover()`
+    rebuilds all of a log's volatile state from its memory (head,
+    polarity, and the crc epoch, cso-random's stop slot or atlas's last
+    slot), so the reader only has to be pointed at each crash memory."""
+
     def __init__(self, algo: str, payload_len: int, slots: int,
                  registry: dict | None):
         self.log = (registry or ALGORITHMS)[algo].fresh(payload_len, slots)
         self.mem = self.log.mem
+        self.reader = type(self.log).attach(self.mem, 0, self.log.size,
+                                            payload_len)
         self.handles: list[int] = []
         self.live: list[bytes] = []
 
@@ -199,21 +210,32 @@ class _LogTarget:
         return tuple(self.live)
 
     def recovered_state(self, crashed: SimMemory):
-        log = type(self.log).attach(crashed, 0, self.log.size,
-                                    self.log.payload_len)
+        reader = self.reader
+        reader.mem = crashed
         try:
-            return tuple(e.payload for e in log.recover())
+            return tuple(e.payload for e in reader.recover())
         except UnrecoverableLogError:
             return ("<unrecoverable>",)
 
 
 class _StpsTarget:
+    """A map and the dict model of what a script wrote to it.  Crash
+    images recover on one reader built once per check: `recover()`
+    rebuilds the index, reuse queue, bump and version from its memory.
+    The reader memoises `_decode`, a pure function of a slot's bytes and
+    the map's geometry, so across a check's states each distinct slot
+    image is decoded once, and `recover()` and `items()` pay a lookup for
+    the slots a window did not write.  The map the script runs on decodes
+    as it always does."""
+
     def __init__(self, node_lines: int, slots: int):
-        self.node_lines = node_lines
-        self.region = slots * node_lines * 64
-        self.mem = SimMemory(self.region)
-        self.map = PersistentHashMap(self.mem, 0, self.region,
+        region = slots * node_lines * 64
+        self.mem = SimMemory(region)
+        self.map = PersistentHashMap(self.mem, 0, region,
                                      node_lines=node_lines)
+        self.reader = PersistentHashMap(self.mem, 0, region,
+                                        node_lines=node_lines)
+        self.reader._decode = functools.cache(self.reader._decode)
         self.model: dict[bytes, bytes] = {}
 
     def run_op(self, op: tuple) -> None:
@@ -239,14 +261,9 @@ class _StpsTarget:
         return dict(self.model)
 
     def recovered_state(self, crashed: SimMemory):
-        m = PersistentHashMap(crashed, 0, self.region,
-                              node_lines=self.node_lines)
-        m.recover()
-        return m.items()
-
-
-def _freeze(state):
-    return tuple(sorted(state.items())) if isinstance(state, dict) else state
+        reader = self.reader
+        reader.mem = crashed
+        return reader.recover().items()
 
 
 class _ReadPaths:
@@ -266,7 +283,10 @@ class _ReadPaths:
     paths it has: in enumeration order the recoveries after it add no
     shared path in any crash-check window measured, and recording costs
     every load.  Skipping a recording changes which states run recovery,
-    never what they recover."""
+    never what they recover.
+
+    A recovery runs on the target's one reader, which `recovered_state`
+    points at the state's crash memory."""
 
     def __init__(self, mem: SimMemory, target, win):
         self.mem = mem
@@ -326,8 +346,13 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
     deduplicated in first-seen order.  Op j is the largest entry of the
     window's owner columns at the vector's cuts, where column i holds the
     window's first op at cut 0 and at cut c the op that issued line i's
-    c-th unit.  Recovery runs once per read path of a window
-    (`_ReadPaths`), on images patched into one buffer per window."""
+    c-th unit.  If every column ends at the first op, that op wrote the
+    whole window and every state's j is it, with no lookup.  Recovery runs
+    once per read path of a window (`_ReadPaths`), on the target's one
+    reader and images patched into one buffer per window.  A recovered
+    value is judged by equality with the legal pair: a log's tuple of
+    payloads, or a map's dict, which equals the model's whatever its key
+    order."""
     if isinstance(script, str):
         script = parse_script(script)
     if script.kind == "log":
@@ -366,15 +391,18 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
                 checked += len(vectors)
             lines = win.lines
             own = [[first, *owner[line]] for line in lines]
-            frozen = [_freeze(state) for state in legal]
+            # columns ascend: if each ends in `first`, one op wrote the
+            # window and every state's j is `first`
+            one_op = all(column[-1] == first for column in own)
             reads = _ReadPaths(mem, target, win)
             for cuts in vectors:
-                j = max(map(list.__getitem__, own, cuts), default=first)
+                j = (first if one_op else
+                     max(map(list.__getitem__, own, cuts)))
                 if only is not None and j != only:
                     continue
                 distinct += 1
                 recovered = reads.recovered(cuts)
-                if _freeze(recovered) not in frozen[j - first:j + 2 - first]:
+                if recovered not in legal[j - first:j + 2 - first]:
                     violations.append(Violation(
                         j, tuple(zip(lines, cuts)), recovered,
                         tuple(legal[j - first:j + 2 - first])))

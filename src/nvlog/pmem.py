@@ -32,9 +32,10 @@ the run's start, not from address 0, and ``first`` is the length of its
 first chunk there.  One generator (``_units``) splits a line's records into
 units, ``(fence, offset_in_line, data, ordering)`` in issue order: a store's
 piece of the line, or one chunk of a run.  ``events(line)`` lists them as
-``WriteEvent``s, torn line images replay them and ``boundary_crash_states``
-finds the ``RELEASE`` ones in them.  Cuts, floors and the raise log count
-units.
+``WriteEvent``s and torn line images replay them.  ``boundary_crash_states``
+needs no split: a ``RELEASE`` record is a ``store``, one unit in its line,
+so it finds them from the records and their unit counts.  Cuts, floors and
+the raise log count units.
 
 Each record is stamped with the number of round-trip fences issued before it
 (``fence``), which is all the second rule needs to know about when it was
@@ -169,9 +170,9 @@ class _Window:
     or checkpoint changes it: the written lines in order, and per line its
     unit count, durable floor and unit stamps; whether any unit carries a
     nonzero stamp (`fenced`); `reqs` caches requirement vectors by fence
-    index; `draws` holds the sampler's floors, spans and span bit lengths,
-    by `at_least_durable`; and `image` is the window's crash image buffer,
-    showing the cut vector `shown`.
+    index; `draws` holds, by `at_least_durable`, the sampler's table of
+    (floor, span, span bit length) per line; and `image` is the window's
+    crash image buffer, showing the cut vector `shown`.
 
     A line's unit stamps are 0, then the fence stamp of each of its units
     in issue order, so entry c is the stamp of the newest unit a cut of c
@@ -199,7 +200,7 @@ class _Window:
         # a line's stamps ascend, so its last is its largest
         self.fenced = any(stamps[-1] for stamps in self.stamps)
         self.reqs: dict[int, list[int]] = {}
-        self.draws: dict[bool, tuple[list[int], list[int], list[int]]] = {}
+        self.draws: dict[bool, list[tuple[int, int, int]]] = {}
         self.image: bytearray | None = None
         self.shown: tuple[int, ...] = ()
 
@@ -499,14 +500,18 @@ class SimMemory:
         if draws is None:
             los = win.floors if at_least_durable else [0] * len(win.lines)
             spans = list(map(operator.sub, win.stops, los))
-            draws = win.draws[at_least_durable] = (
-                los, spans, [span.bit_length() for span in spans])
+            # rows repeat from line to line: each is kept once, so a long
+            # window's table costs a pointer a line, not a tuple
+            rows = {}
+            draws = win.draws[at_least_durable] = [
+                rows.setdefault(row, row)
+                for row in zip(los, spans, map(int.bit_length, spans))]
         # lo + rng._randbelow(span), which randrange(lo, stop) computes,
         # draw for draw: the fewest bits that cover the span, drawn again
         # until they fall below it
         getrandbits = rng.getrandbits
         cuts = []
-        for lo, span, bits in zip(*draws):
+        for lo, span, bits in draws:
             r = getrandbits(bits)
             while r >= span:
                 r = getrandbits(bits)
@@ -521,16 +526,20 @@ class SimMemory:
 
     def boundary_crash_states(self) -> list[CrashState]:
         """States cut just before/after each release-ordered (metadata) write,
-        with every other line fully persisted.  Force-included in sampling."""
+        with every other line fully persisted.  Force-included in sampling.
+        The writes are found from each line's records, counting units: a
+        ``RELEASE`` record is always a ``store``, one unit in its line."""
         win = self._window()
         states = []
         for i, line in enumerate(win.lines):
-            for pos, (_, _, _, ordering) in enumerate(self._units(line)):
+            pos = 0
+            for _, _, _, ordering, units, _ in self._writes[line]:
                 if ordering == RELEASE:
                     for cut in (pos, pos + 1):
                         cuts = list(win.his)
                         cuts[i] = cut
                         states.append(self._fix_up(win, cuts))
+                pos += units
         return states
 
     def _image(self, win: _Window, cuts) -> bytearray:

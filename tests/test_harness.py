@@ -12,11 +12,12 @@ import nvlog
 from conftest import widened
 from nvlog.crc import crc32c
 from nvlog.harness import (BrokenVbLog, EXTRA_ALGORITHMS, Script, ScriptError,
-                           _LogTarget, _ReadPaths, audit_roundtrips,
-                           checksum_vulnerability_demo, crc32_collision_word,
-                           parse_script, run_appends, run_crash_suite)
+                           _LogTarget, _ReadPaths, _StpsTarget,
+                           audit_roundtrips, checksum_vulnerability_demo,
+                           crc32_collision_word, parse_script, run_appends,
+                           run_crash_suite)
 from nvlog.logalg import ALGORITHMS
-from nvlog.logalg.base import TrimError
+from nvlog.logalg.base import TrimError, UnrecoverableLogError
 from nvlog.logalg.csorandom import CsoRandomLog
 from nvlog.logalg.csovb import CsoVbLog
 from nvlog.stps import PersistentHashMap
@@ -365,6 +366,136 @@ def test_recovery_runs_once_per_read_path(algo, most, monkeypatch):
         assert runs["recoveries"] == report.distinct_states - 728
     else:
         assert runs["recoveries"] <= most
+
+
+def window_crash_memories(target, ops):
+    """Run `ops` on `target` and, at the end of each window (a quiescent
+    point or the last op), yield two crash memories of each of the window's
+    states.  A window's states come newest first, in reverse product
+    order, so a reader meets older states after newer ones within a window
+    and newer after older from one window to the next."""
+    mem = target.mem
+    mem.checkpoint()
+    for i, op in enumerate(ops):
+        target.run_op(op)
+        quiet = mem.quiescent
+        if quiet or i == len(ops) - 1:
+            win = mem._window()
+            for cuts in reversed(mem._vectors(win)):
+                image = mem._image(win, cuts)
+                yield (mem._crash_memory(bytearray(image)),
+                       mem._crash_memory(bytearray(image)))
+        if quiet:
+            mem.checkpoint()
+
+
+# fill a log, trim it while full, append over the trimmed slot, and trim
+# across the region's end twice: between states the head, the polarity,
+# the crc epoch and cso-random's stop slot all change.  4-line entries get
+# two slots and two appends, one wrap (and cso-random its full-log trim),
+# which keeps their 6,561-state append windows few.
+READER_LOG_SCRIPT = "aaaa t1 a t2 t aa t aaa t"
+READER_240_SCRIPTS = {"cso-random": "aa t1 t"}
+READER_240_SCRIPT = "a t a t"
+
+
+def volatile(obj) -> dict:
+    return {k: v for k, v in vars(obj).items() if k not in ("mem", "_decode")}
+
+
+@pytest.mark.parametrize("algo, size", [
+    *((algo, size) for algo in EXTRA_ALGORITHMS for size in (24, 112)
+      if algo != "atlas" or size == 24),
+    *((algo, 240) for algo in ("cso-random", "cso-fvb", "tornbit", "crc32",
+                               "crc64", "two-rounds"))])
+def test_a_reused_log_reader_recovers_as_a_fresh_one(algo, size):
+    slots, script = ((2, READER_240_SCRIPTS.get(algo, READER_240_SCRIPT))
+                     if size == 240 else (4, READER_LOG_SCRIPT))
+    rng = random.Random(f"{algo}/{size}")
+    ops = parse_script("\n".join(
+        f"append {rng.randbytes(size).hex()}" if tok == "a"
+        else "trim" if tok == "t" else f"trim {tok[1:]}"
+        for word in script.split() for tok in
+        (word if word[0] == "a" else [word]))).ops
+    target = _LogTarget(algo, size, slots, EXTRA_ALGORITHMS)
+    reader = target.reader
+    seen = Counter()
+    for crashed, copy in window_crash_memories(target, ops):
+        got = target.recovered_state(crashed)
+        fresh = type(target.log).attach(copy, 0, target.log.size, size)
+        try:
+            want = tuple(e.payload for e in fresh.recover())
+        except UnrecoverableLogError:
+            want = ("<unrecoverable>",)
+        else:
+            assert volatile(reader) == volatile(fresh)
+        assert got == want
+        seen.update((k, v) for k, v in volatile(fresh).items()
+                    if k in ("head", "polarity", "epoch", "_stop"))
+    assert len({v for k, v in seen if k == "head"}) > 1
+    if algo != "atlas":   # a linked log keeps no polarity
+        assert {v for k, v in seen if k == "polarity"} == {0, 1}
+    if "crc" in algo:
+        assert len({v for k, v in seen if k == "epoch"}) > 1
+    if algo == "cso-random":
+        assert len({v for k, v in seen if k == "_stop"}) > 1
+
+
+# updates, reused slots, a transaction over reused slots and removes; the
+# map's region is small enough that slots are reused
+READER_MAP_SCRIPT = """
+U a 1
+U b 2
+T a 3 c 4
+R b
+U c 5
+T d 6 e 7
+R a
+U b 8
+"""
+
+
+@pytest.mark.parametrize("node_lines", [1, 4])
+def test_a_reused_map_reader_recovers_as_a_fresh_one(node_lines):
+    target = _StpsTarget(node_lines, 8)
+    reader = target.reader
+    region = 8 * node_lines * 64
+    size = reader.slot_size
+    states = 0
+    for crashed, copy in window_crash_memories(
+            target, parse_script(READER_MAP_SCRIPT).ops):
+        raws = [bytes(crashed.cached[off:off + size])
+                for off in range(0, region, size)]
+        got = target.recovered_state(crashed)
+        fresh = PersistentHashMap(copy, 0, region, node_lines=node_lines)
+        assert got == fresh.recover().items()
+        assert volatile(reader) == volatile(fresh)
+        assert list(map(reader._decode, raws)) == list(map(fresh._decode,
+                                                            raws))
+        states += 1
+    assert states > 50
+    assert reader._decode.cache_info().hits > reader._decode.cache_info().misses
+
+
+def test_a_map_recovered_in_another_key_order_is_legal(monkeypatch):
+    # `U c` reuses slot 0, which held a's first version, so recovery, which
+    # replays slots in version order, meets b (version 3) before a (version
+    # 4), while the model has held a first since `U a 1`; the judge compares
+    # by equality, and a dict equals a dict whatever its key order
+    recovered = []
+    recovered_state = _StpsTarget.recovered_state
+
+    def kept(target, crashed):
+        recovered.append(recovered_state(target, crashed))
+        return recovered[-1]
+
+    monkeypatch.setattr(_StpsTarget, "recovered_state", kept)
+    report = run_crash_suite("crash exhaustive\nU a 1\nU b 2\nU b 3\n"
+                             "U a 4\nU c 5\n")
+    model = {b"a": b"4", b"b": b"3", b"c": b"5"}
+    assert [list(state) for state in recovered if state == model] == [
+        [b"b", b"a", b"c"]]
+    assert report.ok and report.distinct_states == 25
 
 
 def test_at_op_enumerates_only_its_prefix():

@@ -572,6 +572,49 @@ def test_boundary_states_of_random_traces_are_legal(seed):
     assert {s.cuts for s in states} <= brute_force_states(m)
 
 
+def unit_walk_boundary_states(m: SimMemory) -> list[CrashState]:
+    """The reference boundary walk: split each line's records into units
+    with `_units` and cut before and after every RELEASE unit."""
+    win = m._window()
+    states = []
+    for i, line in enumerate(win.lines):
+        for pos, (_, _, _, ordering) in enumerate(m._units(line)):
+            if ordering == RELEASE:
+                for cut in (pos, pos + 1):
+                    cuts = list(win.his)
+                    cuts[i] = cut
+                    states.append(m._fix_up(win, cuts))
+    return states
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_boundary_states_from_records_match_the_unit_walk(seed):
+    # word runs put records of several units before the RELEASE stores, so
+    # a store's unit position is not its record index; some RELEASE stores
+    # cross a line
+    rng = random.Random(seed)
+    shifted = 0
+    for m in (random_trace(seed), long_trace(seed),
+              long_trace(seed, events=60)):
+        for line in range(3):
+            n = rng.randint(9, 40)
+            m.store_words(64 * line + rng.randrange(64 - 8),
+                          bytes(rng.randrange(256) for _ in range(n)))
+            m.store(64 * line + 60, b"x" * 8, RELEASE)   # crosses the line
+            m.store(64 * line + 8 * rng.randrange(7), b"r" * 8, RELEASE)
+            if rng.random() < 0.5:
+                m.clflushopt(line)
+                m.sfence()
+        want = unit_walk_boundary_states(m)
+        assert m.boundary_crash_states() == want
+        assert len(want) == 2 * sum(ordering == RELEASE
+                                    for line in m.write_counts()
+                                    for *_, ordering in m._units(line))
+        shifted += any(rec[4] > 1 for recs in m._writes.values()
+                       for rec in recs)
+    assert shifted
+
+
 def test_crash_state_order_is_pinned():
     # enumeration, sampling (both floor settings) and the boundary states
     # must keep drawing the same states in the same order: a digest of
