@@ -58,8 +58,11 @@ rounds do:
 Prints per probe each tree's min and median over its processes (each
 process's value being its least round), the change's median over the
 parent's, the pairs the change won, and whether the change passes the
-gain rule (it wins at least nine tenths of the pairs, and its median is
-lower than the parent's by more than the parent's interquartile range).
+gain rule, judged on the paired differences (parent minus change, one per
+pair): the change wins at least nine tenths of the pairs, and the median
+difference is larger than the differences' interquartile range.  Pairing
+keeps one slow process, or the host's speed drifting between pairs, from
+widening the spread that the gain is measured against.
 `--json FILE` also writes those, the host, Python, SEED and each tree's
 peak RSS, as JSON.
 """
@@ -314,16 +317,17 @@ def summary(parent: list[dict], change: list[dict], probes) -> dict:
     for name in probes:
         a = [run["probes"][name] for run in parent]
         b = [run["probes"][name] for run in change]
-        qa = statistics.quantiles(a, n=4) if len(a) > 1 else [a[0]] * 3
-        better = sum(y < x for x, y in zip(a, b))
-        gap = statistics.median(a) - statistics.median(b)
+        diffs = [x - y for x, y in zip(a, b)]   # parent minus change
+        qd = statistics.quantiles(diffs, n=4) if len(a) > 1 else [diffs[0]] * 3
+        better = sum(d > 0 for d in diffs)
+        gap = statistics.median(diffs)
         out[name] = dict(
             parent_min=min(a), parent_median=statistics.median(a),
             change_min=min(b), change_median=statistics.median(b),
             change_over_parent=statistics.median(b) / statistics.median(a),
-            parent_iqr=[qa[0], qa[2]],
+            diff_median=gap, diff_iqr=[qd[0], qd[2]],
             change_better_pairs=f"{better}/{len(a)}",
-            gain_rule=10 * better >= 9 * len(a) and gap > qa[2] - qa[0])
+            gain_rule=10 * better >= 9 * len(a) and gap > qd[2] - qd[0])
     return out
 
 

@@ -11,8 +11,11 @@ window in line order.  Each distinct state is judged once, against the
 window's owner columns (which op issued each unit) and its legal states,
 and recovery runs once per read path: a state that agrees with an earlier
 one on every written line that recovery loaded takes its recovered value.
-Every other recovery runs on the check's one reader (a log attached, or a
-map built, once per check), pointed at a memory over a copy of the
+A checksum log's window that lies in one slot is judged first by the
+CRC's line terms: its invalid states share one recovery.  Every other
+recovery runs on the check's one reader (a log attached, or a map built,
+once per check; the map only scans, as its repair writes would land on a
+memory that is thrown away), pointed at a memory over a copy of the
 window's one crash image buffer, patched only where the cuts changed.  A
 state pays for its recovery and little else.  Also houses round-trip audits,
 a deliberately broken log variant, and a checksum-collision construction
@@ -27,11 +30,12 @@ import io
 import operator
 from typing import NamedTuple
 
-from .crc import crc32c, crc_term
+from .crc import _zeros_crc, crc32c, crc_term
 from .logalg import ALGORITHMS
-from .logalg.base import CircularLog, TrimError, UnrecoverableLogError
+from .logalg.base import (HEAD_WORD_OFF, CircularLog, TrimError,
+                          UnrecoverableLogError)
 from .logalg.csovb import CsoVbLog
-from .pmem import SimMemory, WORD_SIZE
+from .pmem import LINE_SIZE, SimMemory, WORD_SIZE
 from .stps import PersistentHashMap
 
 
@@ -220,13 +224,15 @@ class _LogTarget:
 
 class _StpsTarget:
     """A map and the dict model of what a script wrote to it.  Crash
-    images recover on one reader built once per check: `recover()`
-    rebuilds the index, reuse queue, bump and version from its memory.
-    The reader memoises `_decode`, a pure function of a slot's bytes and
-    the map's geometry, so across a check's states each distinct slot
-    image is decoded once, and `recover()` and `items()` pay a lookup for
-    the slots a window did not write.  The map the script runs on decodes
-    as it always does."""
+    images recover on one reader built once per check: `scan()`, the
+    read-only half of `recover()`, rebuilds the index, reuse queue, bump
+    and version from its memory.  `repair()`'s dead-slot resets change no
+    recovered value and would only write to a crash memory that is
+    thrown away, so the reader never runs them.  The reader memoises
+    `_decode`, a pure function of a slot's bytes and the map's geometry,
+    so across a check's states each distinct slot image is decoded once,
+    and `scan()` and `items()` pay a lookup for the slots a window did
+    not write.  The map the script runs on decodes as it always does."""
 
     def __init__(self, node_lines: int, slots: int):
         region = slots * node_lines * 64
@@ -263,7 +269,8 @@ class _StpsTarget:
     def recovered_state(self, crashed: SimMemory):
         reader = self.reader
         reader.mem = crashed
-        return reader.recover().items()
+        reader.scan()
+        return reader.items()
 
 
 class _ReadPaths:
@@ -286,7 +293,24 @@ class _ReadPaths:
     never what they recover.
 
     A recovery runs on the target's one reader, which `recovered_state`
-    points at the state's crash memory."""
+    points at the state's crash memory.
+
+    The checksum route.  A window whose written lines all lie in one slot
+    of at least one line, of a log that declares its slot check
+    (`slot_check`), is judged first by the CRC's line terms: a table holds,
+    per written line and cut, that line's `crc_term` (XORed with the stored
+    checksum on the checksum's line, and with bit 64, which no CRC has,
+    where the slot's header word is one `_decode` rejects).  A state's slot
+    is valid iff its terms XOR to the CRC of zeros (with the constant
+    terms of the slot's unwritten lines), which is `_decode`'s own test:
+    a few lookups per state.  Every invalid state recovers the same value,
+    taken from one real recovery of the first of them: recovery reads the
+    head word and then decodes slots from the head on, stopping at the
+    first one `_decode` rejects; no line outside the slot differs within
+    the window, so every state reads the same bytes until it meets the
+    slot, and an invalid one stops there (or never meets it).  A valid
+    state takes the read paths above.  The route is chosen once per
+    window."""
 
     def __init__(self, mem: SimMemory, target, win):
         self.mem = mem
@@ -298,8 +322,53 @@ class _ReadPaths:
         self.root = None
         self.recording = True
         self.at = {line: i for i, line in enumerate(win.lines)}
+        self.sums = self.goal = self.invalid = None
+        check = getattr(target.reader, "slot_check", None)
+        if check is not None:
+            self._slot_sums(target.reader, check)
+
+    def _slot_sums(self, reader, check) -> None:
+        """Build the checksum route's table if the window lies in one
+        slot of at least one line."""
+        mem, lines, size = self.mem, self.win.lines, reader.slot_size
+        slot = (lines[0] * LINE_SIZE - reader.slot_addr(0)) // size
+        addr = reader.slot_addr(slot)
+        if (size < LINE_SIZE or not 0 <= slot < reader.nslots
+                or lines[-1] * LINE_SIZE >= addr + size):
+            return
+        reader.mem = mem   # the head word's line is outside the window
+        reader._load_header(mem.load_word(reader.base + HEAD_WORD_OFF))
+        n, crc_off, fn, header = check(slot)
+        goal, sums = _zeros_crc(fn, n), []
+        for off in range(0, size, LINE_SIZE):
+            line = (addr + off) // LINE_SIZE
+            i = self.at.get(line)   # None: unwritten, one image
+            terms = []
+            for cut in range(1 if i is None else self.win.stops[i]):
+                image = mem._line_image(line, cut)
+                term = crc_term(fn, n, off, image[:n - off]) if off < n else 0
+                if off <= crc_off < off + LINE_SIZE:
+                    term ^= int.from_bytes(
+                        image[crc_off - off:crc_off - off + WORD_SIZE],
+                        "little")
+                if off == 0 and image[:WORD_SIZE] != header:
+                    term ^= 1 << 64
+                terms.append(term)
+            if i is None:
+                goal ^= terms[0]
+            else:
+                sums.append(terms)
+        self.sums, self.goal = sums, goal
 
     def recovered(self, cuts: tuple[int, ...]):
+        sums = self.sums
+        if (sums is not None and functools.reduce(
+                operator.xor, map(list.__getitem__, sums, cuts)) != self.goal):
+            if self.invalid is None:
+                self.invalid = self.target.recovered_state(
+                    self.mem._crash_memory(bytearray(
+                        self.mem._image(self.win, cuts))))
+            return self.invalid
         node, parent, depth = self.root, None, 0
         while type(node) is list:
             parent, depth = node, depth + 1

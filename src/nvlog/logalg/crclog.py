@@ -71,6 +71,16 @@ class _CrcLog(CircularLog):
             return None
         return raw[WORD_SIZE:WORD_SIZE + length], 1
 
+    def slot_check(self, slot: int) -> tuple:
+        """`_decode`'s test of `slot` as data, for a checker that sums the
+        CRC's line terms itself: the bytes the CRC covers, the stored
+        checksum's offset in the slot, the CRC function, and the header
+        word `_decode` accepts there under the head word loaded last.  A
+        slot is valid iff its first word is that header word and its
+        checksum is the CRC of its first bytes."""
+        return (WORD_SIZE + self.payload_len, self._crc_off, self.crc_fn,
+                _HDR.pack(self._entry_seq(slot), self.payload_len))
+
 
 class Crc32Log(_CrcLog):
     name = "crc32"

@@ -333,13 +333,21 @@ class PersistentHashMap:
     # --------------------------------------------------------------- recovery
 
     def recover(self) -> "PersistentHashMap":
-        """Rebuild all volatile state from the region: validate every slot,
-        drop transaction groups with missing members, replay survivors in
-        version order, then reinitialize every non-live slot to the canonical
-        dead state so it can be reused without history."""
-        mem = self.mem
+        """Rebuild all volatile state from the region and reinitialize
+        every non-live slot to the canonical dead state, so it can be
+        reused without history: `scan()`, then `repair()` of what it
+        read."""
+        self.repair(self.scan())
+        return self
+
+    def scan(self) -> list[bytes]:
+        """Recovery's read-only half: validate every slot, drop
+        transaction groups with missing members, replay survivors in
+        version order, and rebuild the index, the reuse queue (every
+        non-live slot, in slot order), the bump and the version.  Writes
+        nothing.  Returns each slot's bytes, for `repair()`."""
         size = self.slot_size
-        region = mem.load(self.base, self.nslots * size)
+        region = self.mem.load(self.base, self.nslots * size)
         raws = [region[off:off + size] for off in range(0, len(region), size)]
         zero = bytes(size)   # never written: decodes to None, needs no reset
         parsed: dict[int, ParsedEntry] = {}
@@ -367,13 +375,25 @@ class PersistentHashMap:
                 live[e.key] = slot
         self._index = live
         live_slots = set(live.values())
-        # reinitialize everything else
-        self._reuse = deque()
+        reuse = self._reuse = deque()
+        for slot in range(self.nslots):
+            if slot not in live_slots:
+                reuse.append(slot)
+        self._bump = self.nslots
+        self._next_version = max_version + 1
+        return raws
+
+    def repair(self, raws: list[bytes]) -> None:
+        """Recovery's writes, after `scan()` returned `raws`: zero the
+        meta word and the validity bytes of each reusable slot where they
+        are nonzero, in slot order, flush each slot it wrote, then fence
+        once if it wrote any.  Changes no volatile state."""
+        mem = self.mem
+        size = self.slot_size
+        zero = bytes(size)
         touched = False
-        for slot, raw in enumerate(raws):
-            if slot in live_slots:
-                continue
-            self._reuse.append(slot)
+        for slot in self._reuse:
+            raw = raws[slot]
             if raw == zero:
                 continue
             addr = self.slot_addr(slot)
@@ -390,6 +410,3 @@ class PersistentHashMap:
                 touched = True
         if touched:
             mem.sfence()
-        self._bump = self.nslots
-        self._next_version = max_version + 1
-        return self

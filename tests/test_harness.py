@@ -2,6 +2,8 @@
 audits, the append loop's history bound, and the checksum collision
 construction."""
 
+import functools
+import operator
 import random
 from collections import Counter
 from pathlib import Path
@@ -20,6 +22,7 @@ from nvlog.logalg import ALGORITHMS
 from nvlog.logalg.base import TrimError, UnrecoverableLogError
 from nvlog.logalg.csorandom import CsoRandomLog
 from nvlog.logalg.csovb import CsoVbLog
+from nvlog.pmem import SimMemory
 from nvlog.stps import PersistentHashMap
 
 WORKLOADS = Path(nvlog.__file__).parent / "workloads"
@@ -344,12 +347,13 @@ def test_at_op_reports_partition_the_exhaustive_report(name, target, size,
 
 
 @pytest.mark.parametrize("algo, most", [("cso-fvb", 40), ("tornbit", 40),
-                                        ("two-rounds", 40), ("crc64", None)])
+                                        ("two-rounds", 40), ("crc64", 2),
+                                        ("crc32", 2)])
 def test_recovery_runs_once_per_read_path(algo, most, monkeypatch):
     # a 240-byte append window: the validity formats share recoveries among
-    # states that agree on every line recovery loaded; a checksum log reads
-    # the whole slot once its header word checks, so crc64 recovers each
-    # state but the 9**3 that lost the header word, which share one
+    # states that agree on every line recovery loaded; a checksum log's
+    # states are judged by their CRC line terms, so its invalid states share
+    # one recovery and the whole entry takes one more
     runs = Counter()
     recovered_state = _LogTarget.recovered_state
 
@@ -362,10 +366,111 @@ def test_recovery_runs_once_per_read_path(algo, most, monkeypatch):
     report = run_crash_suite(f"crash at-op 0\nappend {payload.hex()}\ntrim",
                              algo=algo, payload_len=240)
     assert report.ok and report.distinct_states > 5000
-    if most is None:
-        assert runs["recoveries"] == report.distinct_states - 728
-    else:
-        assert runs["recoveries"] <= most
+    assert runs["recoveries"] <= most
+
+
+def test_map_check_recoveries_write_nothing(monkeypatch):
+    # the map reader scans and does not repair: no crash memory of a
+    # 4-line map's check is stored to, flushed or fenced, where a full
+    # recovery of the same states would fence
+    crashed_mems = []
+    recovered_state = _StpsTarget.recovered_state
+
+    def kept(target, crashed):
+        crashed_mems.append((crashed, bytes(crashed.cached)))
+        return recovered_state(target, crashed)
+
+    monkeypatch.setattr(_StpsTarget, "recovered_state", kept)
+    text = (WORKLOADS / "map_smoke.txt").read_text()
+    report = run_crash_suite(text, node_lines=4)
+    assert report.distinct_states > 100 and len(crashed_mems) > 100
+    repaired = 0
+    for crashed, image in crashed_mems:
+        stats = crashed.stats
+        assert (stats.sfence_count, stats.clflushopt_count) == (0, 0)
+        assert not crashed.write_counts() and crashed.cached == image
+        fresh = SimMemory._from_image(bytearray(image))
+        PersistentHashMap(fresh, 0, len(image), node_lines=4).recover()
+        repaired += fresh.stats.sfence_count
+    assert repaired > 0
+
+
+def table_valid(reads, cuts) -> bool:
+    """The checksum route's call on a state: its line terms sum to the
+    goal."""
+    return functools.reduce(operator.xor, map(list.__getitem__, reads.sums,
+                                              cuts)) == reads.goal
+
+
+def checksum_classes(algo: str, size: int, text: str, slots: int):
+    """Run `text`'s ops on a crc log and yield, for every state of every
+    window that takes the checksum route, the table's call and whether
+    `_decode` accepts the slot on the state's crash memory."""
+    target = _LogTarget(algo, size, slots, None)
+    mem, cls = target.mem, type(target.log)
+    ops = parse_script(text).ops
+    mem.checkpoint()
+    for i, op in enumerate(ops):
+        target.run_op(op)
+        quiet = mem.quiescent
+        if quiet or i == len(ops) - 1:
+            win = mem._window()
+            reads = _ReadPaths(mem, target, win)
+            if reads.sums is not None:
+                for cuts in mem._vectors(win):
+                    crashed = mem._crash_memory(bytearray(
+                        mem._image(win, cuts)))
+                    log = cls.attach(crashed, 0, target.log.size, size)
+                    log._load_header(crashed.load_word(0))
+                    slot = ((win.lines[0] * 64 - log.slot_addr(0))
+                            // log.slot_size)
+                    yield (table_valid(reads, cuts),
+                           log._decode(slot, log.slot_addr(slot)) is not None)
+        if quiet:
+            mem.checkpoint()
+
+
+@pytest.mark.parametrize("algo", ["crc32", "crc64"])
+@pytest.mark.parametrize("size", [24, 112, 240])
+def test_checksum_classes_agree_with_decode(algo, size):
+    # the shipped log scripts, widened, and nvbench-shaped append/trim
+    # scripts, on 4 slots so that the head wraps and the epoch moves
+    rng = random.Random(f"{algo}/{size}")
+    texts = [widened((WORKLOADS / f"{name}.txt").read_text(), size)
+             for name in ("three_appends", "wraparound")]
+    texts += ["\n".join(f"append {rng.randbytes(size).hex()}" if op == "a"
+                        else op for op in shape)
+              for shape in (("a", "a", "a", "trim 1", "a", "trim"),
+                            ("a", "trim"))]
+    classes = Counter()
+    for text in texts:
+        for table, decoded in checksum_classes(algo, size, text, 4):
+            assert table == decoded
+            classes[table] += 1
+    assert classes[True] >= 10 and classes[False] > classes[True]
+
+
+def test_a_crafted_crc32_payload_is_classed_valid_when_torn(monkeypatch):
+    # the demo's payload, whose word 6 the 32-bit checksum cannot see torn:
+    # the table classes that torn state valid, as `_decode` does, and it is
+    # recovered on its own, so the check reports it
+    payload = checksum_vulnerability_demo("crc32").payload
+    text = f"crash exhaustive\nappend {payload.hex()}"
+    classes = Counter(table for table, decoded
+                      in checksum_classes("crc32", 112, text, 4)
+                      if table == decoded)
+    assert classes[True] == 2 and sum(classes.values()) == 81
+    runs = Counter()
+    recovered_state = _LogTarget.recovered_state
+
+    def counted(target, crashed):
+        runs["recoveries"] += 1
+        return recovered_state(target, crashed)
+
+    monkeypatch.setattr(_LogTarget, "recovered_state", counted)
+    report = run_crash_suite(text, algo="crc32", payload_len=112, slots=4)
+    assert len(report.violations) == 1
+    assert runs["recoveries"] == classes[True] + 1
 
 
 def window_crash_memories(target, ops):

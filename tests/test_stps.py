@@ -2,6 +2,7 @@
 round-trip costs, a stateful model check, and recovery replay."""
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -9,7 +10,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  rule)
 
 from conftest import Fence, Flush, RecordingMemory, Store
-from nvlog.pmem import RELAXED, SimMemory
+from nvlog.pmem import RELAXED, SimMemory, WORD_SIZE
 from nvlog.stps import (CapacityError, InvariantError, PersistentHashMap,
                         StpsError, pack_meta)
 
@@ -334,6 +335,142 @@ def test_recovery_resets_only_written_dead_slots(node_lines):
               if isinstance(e, Store)}
     assert stored == {1, 3}
     assert mem.trace[-1] == Fence()
+
+
+def parent_recover(self):
+    """`PersistentHashMap.recover` as one method, before it was split into
+    `scan` and `repair`: the reference for what recovery writes."""
+    mem = self.mem
+    size = self.slot_size
+    region = mem.load(self.base, self.nslots * size)
+    raws = [region[off:off + size] for off in range(0, len(region), size)]
+    zero = bytes(size)
+    parsed = {}
+    for slot, raw in enumerate(raws):
+        if raw != zero:
+            e = self._decode(raw)
+            if e is not None:
+                parsed[slot] = e
+    by_version = {}
+    for slot, e in parsed.items():
+        by_version.setdefault(e.version, []).append(slot)
+    committed = []
+    for version in sorted(by_version):
+        slots = by_version[version]
+        if all(parsed[s].txncount == len(slots) for s in slots):
+            committed.extend(sorted(slots))
+    live = {}
+    max_version = 0
+    for slot in committed:
+        e = parsed[slot]
+        max_version = max(max_version, e.version)
+        if e.tombstone:
+            live.pop(e.key, None)
+        else:
+            live[e.key] = slot
+    self._index = live
+    live_slots = set(live.values())
+    self._reuse = deque()
+    touched = False
+    for slot, raw in enumerate(raws):
+        if slot in live_slots:
+            continue
+        self._reuse.append(slot)
+        if raw == zero:
+            continue
+        addr = self.slot_addr(slot)
+        dirty = False
+        if any(raw[:WORD_SIZE]):
+            mem.store_word(addr, 0)
+            dirty = True
+        for off in self._bit_offs:
+            if raw[off]:
+                mem.store(addr + off, b"\0")
+                dirty = True
+        if dirty:
+            mem.flush_range(addr, size)
+            touched = True
+    if touched:
+        mem.sfence()
+    self._bump = self.nslots
+    self._next_version = max_version + 1
+    return self
+
+
+class WriteRefusingMemory(SimMemory):
+    """A memory every store, flush and fence of which fails."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a write to a memory that refuses them")
+
+    store = store_word = store_words = clflushopt = flush_range = sfence = \
+        _refuse
+
+
+def crash_images(node_lines: int, seed: int):
+    """Persisted and sampled crash images of a map run through updates
+    (short and node-filling), removes and transactions over reused slots."""
+    rng = random.Random(seed)
+    mem, m = fresh(slots=6, node_lines=node_lines)
+    keys = [b"a", b"b", b"c", b"K" * m.max_key]
+    for _ in range(14):
+        key, op = rng.choice(keys), rng.random()
+        try:
+            if op < 0.5:
+                m.update(key, rng.randbytes(
+                    rng.randint(0, m.capacity - len(key))))
+            elif op < 0.8:
+                m.remove(key)
+            else:
+                m.txn_update([(k, rng.randbytes(3))
+                              for k in rng.sample(keys[:3], 2)])
+        except CapacityError:
+            pass
+        for state in mem.sample_crash_states(6, seed=rng.randrange(1 << 30)):
+            yield bytes(mem.apply_crash(state).cached)
+        yield mem.persisted_image()
+
+
+def volatile(m) -> dict:
+    return {k: v for k, v in vars(m).items() if k != "mem"}
+
+
+@pytest.mark.parametrize("node_lines", [1, 2, 4])
+def test_scan_writes_nothing_and_rebuilds_what_recover_does(node_lines):
+    images = 0
+    for image in crash_images(node_lines, node_lines):
+        size = len(image)
+        scanned = PersistentHashMap(
+            WriteRefusingMemory._from_image(bytearray(image)), 0, size,
+            node_lines=node_lines)
+        scanned.scan()
+        recovered = PersistentHashMap(
+            SimMemory._from_image(bytearray(image)), 0, size,
+            node_lines=node_lines).recover()
+        assert scanned.items() == recovered.items()
+        assert volatile(scanned) == volatile(recovered)
+        images += 1
+    assert images > 50
+
+
+@pytest.mark.parametrize("node_lines", [1, 2, 4])
+def test_recover_writes_what_the_one_method_recovery_wrote(node_lines):
+    fenced = 0
+    for image in crash_images(node_lines, 10 + node_lines):
+        size = len(image)
+        mems = [SimMemory._from_image(bytearray(image)) for _ in range(2)]
+        maps = [PersistentHashMap(mem, 0, size, node_lines=node_lines)
+                for mem in mems]
+        assert maps[0].recover() is maps[0]
+        assert parent_recover(maps[1]) is maps[1]
+        got, want = mems
+        assert got._writes == want._writes and got._floors == want._floors
+        assert got._raises == want._raises and got._pending == want._pending
+        assert repr(got.stats) == repr(want.stats)
+        assert got.cached == want.cached
+        assert volatile(maps[0]) == volatile(maps[1])
+        fenced += got.stats.sfence_count
+    assert fenced > 10
 
 
 def test_recovered_map_usable_for_more_updates():
