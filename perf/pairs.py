@@ -54,6 +54,10 @@ rounds do:
   crash/per-op       every at-op check of the round, summed
   crash/sampled      the round's eight sampled checks, summed
   crash/round        every check of the round, summed
+  crash/sample-source  the public sampler on the round's eight sampled
+                     windows, summed: `boundary_crash_states()` and
+                     `sample_crash_states(CC_SAMPLES, seed)` on each
+                     script's one window (running its ops is not timed)
 
 Prints per probe each tree's min and median over its processes (each
 process's value being its least round), the change's median over the
@@ -90,7 +94,8 @@ RECOVER_PROBES = ("recover/cso-vb", "recover/cso-random", "recover/cso-fvb",
                   "recover/tornbit", "recover/crc32", "recover/crc64",
                   "recover/two-rounds", "recover/atlas", "recover/broken-vb")
 CRASH_PROBES = ("crc64/240@0", "stps/4@1", "cso-fvb/240@0", "sampled/crc64",
-                "crash/per-op", "crash/sampled", "crash/round")
+                "crash/per-op", "crash/sampled", "crash/round",
+                "crash/sample-source")
 # sums over a round's calls: each call counts in its half (per-op or
 # sampled) and in the whole round
 SUMS = ("crash/per-op", "crash/sampled", "crash/round")
@@ -247,13 +252,32 @@ def _calls(round_scripts, seed, harness, samples):
                 f"{head}crash sampled {samples}\n{text}"), kw)
 
 
+def _sample_source(harness, script, kw, samples) -> float:
+    """CPU seconds of the public sampler's states of a sampled script's
+    one window; the window is built untimed."""
+    target = harness._LogTarget(kw["algo"], kw["payload_len"], 16,
+                                harness.EXTRA_ALGORITHMS)
+    mem = target.mem
+    mem.checkpoint()
+    for op in script.ops:
+        target.run_op(op)
+    mem._window()
+    t0 = time.process_time()
+    states = mem.boundary_crash_states()
+    states += mem.sample_crash_states(samples, seed=script.seed)
+    return time.process_time() - t0
+
+
 def _crash_round(workloads, harness, rng, best: dict) -> None:
     """Time one crash-check round's named calls into `best`."""
     scripts = workloads.crash_scripts(rng)
     totals = dict.fromkeys(SUMS, 0.0)
+    source = 0.0
     for name, script, kw in _calls(scripts, rng.randrange(1 << 30), harness,
                                    workloads.CC_SAMPLES):
         half = "crash/sampled" if name.startswith("sampled/") else "crash/per-op"
+        if half == "crash/sampled" and "crash/sample-source" in best:
+            source += _sample_source(harness, script, kw, workloads.CC_SAMPLES)
         if not {name, half, "crash/round"} & best.keys():
             continue
         t0 = time.process_time()
@@ -264,7 +288,7 @@ def _crash_round(workloads, harness, rng, best: dict) -> None:
         totals["crash/round"] += dt
         if name in best:
             best[name] = min(best[name], dt)
-    for name, total in totals.items():
+    for name, total in (*totals.items(), ("crash/sample-source", source)):
         if name in best:
             best[name] = min(best[name], total)
 

@@ -9,17 +9,19 @@ states are drawn and checked once, at its end (`crash at-op I`: right after
 op I).  States travel as cut vectors, one cut per written line of the
 window in line order.  Each distinct state is judged once, against the
 window's owner columns (which op issued each unit) and its legal states,
-and recovery runs once per read path: a state that agrees with an earlier
-one on every written line that recovery loaded takes its recovered value.
-A checksum log's window that lies in one slot is judged first by the
-CRC's line terms: its invalid states share one recovery.  Every other
-recovery runs on the check's one reader (a log attached, or a map built,
-once per check; the map only scans, as its repair writes would land on a
-memory that is thrown away), pointed at a memory over a copy of the
-window's one crash image buffer, patched only where the cuts changed.  A
-state pays for its recovery and little else.  Also houses round-trip audits,
-a deliberately broken log variant, and a checksum-collision construction
-that defeats 32-bit CRC validation.
+and a log's recovery runs once per read path: a state that agrees with an
+earlier one on every written line that recovery loaded takes its recovered
+value.  A checksum log's window that lies in one slot is judged first by
+the CRC's line terms: its invalid states share one recovery.  A map's
+window is judged by the decodes of the slots it wrote: states whose
+written slots decode alike share one recovery.  Every recovery runs on the
+check's one reader (a log attached, or a map built, once per check; the
+map only scans, as its repair writes would land on a memory that is thrown
+away), pointed at a memory over a copy of the window's one crash image
+buffer, patched only where the cuts changed.  A state pays for its
+recovery, or its slots' decodes, and little else.  Also houses round-trip
+audits, a deliberately broken log variant, and a checksum-collision
+construction that defeats 32-bit CRC validation.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import csv
 import functools
 import io
 import operator
+import random
 from typing import NamedTuple
 
 from .crc import _zeros_crc, crc32c, crc_term
@@ -230,9 +233,15 @@ class _StpsTarget:
     recovered value and would only write to a crash memory that is
     thrown away, so the reader never runs them.  The reader memoises
     `_decode`, a pure function of a slot's bytes and the map's geometry,
-    so across a check's states each distinct slot image is decoded once,
-    and `scan()` and `items()` pay a lookup for the slots a window did
-    not write.  The map the script runs on decodes as it always does."""
+    so across a check's states each distinct slot image is decoded once.
+    The map the script runs on decodes as it always does.
+
+    The target declares the map route (`slot_decodes`): `scan()` uses a
+    slot's bytes only through `_decode` (it skips a zeroed slot, which
+    `_decode` rejects), and `items()` reads the live slots' values through
+    it, so the recovered value is a function of the slots' decodes, slot
+    by slot.  A state whose slots decode as an earlier state's recovers
+    the same value."""
 
     def __init__(self, node_lines: int, slots: int):
         region = slots * node_lines * 64
@@ -266,6 +275,13 @@ class _StpsTarget:
     def model_state(self):
         return dict(self.model)
 
+    def slot_decodes(self) -> tuple:
+        """The map route's declaration (`_ReadPaths`): the region's base,
+        its slot size and the reader's memoised `_decode`, whose results,
+        slot by slot, fix what `recovered_state` returns."""
+        reader = self.reader
+        return reader.base, reader.slot_size, reader._decode
+
     def recovered_state(self, crashed: SimMemory):
         reader = self.reader
         reader.mem = crashed
@@ -287,10 +303,11 @@ class _ReadPaths:
 
     No other state can share a recovery that loaded every written line.
     Once one has, the window records no more loads and only looks up the
-    paths it has: in enumeration order the recoveries after it add no
-    shared path in any crash-check window measured, and recording costs
-    every load.  Skipping a recording changes which states run recovery,
-    never what they recover.
+    paths it has.  This is a measured trade-off, not a bound: recording
+    costs every load of every recovery, and the recoveries after such a
+    one mostly share nothing, but not always (cso-random's nvbench-shaped
+    `trim 1` at op 3 runs 5 recoveries where 2 would do).  Skipping a
+    recording changes which states run recovery, never what they recover.
 
     A recovery runs on the target's one reader, which `recovered_state`
     points at the state's crash memory.
@@ -309,8 +326,17 @@ class _ReadPaths:
     first one `_decode` rejects; no line outside the slot differs within
     the window, so every state reads the same bytes until it meets the
     slot, and an invalid one stops there (or never meets it).  A valid
-    state takes the read paths above.  The route is chosen once per
-    window."""
+    state takes the read paths above.
+
+    The map route.  A map's window (its target declares `slot_decodes`)
+    keeps no tree: a state is keyed by the decodes of the slots that hold
+    its written lines, and states with equal keys share one real `scan()`
+    and `items()`.  This is exact: the recovered value is a function of
+    every slot's decode (`_StpsTarget`), `_decode` is a pure function of
+    the slot's bytes and the map's geometry, and a slot with no written
+    line reads the same in every state of the window.  A state pays for
+    its image and a memoised decode per written slot.  The routes are
+    chosen once per window."""
 
     def __init__(self, mem: SimMemory, target, win):
         self.mem = mem
@@ -322,10 +348,18 @@ class _ReadPaths:
         self.root = None
         self.recording = True
         self.at = {line: i for i, line in enumerate(win.lines)}
-        self.sums = self.goal = self.invalid = None
+        self.sums = self.goal = self.invalid = self.slots = None
         check = getattr(target.reader, "slot_check", None)
         if check is not None:
             self._slot_sums(target.reader, check)
+        route = getattr(target, "slot_decodes", None)
+        if route is not None:
+            base, size, self.decode = route()
+            # the written slots' byte ranges, in line order
+            self.slots = [(lo, lo + size) for lo in dict.fromkeys(
+                line * LINE_SIZE - (line * LINE_SIZE - base) % size
+                for line in win.lines)]
+            self.outcomes = {}   # the slots' decodes -> the recovered value
 
     def _slot_sums(self, reader, check) -> None:
         """Build the checksum route's table if the window lies in one
@@ -360,6 +394,19 @@ class _ReadPaths:
                 sums.append(terms)
         self.sums, self.goal = sums, goal
 
+    def _by_decodes(self, cuts: tuple[int, ...]):
+        """The map route's value for `cuts`.  Its own method: inlined, its
+        comprehension would turn `recovered`'s locals into cells that
+        every state pays for."""
+        mem = self.mem
+        image, decode = mem._image(self.win, cuts), self.decode
+        key = tuple([decode(bytes(image[lo:hi])) for lo, hi in self.slots])
+        recovered = self.outcomes.get(key)
+        if recovered is None:
+            recovered = self.outcomes[key] = self.target.recovered_state(
+                mem._crash_memory(bytearray(image)))
+        return recovered
+
     def recovered(self, cuts: tuple[int, ...]):
         sums = self.sums
         if (sums is not None and functools.reduce(
@@ -376,6 +423,8 @@ class _ReadPaths:
         if node is not None:
             return node
         mem, target = self.mem, self.target
+        if self.slots is not None:   # a map window's tree stays empty
+            return self._by_decodes(cuts)
         image = bytearray(mem._image(self.win, cuts))   # the buffer stays
         if not self.recording:
             return target.recovered_state(mem._crash_memory(image))
@@ -417,8 +466,9 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
     window's first op at cut 0 and at cut c the op that issued line i's
     c-th unit.  If every column ends at the first op, that op wrote the
     whole window and every state's j is it, with no lookup.  Recovery runs
-    once per read path of a window (`_ReadPaths`), on the target's one
-    reader and images patched into one buffer per window.  A recovered
+    once per read path of a log's window, or per distinct decode of a map
+    window's written slots (`_ReadPaths`), on the target's one reader and
+    images patched into one buffer per window.  A recovered
     value is judged by equality with the legal pair: a log's tuple of
     payloads, or a map's dict, which equals the model's whatever its key
     order."""
@@ -448,13 +498,11 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
         if (i == only) if only is not None else end:
             win = mem._window()
             if sampled:
-                states = mem.boundary_crash_states()
-                states += mem.sample_crash_states(script.mode_arg or 10000,
-                                                  seed=script.seed)
-                checked += len(states)
-                second = operator.itemgetter(1)
-                vectors = [tuple(map(second, cuts)) for cuts
-                           in dict.fromkeys(st.cuts for st in states)]
+                vectors = mem._boundaries(win)
+                vectors += mem._samples(win, random.Random(script.seed),
+                                        script.mode_arg or 10000)
+                checked += len(vectors)
+                vectors = dict.fromkeys(vectors)
             else:
                 vectors = mem._vectors(win)
                 checked += len(vectors)

@@ -51,18 +51,23 @@ line's unit count, floor and per-unit stamps, and the requirement vector of
 each k it meets, the floors with the raises of fences k and later undone.
 
 Within a window a crash state is a cut vector: a tuple of cuts, one per
-written line in line order.  ``_vectors`` yields the legal ones in product
-order, and ``enumerate_crash_states`` zips each with the lines into a
-``CrashState``.  A window in which no unit carries a nonzero stamp (no unit
+written line in line order.  Three sources give vectors: ``_vectors`` the
+legal ones in product order, ``_samples`` random ones and ``_boundaries``
+the cuts around ``RELEASE`` stores.  The crash checker takes the vectors as
+they are; ``enumerate_crash_states``, ``sample_crash_state(s)`` and
+``boundary_crash_states`` zip each with the lines into a ``CrashState``.
+A window in which no unit carries a nonzero stamp (no unit
 was stored after a round-trip fence of the epoch, as in the window of an
 append that fences once) triggers no requirement, so its legal vectors are
-the whole product and no tuple is tested.  A sampled or boundary state is
+the whole product and no tuple is tested.  A sampled or boundary vector is
 fixed up in one pass: its cuts are raised to the requirement vector of the
 newest stamp k they persist.  That raise persists no unit stamped k or
 later, since the fences before fence k made durable only units issued
 before them, so it triggers no further requirement and one pass gives what
 raising until nothing is triggered would.  The sampler draws each cut as
-``randrange(floor, count + 1)`` would, draw for draw.
+``randrange(floor, count + 1)`` would, draw for draw, so a caller that
+shares its generator with other draws sees the same stream whichever form
+it takes the states in.
 
 Each window keeps one crash image buffer, which starts as a copy of
 ``cached``: that always equals ``_base`` (the image at the start of the
@@ -474,12 +479,15 @@ class SimMemory:
         crash at any earlier point of the trace is included too.
         """
         win = self._window()
-        lines, epoch = win.lines, self._epoch
-        return [CrashState(tuple(zip(lines, cuts)), epoch)
-                for cuts in self._vectors(win, limit, at_least_durable)]
+        return self._states(win, self._vectors(win, limit, at_least_durable))
 
-    def _fix_up(self, win: _Window, cuts: list[int]) -> CrashState:
-        """The state with `cuts` raised to meet every triggered flush
+    def _states(self, win: _Window, vectors) -> list[CrashState]:
+        """The cut vectors `vectors` of `win` as `CrashState`s."""
+        lines, epoch = win.lines, self._epoch
+        return [CrashState(tuple(zip(lines, cuts)), epoch) for cuts in vectors]
+
+    def _fix_up(self, win: _Window, cuts: list[int]) -> tuple[int, ...]:
+        """The vector `cuts` raised to meet every triggered flush
         requirement, in one pass: to max(cuts, reqs(k)), k the newest stamp
         `cuts` persist.  One pass is exact because reqs(k) persists no unit
         stamped k or later: the fences before fence k made durable only
@@ -487,15 +495,14 @@ class SimMemory:
         beyond reqs(k)."""
         k = max(map(list.__getitem__, win.stamps, cuts), default=0)
         if k:
-            cuts = [c if c >= r else r
-                    for c, r in zip(cuts, self._reqs(win, k))]
-        return CrashState(tuple(zip(win.lines, cuts)), self._epoch)
+            return tuple([c if c >= r else r
+                          for c, r in zip(cuts, self._reqs(win, k))])
+        return tuple(cuts)
 
-    def sample_crash_state(self, rng: random.Random,
-                           at_least_durable: bool = False) -> CrashState:
-        """A random cut per written line, raised to meet the flush
-        requirements."""
-        win = self._window()
+    def _samples(self, win: _Window, rng: random.Random, count: int,
+                 at_least_durable: bool = False) -> list[tuple[int, ...]]:
+        """`count` random vectors of `win`, a cut per written line each,
+        raised to meet the flush requirements."""
         draws = win.draws.get(at_least_durable)
         if draws is None:
             los = win.floors if at_least_durable else [0] * len(win.lines)
@@ -509,28 +516,43 @@ class SimMemory:
         # lo + rng._randbelow(span), which randrange(lo, stop) computes,
         # draw for draw: the fewest bits that cover the span, drawn again
         # until they fall below it
-        getrandbits = rng.getrandbits
-        cuts = []
-        for lo, span, bits in draws:
-            r = getrandbits(bits)
-            while r >= span:
+        getrandbits, fix_up = rng.getrandbits, self._fix_up
+        vectors = []
+        for _ in range(count):
+            cuts = []
+            for lo, span, bits in draws:
                 r = getrandbits(bits)
-            cuts.append(lo + r)
-        return self._fix_up(win, cuts)
+                while r >= span:
+                    r = getrandbits(bits)
+                cuts.append(lo + r)
+            vectors.append(fix_up(win, cuts))
+        return vectors
+
+    def sample_crash_state(self, rng: random.Random,
+                           at_least_durable: bool = False) -> CrashState:
+        """A random cut per written line, raised to meet the flush
+        requirements."""
+        win = self._window()
+        return self._states(win, self._samples(win, rng, 1,
+                                               at_least_durable))[0]
 
     def sample_crash_states(self, count: int, seed: int = 0,
                             at_least_durable: bool = False):
-        rng = random.Random(seed)
-        for _ in range(count):
-            yield self.sample_crash_state(rng=rng, at_least_durable=at_least_durable)
+        win = self._window()
+        yield from self._states(win, self._samples(
+            win, random.Random(seed), count, at_least_durable))
 
     def boundary_crash_states(self) -> list[CrashState]:
         """States cut just before/after each release-ordered (metadata) write,
-        with every other line fully persisted.  Force-included in sampling.
-        The writes are found from each line's records, counting units: a
-        ``RELEASE`` record is always a ``store``, one unit in its line."""
+        with every other line fully persisted.  Force-included in sampling."""
         win = self._window()
-        states = []
+        return self._states(win, self._boundaries(win))
+
+    def _boundaries(self, win: _Window) -> list[tuple[int, ...]]:
+        """`boundary_crash_states` as vectors of `win`.  The writes are
+        found from each line's records, counting units: a ``RELEASE``
+        record is always a ``store``, one unit in its line."""
+        vectors = []
         for i, line in enumerate(win.lines):
             pos = 0
             for _, _, _, ordering, units, _ in self._writes[line]:
@@ -538,9 +560,9 @@ class SimMemory:
                     for cut in (pos, pos + 1):
                         cuts = list(win.his)
                         cuts[i] = cut
-                        states.append(self._fix_up(win, cuts))
+                        vectors.append(self._fix_up(win, cuts))
                 pos += units
-        return states
+        return vectors
 
     def _image(self, win: _Window, cuts) -> bytearray:
         """The window's crash image buffer, showing the cut vector `cuts`:

@@ -6,6 +6,7 @@ flush and fence, in issue order, so tests can replay the persist rules from
 that trace without reading the bookkeeping of the engine they check.  It
 records a `store_words` run as one store per 8-byte chunk, splits stores at
 line boundaries and counts each line's writes itself.
+`WriteRefusingMemory` fails every store, flush and fence.
 """
 
 import re
@@ -80,3 +81,13 @@ def widened(text: str, size: int) -> str:
     bytes with 0x5a."""
     return re.sub(r"append (\w+)", lambda m: "append " + bytes.fromhex(
         m[1]).ljust(size, b"\x5a").hex(), text)
+
+
+class WriteRefusingMemory(SimMemory):
+    """A memory every store, flush and fence of which fails."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a write to a memory that refuses them")
+
+    store = store_word = store_words = clflushopt = flush_range = sfence = \
+        _refuse

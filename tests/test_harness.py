@@ -3,6 +3,7 @@ audits, the append loop's history bound, and the checksum collision
 construction."""
 
 import functools
+import importlib.util
 import operator
 import random
 from collections import Counter
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import nvlog
-from conftest import widened
+from conftest import WriteRefusingMemory, widened
 from nvlog.crc import crc32c
 from nvlog.harness import (BrokenVbLog, EXTRA_ALGORITHMS, Script, ScriptError,
                            _LogTarget, _ReadPaths, _StpsTarget,
@@ -25,6 +26,7 @@ from nvlog.logalg.csovb import CsoVbLog
 from nvlog.pmem import SimMemory
 from nvlog.stps import PersistentHashMap
 
+ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = Path(nvlog.__file__).parent / "workloads"
 
 THREE_APPENDS = """
@@ -370,29 +372,134 @@ def test_recovery_runs_once_per_read_path(algo, most, monkeypatch):
 
 
 def test_map_check_recoveries_write_nothing(monkeypatch):
-    # the map reader scans and does not repair: no crash memory of a
-    # 4-line map's check is stored to, flushed or fenced, where a full
-    # recovery of the same states would fence
-    crashed_mems = []
-    recovered_state = _StpsTarget.recovered_state
+    # the map route recovers a few of a 4-line map check's states, by
+    # `scan()` alone: no crash memory it recovers on is stored to, flushed
+    # or fenced, where full recoveries of the check's states would fence;
+    # and `scan()` reads every state's image on a memory that refuses
+    # every write
+    crashed_mems, images = [], []
+    recovered_state, judge = _StpsTarget.recovered_state, _ReadPaths.recovered
 
     def kept(target, crashed):
         crashed_mems.append((crashed, bytes(crashed.cached)))
         return recovered_state(target, crashed)
 
+    def judged(reads, cuts):
+        images.append(bytes(reads.mem._image(reads.win, cuts)))
+        return judge(reads, cuts)
+
     monkeypatch.setattr(_StpsTarget, "recovered_state", kept)
+    monkeypatch.setattr(_ReadPaths, "recovered", judged)
     text = (WORKLOADS / "map_smoke.txt").read_text()
     report = run_crash_suite(text, node_lines=4)
-    assert report.distinct_states > 100 and len(crashed_mems) > 100
-    repaired = 0
+    assert report.distinct_states == len(images) > 100
+    assert 0 < len(crashed_mems) < len(images)
     for crashed, image in crashed_mems:
         stats = crashed.stats
         assert (stats.sfence_count, stats.clflushopt_count) == (0, 0)
         assert not crashed.write_counts() and crashed.cached == image
+    repaired = 0
+    for image in images:
+        refusing = WriteRefusingMemory._from_image(bytearray(image))
+        PersistentHashMap(refusing, 0, len(image), node_lines=4).scan()
         fresh = SimMemory._from_image(bytearray(image))
         PersistentHashMap(fresh, 0, len(image), node_lines=4).recover()
         repaired += fresh.stats.sfence_count
     assert repaired > 0
+
+
+def map_route_checked(monkeypatch) -> Counter:
+    """Check every map state a suite judges from here on: the route's value
+    must be, key order included, what a fresh map's full `scan()` and
+    `items()` give on the state's own crash memory.  Counts the states, the
+    recoveries and the states of windows that wrote two slots or more."""
+    seen = Counter()
+    judge, recovered_state = _ReadPaths.recovered, _StpsTarget.recovered_state
+
+    def checked(reads, cuts):
+        got = judge(reads, cuts)
+        mem, node_lines = reads.mem, reads.target.reader.node_lines
+        own = mem._crash_memory(bytearray(mem._image(reads.win, cuts)))
+        fresh = PersistentHashMap(own, 0, own.capacity, node_lines=node_lines)
+        fresh.scan()
+        assert list(got.items()) == list(fresh.items().items())
+        assert reads.root is None   # the read-path tree is never grown
+        seen["states"] += 1
+        seen["two slots"] += len(reads.slots) > 1
+        return got
+
+    def counted(target, crashed):
+        assert type(crashed) is SimMemory   # records no loads
+        seen["recoveries"] += 1
+        return recovered_state(target, crashed)
+
+    monkeypatch.setattr(_ReadPaths, "recovered", checked)
+    monkeypatch.setattr(_StpsTarget, "recovered_state", counted)
+    return seen
+
+
+def every_mode(text: str):
+    """`text` parsed once per crash mode: exhaustive, sampled, and at-op
+    for each of its ops."""
+    for mode in ("exhaustive", "sampled 300"):
+        yield parse_script(f"{text}\ncrash {mode}")
+    for i in range(len(parse_script(text).ops)):
+        yield parse_script(f"{text}\ncrash at-op {i}")
+
+
+def nvbench_map_scripts(seed: int):
+    """nvbench crash-check's map scripts of one round, as (node lines,
+    text), their values drawn from `seed`."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "nvbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [(s["kw"]["node_lines"], "\n".join(s["body"]))
+            for s in workloads.crash_scripts(random.Random(seed))
+            if "node_lines" in s["kw"]]
+
+
+@pytest.mark.parametrize("node_lines", [1, 2, 4])
+def test_the_map_route_recovers_as_a_full_scan(node_lines, monkeypatch):
+    # map_smoke writes a transaction's two slots in one window
+    seen = map_route_checked(monkeypatch)
+    text = (WORKLOADS / "map_smoke.txt").read_text()
+    for script in every_mode(text):
+        assert run_crash_suite(script, node_lines=node_lines).ok
+    assert seen["two slots"] and seen["recoveries"] < seen["states"]
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_the_map_route_recovers_nvbench_scripts_as_a_full_scan(seed,
+                                                               monkeypatch):
+    seen = map_route_checked(monkeypatch)
+    for node_lines, text in nvbench_map_scripts(seed):
+        for script in every_mode(text):
+            run_crash_suite(script, node_lines=node_lines)
+    assert seen["two slots"] and seen["recoveries"] < seen["states"]
+
+
+def test_slot_images_that_decode_alike_share_one_recovery(monkeypatch):
+    # a store past the entry's key and value changes the slot's bytes but
+    # not its decode: the window's two states share one recovery, which is
+    # what a full scan of each gives
+    seen = map_route_checked(monkeypatch)
+    target = _StpsTarget(1, 4)
+    mem = target.mem
+    target.run_op(("U", b"a", b"1"))
+    mem.checkpoint()
+    mem.store(40, b"x")
+    mem.clflushopt(0)
+    mem.sfence()
+    win = mem._window()
+    reads = _ReadPaths(mem, target, win)
+    images = set()
+    for cuts in mem._vectors(win):
+        assert reads.recovered(cuts) == {b"a": b"1"}
+        images.add(bytes(mem._image(win, cuts)))
+    [decodes] = reads.outcomes
+    assert len(images) == 2 and decodes[0] is not None
+    assert seen == Counter(states=2, recoveries=1)
 
 
 def table_valid(reads, cuts) -> bool:

@@ -23,7 +23,7 @@ def run_tool(*args):
 
 
 @pytest.mark.parametrize("probe", ["cso-fvb/240@0", "store_words/56",
-                                   "recover/crc64"])
+                                   "recover/crc64", "crash/sample-source"])
 def test_one_probe_on_one_pair(tmp_path, probe):
     out = tmp_path / "pairs.json"
     src = str(ROOT / "src")

@@ -29,6 +29,11 @@ def cuts_of(states):
     return {tuple(s.cuts) for s in states}
 
 
+def vector(state: CrashState) -> tuple[int, ...]:
+    """A state's cut vector: its cuts without their lines."""
+    return tuple(c for _, c in state.cuts)
+
+
 # ------------------------------------------------------------- store semantics
 
 def test_store_splits_at_line_boundaries():
@@ -449,12 +454,37 @@ def test_sampler_draws_as_randrange_does(durable):
     los = win.floors if durable else [0] * len(win.lines)
     for _ in range(2000):
         want = m._fix_up(win, list(map(slow.randrange, los, win.stops)))
-        assert m.sample_crash_state(fast, at_least_durable=durable) == want
+        assert vector(m.sample_crash_state(fast,
+                                           at_least_durable=durable)) == want
     assert fast.getstate() == slow.getstate()
     assert any(los) == durable
 
 
-def iterative_fix_up(m: SimMemory, win, cuts: list[int]) -> CrashState:
+@pytest.mark.parametrize("durable", [False, True])
+@pytest.mark.parametrize("seed", range(15))
+def test_the_vector_source_draws_the_public_samplers_states(seed, durable):
+    # `_samples` and `_boundaries` are what the crash checker draws: they
+    # must give the public samplers' states as vectors, and leave the
+    # generator where drawing those states leaves it
+    for m in (random_trace(seed), long_trace(seed),
+              long_trace(seed, events=60)):
+        for line in range(0, 4, 1 + seed % 2):
+            m.store(64 * line + 8 * (seed % 8), b"r", RELEASE)
+        win = m._window()
+        rng = random.Random(seed)
+        got = m._samples(win, rng, 120, at_least_durable=durable)
+        assert got == list(map(vector, m.sample_crash_states(
+            120, seed=seed, at_least_durable=durable)))
+        public = random.Random(seed)
+        for _ in range(120):
+            m.sample_crash_state(public, at_least_durable=durable)
+        assert rng.getstate() == public.getstate()
+        assert m._boundaries(win) == list(map(vector,
+                                              m.boundary_crash_states()))
+        assert all(type(cuts) is tuple for cuts in got + m._boundaries(win))
+
+
+def iterative_fix_up(m: SimMemory, win, cuts: list[int]) -> tuple[int, ...]:
     """The reference fix-up: raise `cuts` to the requirement vector of the
     newest stamp they persist, and again, until they meet it."""
     stamps = win.stamps
@@ -465,7 +495,7 @@ def iterative_fix_up(m: SimMemory, win, cuts: list[int]) -> CrashState:
             break
         cuts = [max(c, r) for c, r in zip(cuts, req)]
         k = max(map(list.__getitem__, stamps, cuts))
-    return CrashState(tuple(zip(win.lines, cuts)), m._epoch)
+    return tuple(cuts)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -487,7 +517,7 @@ def test_one_pass_fix_up_matches_the_iterative_raise(seed):
         for cuts in draws + [list(win.floors)]:
             want = iterative_fix_up(m, win, cuts)
             assert m._fix_up(win, cuts) == want
-            raised += [c for _, c in want.cuts] != cuts
+            raised += want != tuple(cuts)
     assert raised
 
 
@@ -572,7 +602,7 @@ def test_boundary_states_of_random_traces_are_legal(seed):
     assert {s.cuts for s in states} <= brute_force_states(m)
 
 
-def unit_walk_boundary_states(m: SimMemory) -> list[CrashState]:
+def unit_walk_boundary_states(m: SimMemory) -> list[tuple[int, ...]]:
     """The reference boundary walk: split each line's records into units
     with `_units` and cut before and after every RELEASE unit."""
     win = m._window()
@@ -606,7 +636,7 @@ def test_boundary_states_from_records_match_the_unit_walk(seed):
                 m.clflushopt(line)
                 m.sfence()
         want = unit_walk_boundary_states(m)
-        assert m.boundary_crash_states() == want
+        assert list(map(vector, m.boundary_crash_states())) == want
         assert len(want) == 2 * sum(ordering == RELEASE
                                     for line in m.write_counts()
                                     for *_, ordering in m._units(line))

@@ -9,7 +9,8 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  rule)
 
-from conftest import Fence, Flush, RecordingMemory, Store
+from conftest import (Fence, Flush, RecordingMemory, Store,
+                      WriteRefusingMemory)
 from nvlog.pmem import RELAXED, SimMemory, WORD_SIZE
 from nvlog.stps import (CapacityError, InvariantError, PersistentHashMap,
                         StpsError, pack_meta)
@@ -395,16 +396,6 @@ def parent_recover(self):
     self._bump = self.nslots
     self._next_version = max_version + 1
     return self
-
-
-class WriteRefusingMemory(SimMemory):
-    """A memory every store, flush and fence of which fails."""
-
-    def _refuse(self, *args):
-        raise AssertionError("a write to a memory that refuses them")
-
-    store = store_word = store_words = clflushopt = flush_range = sfence = \
-        _refuse
 
 
 def crash_images(node_lines: int, seed: int):
