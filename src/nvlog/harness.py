@@ -7,21 +7,32 @@ point the program left the memory quiescent to the next one or to the end
 of the script (sampling makes the whole script one window), and its crash
 states are drawn and checked once, at its end (`crash at-op I`: right after
 op I).  States travel as cut vectors, one cut per written line of the
-window in line order.  Each distinct state is judged once, against the
-window's owner columns (which op issued each unit) and its legal states,
-and a log's recovery runs once per read path: a state that agrees with an
-earlier one on every written line that recovery loaded takes its recovered
-value.  A checksum log's window that lies in one slot is judged first by
-the CRC's line terms: its invalid states share one recovery.  A map's
-window is judged by the decodes of the slots it wrote: states whose
-written slots decode alike share one recovery.  Every recovery runs on the
-check's one reader (a log attached, or a map built, once per check; the
-map only scans, as its repair writes would land on a memory that is thrown
-away), pointed at a memory over a copy of the window's one crash image
-buffer, patched only where the cuts changed.  A state pays for its
-recovery, or its slots' decodes, and little else.  Also houses round-trip
-audits, a deliberately broken log variant, and a checksum-collision
-construction that defeats 32-bit CRC validation.
+window in line order.
+
+A window that one op wrote, checked exhaustively or at an op, is judged
+class by class (`_ReadPaths.classes`).  A class is a set of legal states
+that provably recover the same value; its size is counted from the
+window's stamps and requirement vectors (`SimMemory._count`) with no
+state built, and its value is judged once.  Only a class whose value is
+illegal is listed, so that each of its states is reported, in product
+order.  A log's classes are the leaves of its read-path tree, walked
+eagerly: one recovery per distinct read path.  A checksum log's unfenced
+window that lies in one slot is classed first by the CRC's line terms, so
+its invalid states form one class with one recovery.  A map's unfenced
+window is classed by the decodes of the slots it wrote.  Any other window
+(one that several ops wrote, a fenced checksum or map window, a sampled
+one) is judged state by state, each distinct state once, against the
+window's owner columns (which op issued each unit), through the same
+routes: recovery runs once per read path recorded so far, invalid checksum
+states share one recovery, and map states whose written slots decode
+alike share one.  Every recovery runs on the check's one reader (a log
+attached, or a map built, once per check; the map only scans, as its
+repair writes would land on a memory that is thrown away), pointed at a
+memory over a copy of the window's one crash image buffer, patched only
+where the cuts changed.
+
+Also houses round-trip audits, a deliberately broken log variant, and a
+checksum-collision construction that defeats 32-bit CRC validation.
 """
 
 from __future__ import annotations
@@ -29,6 +40,8 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
+import math
 import operator
 import random
 from typing import NamedTuple
@@ -38,7 +51,8 @@ from .logalg import ALGORITHMS
 from .logalg.base import (HEAD_WORD_OFF, CircularLog, TrimError,
                           UnrecoverableLogError)
 from .logalg.csovb import CsoVbLog
-from .pmem import LINE_SIZE, SimMemory, WORD_SIZE
+from .pmem import (ENUMERATION_LIMIT, LINE_SIZE, SimMemory, WORD_SIZE,
+                   _check_limit)
 from .stps import PersistentHashMap
 
 
@@ -290,24 +304,29 @@ class _StpsTarget:
 
 
 class _ReadPaths:
-    """The recovered states of one window, kept on a tree of read paths:
-    recovery runs once per path.  States are cut vectors, one cut per
-    written line in the window's line order.
+    """The recovered states of one window, as classes (`classes`) when one
+    op wrote it, or state by state (`recovered`).  States are cut vectors,
+    one cut per written line in the window's line order.
 
-    Recovery is a deterministic function of the bytes it loads, and a line
-    the window did not write reads the same in every state.  So states
-    that agree on the cuts of the written lines recovery has loaded so far
-    make the same next load, and, by induction over the loads, states that
-    agree on every written line a recovery loaded load the same bytes in
-    the same order and recover the same value.
+    Read paths.  Recovery is a deterministic function of the bytes it
+    loads, and a line the window did not write reads the same in every
+    state.  So states that agree on the cuts of the written lines recovery
+    has loaded so far make the same next load, and, by induction over the
+    loads, states that agree on every written line a recovery loaded load
+    the same bytes in the same order and recover the same value.  A log
+    window's classes are the leaves of the tree of these paths, walked
+    eagerly (`_walk`): one recovery per distinct read path.
 
-    No other state can share a recovery that loaded every written line.
-    Once one has, the window records no more loads and only looks up the
-    paths it has.  This is a measured trade-off, not a bound: recording
-    costs every load of every recovery, and the recoveries after such a
-    one mostly share nothing, but not always (cso-random's nvbench-shaped
-    `trim 1` at op 3 runs 5 recoveries where 2 would do).  Skipping a
-    recording changes which states run recovery, never what they recover.
+    States judged one by one keep the paths recovered so far on a tree,
+    and a state that follows a recorded path takes its value.  No other
+    state can share a recovery that loaded every written line.  Once one
+    has, the window records no more loads and only looks up the paths it
+    has.  This is a measured trade-off, not a bound: recording costs every
+    load of every recovery, and in the windows judged state by state
+    (sampled ones, those that several ops wrote, and a checksum window's
+    valid states) the recoveries after such a one mostly share nothing.
+    Skipping a recording changes which states run recovery, never what
+    they recover.
 
     A recovery runs on the target's one reader, which `recovered_state`
     points at the state's crash memory.
@@ -325,8 +344,9 @@ class _ReadPaths:
     head word and then decodes slots from the head on, stopping at the
     first one `_decode` rejects; no line outside the slot differs within
     the window, so every state reads the same bytes until it meets the
-    slot, and an invalid one stops there (or never meets it).  A valid
-    state takes the read paths above.
+    slot, and an invalid one stops there (or never meets it).  So the
+    invalid states of an unfenced window form one class
+    (`_checksum_classes`).  A valid state takes the read paths above.
 
     The map route.  A map's window (its target declares `slot_decodes`)
     keeps no tree: a state is keyed by the decodes of the slots that hold
@@ -334,9 +354,9 @@ class _ReadPaths:
     and `items()`.  This is exact: the recovered value is a function of
     every slot's decode (`_StpsTarget`), `_decode` is a pure function of
     the slot's bytes and the map's geometry, and a slot with no written
-    line reads the same in every state of the window.  A state pays for
-    its image and a memoised decode per written slot.  The routes are
-    chosen once per window."""
+    line reads the same in every state of the window.  An unfenced
+    window's classes take one decode per written slot
+    (`_decode_classes`).  The routes are chosen once per window."""
 
     def __init__(self, mem: SimMemory, target, win):
         self.mem = mem
@@ -365,6 +385,8 @@ class _ReadPaths:
         """Build the checksum route's table if the window lies in one
         slot of at least one line."""
         mem, lines, size = self.mem, self.win.lines, reader.slot_size
+        if not lines:
+            return
         slot = (lines[0] * LINE_SIZE - reader.slot_addr(0)) // size
         addr = reader.slot_addr(slot)
         if (size < LINE_SIZE or not 0 <= slot < reader.nslots
@@ -408,14 +430,26 @@ class _ReadPaths:
         return recovered
 
     def recovered(self, cuts: tuple[int, ...]):
+        """The value a state on its own recovers to."""
         sums = self.sums
         if (sums is not None and functools.reduce(
                 operator.xor, map(list.__getitem__, sums, cuts)) != self.goal):
-            if self.invalid is None:
-                self.invalid = self.target.recovered_state(
-                    self.mem._crash_memory(bytearray(
-                        self.mem._image(self.win, cuts))))
-            return self.invalid
+            return self._invalid(cuts)
+        if self.slots is not None:   # a map window's tree stays empty
+            return self._by_decodes(cuts)
+        return self._by_path(cuts)
+
+    def _invalid(self, cuts: tuple[int, ...]):
+        """The value of every state whose checksum slot is invalid,
+        recovered from the first of them, `cuts`."""
+        if self.invalid is None:
+            self.invalid = self.target.recovered_state(
+                self.mem._crash_memory(bytearray(
+                    self.mem._image(self.win, cuts))))
+        return self.invalid
+
+    def _by_path(self, cuts: tuple[int, ...]):
+        """The read paths' value for `cuts`."""
         node, parent, depth = self.root, None, 0
         while type(node) is list:
             parent, depth = node, depth + 1
@@ -423,8 +457,6 @@ class _ReadPaths:
         if node is not None:
             return node
         mem, target = self.mem, self.target
-        if self.slots is not None:   # a map window's tree stays empty
-            return self._by_decodes(cuts)
         image = bytearray(mem._image(self.win, cuts))   # the buffer stays
         if not self.recording:
             return target.recovered_state(mem._crash_memory(image))
@@ -444,6 +476,186 @@ class _ReadPaths:
         else:
             parent[1][cuts[parent[0]]] = node
         return recovered
+
+    @property
+    def by_class(self) -> bool:
+        """Whether `classes` covers the window: a log's walk covers any
+        window, the checksum and map routes only an unfenced one, whose
+        product is all legal."""
+        return not self.win.fenced or (self.sums is None
+                                       and self.slots is None)
+
+    def classes(self):
+        """The window's legal vectors in classes that recover alike, as
+        (recovered value, size, members): `members()` lists the class's
+        vectors in product order.  The classes partition the vectors."""
+        if self.slots is not None:
+            return self._decode_classes()
+        if self.sums is not None:
+            return self._checksum_classes()
+        return self._walk()
+
+    def _walk(self):
+        """A log window's read-path tree, walked eagerly: recovery runs on
+        one legal completion of a node's held cuts, and the first written
+        line it loads that the node does not hold is the node's branch.
+        Each cut of it that keeps a legal completion is a child; the
+        completion's own cut is followed on by the same recovery, each
+        other child's completion runs its own.  A recovery that loads no
+        unheld written line ends at a leaf, whose class is every legal
+        vector holding its cuts: one recovery per leaf, which is one per
+        distinct read path."""
+        mem, win, at, width = self.mem, self.win, self.at, len(self.at)
+        stack = [({}, mem._completion(win, {}))]
+        while stack:
+            held, cuts = stack.pop()
+            image = bytearray(mem._image(win, cuts))
+            if len(held) == width:   # a class of one: no load can branch
+                yield (self.target.recovered_state(mem._crash_memory(image)),
+                       1, functools.partial(list, (cuts,)))
+                continue
+            crashed = mem._crash_memory(image, record_loads=True)
+            recovered = self.target.recovered_state(crashed)
+            for line in dict.fromkeys(crashed.loaded_lines):
+                i = at.get(line)
+                if i is None or i in held:
+                    continue
+                for cut in range(win.stops[i]):
+                    if cut != cuts[i]:
+                        child = {**held, i: cut}
+                        completion = mem._completion(win, child)
+                        if completion is not None:
+                            stack.append((child, completion))
+                held[i] = cuts[i]
+            if len(held) == width:
+                yield recovered, 1, functools.partial(list, (cuts,))
+            else:
+                yield (recovered, mem._count(win, held),
+                       functools.partial(mem._holding, win, held))
+
+    def _checksum_classes(self):
+        """An unfenced one-slot window of a checksum log: each vector's
+        line terms XORed, line by line in product order.  A vector whose
+        XOR is not the goal fails `_decode`, and all of them recover as
+        the first of them does; each valid vector is its own class."""
+        xors = [0]
+        for terms in self.sums:
+            xors = [x ^ term for x in xors for term in terms]
+        goal, stops = self.goal, self.win.stops
+        vectors = functools.partial(itertools.product, *map(range, stops))
+        n = -1
+        valid = [n := xors.index(goal, n + 1) for _ in range(xors.count(goal))]
+        invalid = len(xors) - len(valid)
+        if invalid:
+            first = next(n for n, x in enumerate(xors) if x != goal)
+            yield self._invalid(_unrank(first, stops)), invalid, lambda: [
+                cuts for cuts, x in zip(vectors(), xors) if x != goal]
+        for n in valid:
+            cuts = _unrank(n, stops)
+            yield self._by_path(cuts), 1, functools.partial(list, (cuts,))
+
+    def _decode_classes(self):
+        """An unfenced map window: each written slot's cut combinations,
+        one cut per written line in the slot, grouped by the slot's
+        decode.  A class takes one decode per slot; it holds the product
+        of those groups' combinations and recovers once."""
+        mem, win = self.mem, self.win
+        groups = []   # per written slot: (its window lines, {decode: combos})
+        for lo, hi in self.slots:
+            spots, parts = [], []   # each line of the slot: its images
+            for line in range(lo // LINE_SIZE, hi // LINE_SIZE):
+                i = self.at.get(line)
+                if i is None:
+                    parts.append((mem.cached[line * LINE_SIZE:
+                                             (line + 1) * LINE_SIZE],))
+                else:
+                    spots.append(i)
+                    parts.append(mem._line_images(win, i))
+            by_decode = {}
+            for combo, images in zip(
+                    itertools.product(*(range(win.stops[i]) for i in spots)),
+                    itertools.product(*parts)):
+                by_decode.setdefault(self.decode(b"".join(images)),
+                                     []).append(combo)
+            groups.append((spots, by_decode))
+        for key in itertools.product(*(by_decode for _, by_decode in groups)):
+            chosen = [(spots, by_decode[d])
+                      for (spots, by_decode), d in zip(groups, key)]
+            size = math.prod(len(combos) for _, combos in chosen)
+            cuts = _merge(len(win.lines),
+                          [(spots, combos[0]) for spots, combos in chosen])
+            yield self._by_decodes(cuts), size, functools.partial(
+                _merged, len(win.lines), chosen)
+
+
+def _unrank(n: int, stops: list[int]) -> tuple[int, ...]:
+    """The `n`-th vector of the product of `range(stop)` over `stops`."""
+    cuts = []
+    for stop in reversed(stops):
+        n, cut = divmod(n, stop)
+        cuts.append(cut)
+    return tuple(reversed(cuts))
+
+
+def _merge(width: int, parts) -> tuple[int, ...]:
+    """One vector of `width` cuts from (positions, cuts) parts."""
+    cuts = [0] * width
+    for spots, combo in parts:
+        for i, cut in zip(spots, combo):
+            cuts[i] = cut
+    return tuple(cuts)
+
+
+def _merged(width: int, chosen: list) -> list[tuple[int, ...]]:
+    """Every vector that takes one combination per slot of `chosen`,
+    (positions, combinations) pairs, in product order."""
+    return sorted(_merge(width, zip((spots for spots, _ in chosen), pick))
+                  for pick in itertools.product(*(combos
+                                                  for _, combos in chosen)))
+
+
+def _judge_states(reads: _ReadPaths, vectors, own: list[list[int]],
+                  first: int, only: int | None, legal: list,
+                  violations: list) -> int:
+    """Judge each of a window's `vectors` on its own, in their order;
+    returns how many were judged.  Op j is the largest entry of the owner
+    columns `own` at the vector's cuts; at op `only`, a vector with
+    another j is skipped."""
+    lines = reads.win.lines
+    # columns ascend: if each ends in `first`, one op wrote the window and
+    # every state's j is `first`
+    one_op = all(column[-1] == first for column in own)
+    judged = 0
+    for cuts in vectors:
+        j = first if one_op else max(map(list.__getitem__, own, cuts))
+        if only is not None and j != only:
+            continue
+        judged += 1
+        recovered = reads.recovered(cuts)
+        if recovered not in legal[j - first:j + 2 - first]:
+            violations.append(Violation(
+                j, tuple(zip(lines, cuts)), recovered,
+                tuple(legal[j - first:j + 2 - first])))
+    return judged
+
+
+def _judge_classes(reads: _ReadPaths, first: int, legal: list,
+                   violations: list) -> int:
+    """Judge a window that op `first` alone wrote class by class: a class's
+    value once, and each vector of a class whose value is illegal, so that
+    the violations come out as `_judge_states` gives them, in product
+    order.  Returns how many vectors were judged."""
+    pair = legal[:2]
+    bad, judged = [], 0
+    for recovered, size, members in reads.classes():
+        judged += size
+        if recovered not in pair:
+            bad += [(cuts, recovered) for cuts in members()]
+    bad.sort(key=operator.itemgetter(0))
+    lines = reads.win.lines
+    violations += [Violation(first, tuple(zip(lines, cuts)), recovered,
+                             tuple(pair)) for cuts, recovered in bad]
+    return judged
 
 
 def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
@@ -465,13 +677,18 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
     window's owner columns at the vector's cuts, where column i holds the
     window's first op at cut 0 and at cut c the op that issued line i's
     c-th unit.  If every column ends at the first op, that op wrote the
-    whole window and every state's j is it, with no lookup.  Recovery runs
-    once per read path of a log's window, or per distinct decode of a map
-    window's written slots (`_ReadPaths`), on the target's one reader and
-    images patched into one buffer per window.  A recovered
-    value is judged by equality with the legal pair: a log's tuple of
-    payloads, or a map's dict, which equals the model's whatever its key
-    order."""
+    whole window and every state's j is it, with no lookup; such a window,
+    unless sampled, is judged by classes of states that recover alike
+    (`_judge_classes`), and its states are counted, not listed, unless
+    their class's value is illegal.  Any other window is judged state by
+    state (`_judge_states`).  Either way recovery runs once per read path
+    of a log's window, or per distinct decode of a map window's written
+    slots (`_ReadPaths`), on the target's one reader and images patched
+    into one buffer per window, and `EnumerationLimitError` is raised for
+    a window whose cut tuples number more than `ENUMERATION_LIMIT`, unless
+    it is sampled.  A recovered value is judged by equality with the legal
+    pair: a log's tuple of payloads, or a map's dict, which equals the
+    model's whatever its key order."""
     if isinstance(script, str):
         script = parse_script(script)
     if script.kind == "log":
@@ -497,32 +714,27 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
         end = quiet or i == len(script.ops) - 1   # the window ends here
         if (i == only) if only is not None else end:
             win = mem._window()
+            own = [[first, *owner[line]] for line in win.lines]
+            one_op = all(column[-1] == first for column in own)
+            reads = _ReadPaths(mem, target, win)
             if sampled:
                 vectors = mem._boundaries(win)
                 vectors += mem._samples(win, random.Random(script.seed),
                                         script.mode_arg or 10000)
                 checked += len(vectors)
-                vectors = dict.fromkeys(vectors)
+                distinct += _judge_states(reads, dict.fromkeys(vectors), own,
+                                          first, only, legal, violations)
+            elif one_op and reads.by_class:
+                _check_limit(win, [0] * len(win.lines), ENUMERATION_LIMIT)
+                checked += mem._count(win)
+                if only in (None, first):
+                    distinct += _judge_classes(reads, first, legal,
+                                               violations)
             else:
                 vectors = mem._vectors(win)
                 checked += len(vectors)
-            lines = win.lines
-            own = [[first, *owner[line]] for line in lines]
-            # columns ascend: if each ends in `first`, one op wrote the
-            # window and every state's j is `first`
-            one_op = all(column[-1] == first for column in own)
-            reads = _ReadPaths(mem, target, win)
-            for cuts in vectors:
-                j = (first if one_op else
-                     max(map(list.__getitem__, own, cuts)))
-                if only is not None and j != only:
-                    continue
-                distinct += 1
-                recovered = reads.recovered(cuts)
-                if recovered not in legal[j - first:j + 2 - first]:
-                    violations.append(Violation(
-                        j, tuple(zip(lines, cuts)), recovered,
-                        tuple(legal[j - first:j + 2 - first])))
+                distinct += _judge_states(reads, vectors, own, first, only,
+                                          legal, violations)
         if quiet:
             mem.checkpoint()
             first, legal, owner = i + 1, legal[-1:], {}

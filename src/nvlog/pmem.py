@@ -93,6 +93,7 @@ marks the writes around which ``boundary_crash_states`` cuts.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 import random
@@ -100,6 +101,7 @@ import struct
 from typing import NamedTuple
 
 LINE_SIZE = 64
+ENUMERATION_LIMIT = 1 << 20   # the most cut tuples a window enumerates
 WORD_SIZE = 8
 _LINE_SHIFT = LINE_SIZE.bit_length() - 1   # line of an address: addr >> this
 _LINE_MASK = LINE_SIZE - 1                 # offset in its line: addr & this
@@ -168,6 +170,17 @@ class CrashState(NamedTuple):
 def _check_geometry(capacity: int) -> None:
     if capacity <= 0 or capacity % LINE_SIZE != 0:
         raise UsageError(f"capacity {capacity} not a multiple of line size {LINE_SIZE}")
+
+
+def _check_limit(win: "_Window", los: list[int], limit: int) -> None:
+    """Raise `EnumerationLimitError` if the window's cut tuples from `los`
+    up number more than `limit`."""
+    total = 1
+    for lo, hi in zip(los, win.his):
+        total *= hi - lo + 1
+        if total > limit:
+            raise EnumerationLimitError(
+                f"{total}+ candidate cut tuples exceed limit {limit}")
 
 
 class _Window:
@@ -448,18 +461,18 @@ class SimMemory:
             vec = win.reqs[k] = [view.get(line, 0) for line in win.lines]
         return vec
 
-    def _vectors(self, win: _Window, limit: int = 1 << 20,
+    def _vectors(self, win: _Window, limit: int = ENUMERATION_LIMIT,
                  at_least_durable: bool = False) -> list[tuple[int, ...]]:
         """The window's legal cut vectors, in product order; with
         ``at_least_durable`` only those at or above the durable floor."""
         los = win.floors if at_least_durable else [0] * len(win.lines)
-        total = 1
-        for lo, hi in zip(los, win.his):
-            total *= hi - lo + 1
-            if total > limit:
-                raise EnumerationLimitError(
-                    f"{total}+ candidate cut tuples exceed limit {limit}")
-        vectors = itertools.product(*map(range, los, win.stops))
+        _check_limit(win, los, limit)
+        return self._legal(win, map(range, los, win.stops))
+
+    def _legal(self, win: _Window, ranges) -> list[tuple[int, ...]]:
+        """The legal vectors of the product of `ranges`, one range of cuts
+        per window line, in product order."""
+        vectors = itertools.product(*ranges)
         if not win.fenced:   # no requirement can trigger: all are legal
             return list(vectors)
         # a state must meet the requirements of every fence issued before
@@ -469,7 +482,57 @@ class SimMemory:
                 if not (k := max(map(list.__getitem__, stamps, cuts)))
                 or all(map(operator.ge, cuts, reqs(win, k)))]
 
-    def enumerate_crash_states(self, limit: int = 1 << 20,
+    def _holding(self, win: _Window, fixed: dict[int, int]
+                 ) -> list[tuple[int, ...]]:
+        """The legal vectors of `win` that hold line i at cut fixed[i] for
+        each i in `fixed`, in product order."""
+        return self._legal(win, [range(fixed[i], fixed[i] + 1) if i in fixed
+                                 else range(stop)
+                                 for i, stop in enumerate(win.stops)])
+
+    def _count(self, win: _Window, fixed: dict[int, int] = {}) -> int:
+        """``len(self._holding(win, fixed))``, with no vector built.  A
+        legal vector whose newest persisted stamp is k meets reqs(k) (k = 0
+        asks nothing).  The vectors at or above reqs(k) whose stamps are at
+        most k form a product of intervals, one per line, since a line's
+        stamps ascend (a held line's is one cut or none), and those whose
+        newest stamp is exactly k are that product less the one whose
+        stamps are below k.  So the count sums, over k = 0 and every stamp
+        the window carries, the difference of two products."""
+        total = 0
+        ks = {0}.union(*win.stamps) if win.fenced else (0,)
+        for k in ks:
+            reqs = self._reqs(win, k) if k else itertools.repeat(0)
+            at_most = below = 1
+            for i, (stamps, req) in enumerate(zip(win.stamps, reqs)):
+                cut = fixed.get(i)
+                if cut is None:
+                    at_most *= max(0, bisect.bisect_right(stamps, k) - req)
+                    below *= max(0, bisect.bisect_left(stamps, k) - req)
+                else:
+                    at_most *= cut >= req and stamps[cut] <= k
+                    below *= cut >= req and stamps[cut] < k
+            total += at_most - below if k else at_most
+        return total
+
+    def _completion(self, win: _Window, fixed: dict[int, int]
+                    ) -> tuple[int, ...] | None:
+        """A legal vector of `win` that holds line i at cut fixed[i] for
+        each i in `fixed`, or None if none does.  It is the held cuts with
+        every other line at cut 0, raised by `_fix_up`: if the raise leaves
+        the held cuts as they are, it is one; if it raises one, none is,
+        since any completion persists a stamp at least as new, whose
+        requirement is at least as high."""
+        cuts = [0] * len(win.lines)
+        for i, cut in fixed.items():
+            cuts[i] = cut
+        if not win.fenced:   # every vector is legal
+            return tuple(cuts)
+        cuts = self._fix_up(win, cuts)
+        return (cuts if all(cuts[i] == cut for i, cut in fixed.items())
+                else None)
+
+    def enumerate_crash_states(self, limit: int = ENUMERATION_LIMIT,
                                at_least_durable: bool = False
                                ) -> list[CrashState]:
         """All persisted images the persist relation allows for this trace.
@@ -591,6 +654,21 @@ class SimMemory:
                 image[lo:lo + size] = self._base[lo:lo + size]
         win.shown = tuple(cuts)
         return image
+
+    def _line_images(self, win: _Window, i: int) -> list[bytes]:
+        """Window line i's image at each of its cuts, as `_image` pastes
+        it."""
+        line, hi = win.lines[i], win.his[i]
+        lo = line * LINE_SIZE
+        images = [self._base[lo:lo + LINE_SIZE]]
+        for cut in range(1, hi):
+            torn = self._torn.get((line, cut))
+            if torn is None:
+                torn = self._torn[line, cut] = self._line_image(line, cut)
+            images.append(torn)
+        if hi:
+            images.append(bytes(self.cached[lo:lo + LINE_SIZE]))
+        return images
 
     def _crash_memory(self, image: bytearray,
                       record_loads: bool = False) -> "SimMemory":

@@ -14,8 +14,9 @@ import pytest
 import nvlog
 from conftest import WriteRefusingMemory, widened
 from nvlog.crc import crc32c
+from nvlog import harness
 from nvlog.harness import (BrokenVbLog, EXTRA_ALGORITHMS, Script, ScriptError,
-                           _LogTarget, _ReadPaths, _StpsTarget,
+                           _LogTarget, _ReadPaths, _StpsTarget, _judge_states,
                            audit_roundtrips, checksum_vulnerability_demo,
                            crc32_collision_word, parse_script, run_appends,
                            run_crash_suite)
@@ -23,7 +24,7 @@ from nvlog.logalg import ALGORITHMS
 from nvlog.logalg.base import TrimError, UnrecoverableLogError
 from nvlog.logalg.csorandom import CsoRandomLog
 from nvlog.logalg.csovb import CsoVbLog
-from nvlog.pmem import SimMemory
+from nvlog.pmem import EnumerationLimitError, SimMemory
 from nvlog.stps import PersistentHashMap
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -298,6 +299,30 @@ def test_every_shipped_script_is_pinned():
     assert pinned == {path.stem for path in WORKLOADS.glob("*.txt")}
 
 
+def judged_states(monkeypatch, seen) -> None:
+    """Call `seen(reads, cuts, recovered)` for every state a suite judges
+    from here on: one judged on its own (`_ReadPaths.recovered`), or each
+    member of a class (`_ReadPaths.classes`), whose size must be the
+    number of its members."""
+    judge, classes = _ReadPaths.recovered, _ReadPaths.classes
+
+    def recovered(reads, cuts):
+        got = judge(reads, cuts)
+        seen(reads, cuts, got)
+        return got
+
+    def classed(reads):
+        for got, size, members in classes(reads):
+            vectors = members()
+            assert len(vectors) == size
+            for cuts in vectors:
+                seen(reads, cuts, got)
+            yield got, size, members
+
+    monkeypatch.setattr(_ReadPaths, "recovered", recovered)
+    monkeypatch.setattr(_ReadPaths, "classes", classed)
+
+
 PARTITION_CASES = [
     *[pytest.param(name, algo, size, id=f"{name}-{algo}-{size}")
       for name in ("three_appends", "wraparound")
@@ -318,14 +343,12 @@ def test_at_op_reports_partition_the_exhaustive_report(name, target, size,
         text = widened(text, size)
         kw = dict(algo=target, payload_len=size, registry=EXTRA_ALGORITHMS)
     images = []   # per report: (epoch, cuts with zero cuts dropped) checked
-    judge = _ReadPaths.recovered
 
-    def recording(reads, cuts):
+    def recording(reads, cuts, recovered):
         images[-1].append((reads.mem._epoch, tuple(
             (line, cut) for line, cut in zip(reads.win.lines, cuts) if cut)))
-        return judge(reads, cuts)
 
-    monkeypatch.setattr(_ReadPaths, "recovered", recording)
+    judged_states(monkeypatch, recording)
 
     def run(mode, arg=0):
         script = parse_script(text)
@@ -348,14 +371,30 @@ def test_at_op_reports_partition_the_exhaustive_report(name, target, size,
     assert len(images[0]) == whole.distinct_states
 
 
-@pytest.mark.parametrize("algo, most", [("cso-fvb", 40), ("tornbit", 40),
-                                        ("two-rounds", 40), ("crc64", 2),
-                                        ("crc32", 2)])
-def test_recovery_runs_once_per_read_path(algo, most, monkeypatch):
-    # a 240-byte append window: the validity formats share recoveries among
-    # states that agree on every line recovery loaded; a checksum log's
-    # states are judged by their CRC line terms, so its invalid states share
-    # one recovery and the whole entry takes one more
+def read_paths(target, ops) -> int:
+    """Run `ops` on `target` and count the distinct read paths of the
+    window the last one ends: every legal state recovered with its loads
+    recorded, a path being the (written line, cut) pairs in the order
+    recovery first loaded them."""
+    mem = target.mem
+    for op in ops:
+        if mem.quiescent:
+            mem.checkpoint()
+        target.run_op(op)
+    win = mem._window()
+    at = {line: i for i, line in enumerate(win.lines)}
+    paths = set()
+    for cuts in mem._vectors(win):
+        crashed = mem._crash_memory(bytearray(mem._image(win, cuts)),
+                                    record_loads=True)
+        target.recovered_state(crashed)
+        paths.add(tuple((line, cuts[at[line]]) for line in dict.fromkeys(
+            crashed.loaded_lines) if line in at))
+    return len(paths)
+
+
+def counted_recoveries(monkeypatch) -> Counter:
+    """Count the log recoveries a suite runs from here on."""
     runs = Counter()
     recovered_state = _LogTarget.recovered_state
 
@@ -364,11 +403,44 @@ def test_recovery_runs_once_per_read_path(algo, most, monkeypatch):
         return recovered_state(target, crashed)
 
     monkeypatch.setattr(_LogTarget, "recovered_state", counted)
+    return runs
+
+
+@pytest.mark.parametrize("algo, most", [("cso-fvb", 40), ("tornbit", 40),
+                                        ("two-rounds", 40), ("crc64", 2),
+                                        ("crc32", 2)])
+def test_recovery_runs_once_per_read_path(algo, most, monkeypatch):
+    # a 240-byte append window: the validity formats walk the read paths,
+    # one recovery per distinct path; a checksum log's states are judged by
+    # their CRC line terms, so its invalid states share one recovery and
+    # the whole entry takes one more
     payload = random.Random(4).randbytes(240)
-    report = run_crash_suite(f"crash at-op 0\nappend {payload.hex()}\ntrim",
-                             algo=algo, payload_len=240)
+    text = f"crash at-op 0\nappend {payload.hex()}\ntrim"
+    paths = read_paths(_LogTarget(algo, 240, 16, None),
+                       parse_script(text).ops[:1])
+    runs = counted_recoveries(monkeypatch)
+    report = run_crash_suite(text, algo=algo, payload_len=240)
     assert report.ok and report.distinct_states > 5000
     assert runs["recoveries"] <= most
+    if "crc" not in algo:
+        assert runs["recoveries"] == paths
+
+
+def test_a_trim_window_recovers_once_per_read_path(monkeypatch):
+    # nvbench's cso-random 112-B script at op 3, `trim 1`: its 5 states
+    # take 2 read paths, and once recorded the first recovery loads every
+    # written line, which used to stop recording and recover the other 4
+    # states on their own
+    rng = random.Random(6)
+    text = "\n".join([*(f"append {rng.randbytes(112).hex()}"
+                        for _ in range(3)), "trim 1"])
+    paths = read_paths(_LogTarget("cso-random", 112, 16, None),
+                       parse_script(text).ops)
+    runs = counted_recoveries(monkeypatch)
+    report = run_crash_suite(f"crash at-op 3\n{text}", algo="cso-random",
+                             payload_len=112)
+    assert report.ok and report.distinct_states == 5
+    assert runs["recoveries"] == paths == 2
 
 
 def test_map_check_recoveries_write_nothing(monkeypatch):
@@ -378,18 +450,17 @@ def test_map_check_recoveries_write_nothing(monkeypatch):
     # and `scan()` reads every state's image on a memory that refuses
     # every write
     crashed_mems, images = [], []
-    recovered_state, judge = _StpsTarget.recovered_state, _ReadPaths.recovered
+    recovered_state = _StpsTarget.recovered_state
 
     def kept(target, crashed):
         crashed_mems.append((crashed, bytes(crashed.cached)))
         return recovered_state(target, crashed)
 
-    def judged(reads, cuts):
+    def judged(reads, cuts, recovered):
         images.append(bytes(reads.mem._image(reads.win, cuts)))
-        return judge(reads, cuts)
 
     monkeypatch.setattr(_StpsTarget, "recovered_state", kept)
-    monkeypatch.setattr(_ReadPaths, "recovered", judged)
+    judged_states(monkeypatch, judged)
     text = (WORKLOADS / "map_smoke.txt").read_text()
     report = run_crash_suite(text, node_lines=4)
     assert report.distinct_states == len(images) > 100
@@ -414,10 +485,9 @@ def map_route_checked(monkeypatch) -> Counter:
     `items()` give on the state's own crash memory.  Counts the states, the
     recoveries and the states of windows that wrote two slots or more."""
     seen = Counter()
-    judge, recovered_state = _ReadPaths.recovered, _StpsTarget.recovered_state
+    recovered_state = _StpsTarget.recovered_state
 
-    def checked(reads, cuts):
-        got = judge(reads, cuts)
+    def checked(reads, cuts, got):
         mem, node_lines = reads.mem, reads.target.reader.node_lines
         own = mem._crash_memory(bytearray(mem._image(reads.win, cuts)))
         fresh = PersistentHashMap(own, 0, own.capacity, node_lines=node_lines)
@@ -426,37 +496,44 @@ def map_route_checked(monkeypatch) -> Counter:
         assert reads.root is None   # the read-path tree is never grown
         seen["states"] += 1
         seen["two slots"] += len(reads.slots) > 1
-        return got
 
     def counted(target, crashed):
         assert type(crashed) is SimMemory   # records no loads
         seen["recoveries"] += 1
         return recovered_state(target, crashed)
 
-    monkeypatch.setattr(_ReadPaths, "recovered", checked)
+    judged_states(monkeypatch, checked)
     monkeypatch.setattr(_StpsTarget, "recovered_state", counted)
     return seen
 
 
-def every_mode(text: str):
-    """`text` parsed once per crash mode: exhaustive, sampled, and at-op
-    for each of its ops."""
-    for mode in ("exhaustive", "sampled 300"):
+def every_mode(text: str, sampled: bool = True):
+    """`text` parsed once per crash mode: exhaustive, sampled (unless not
+    `sampled`), and at-op for each of its ops."""
+    for mode in ("exhaustive", "sampled 300")[:1 + sampled]:
         yield parse_script(f"{text}\ncrash {mode}")
     for i in range(len(parse_script(text).ops)):
         yield parse_script(f"{text}\ncrash at-op {i}")
 
 
-def nvbench_map_scripts(seed: int):
-    """nvbench crash-check's map scripts of one round, as (node lines,
-    text), their values drawn from `seed`."""
+def nvbench_scripts(seed: int):
+    """nvbench crash-check's scripts of one round that it checks at each
+    op, as (suite kwargs, text), their payloads and values drawn from
+    `seed`."""
     spec = importlib.util.spec_from_file_location(
         "workloads", ROOT / "nvbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return [(s["kw"]["node_lines"], "\n".join(s["body"]))
+    return [(s["kw"], "\n".join(s["body"]))
             for s in workloads.crash_scripts(random.Random(seed))
-            if "node_lines" in s["kw"]]
+            if s["per_op"]]
+
+
+def nvbench_map_scripts(seed: int):
+    """nvbench crash-check's map scripts of one round, as (node lines,
+    text)."""
+    return [(kw["node_lines"], text) for kw, text in nvbench_scripts(seed)
+            if "node_lines" in kw]
 
 
 @pytest.mark.parametrize("node_lines", [1, 2, 4])
@@ -500,6 +577,64 @@ def test_slot_images_that_decode_alike_share_one_recovery(monkeypatch):
     [decodes] = reads.outcomes
     assert len(images) == 2 and decodes[0] is not None
     assert seen == Counter(states=2, recoveries=1)
+
+
+def judged_one_by_one(reads, first, legal, violations) -> int:
+    """`_judge_classes` as the per-state loop judges the same window: each
+    vector of its product on its own."""
+    own = [[first]] * len(reads.win.lines)   # op `first` wrote every line
+    return _judge_states(reads, reads.mem._vectors(reads.win), own, first,
+                         None, legal, violations)
+
+
+def differential_runs():
+    """(id, suite kwargs, text) of every differential run: the shipped log
+    scripts under every log at 24/56/112 B (atlas at 24 B), the map script
+    at 1/2/4-line nodes, and two rounds of nvbench's per-op scripts."""
+    for name in ("three_appends", "wraparound"):
+        text = (WORKLOADS / f"{name}.txt").read_text()
+        for algo in sorted(EXTRA_ALGORITHMS):
+            for size in (24, 56, 112) if algo != "atlas" else (24,):
+                yield (f"{name}-{algo}-{size}",
+                       dict(algo=algo, payload_len=size), widened(text, size))
+    for lines in (1, 2, 4):
+        yield (f"map_smoke-{lines}", dict(node_lines=lines),
+               (WORKLOADS / "map_smoke.txt").read_text())
+    for seed in (3, 8):
+        for n, (kw, text) in enumerate(nvbench_scripts(seed)):
+            yield f"nvbench-{seed}-{n}", kw, text
+
+
+@pytest.mark.parametrize("case, kw, text", [
+    pytest.param(*run, id=run[0]) for run in differential_runs()])
+def test_class_judge_reports_as_the_per_state_loop(case, kw, text,
+                                                   monkeypatch):
+    # exhaustively and at each op: equal reports, the order of their
+    # violations and each recovered value's repr included, or the same
+    # enumeration limit error
+    classed = Counter()
+    judge = harness._judge_classes
+
+    def counted(reads, first, legal, violations):
+        classed["windows"] += 1
+        return judge(reads, first, legal, violations)
+
+    def outcome(script):
+        try:
+            report = run_crash_suite(script, registry=EXTRA_ALGORITHMS, **kw)
+        except EnumerationLimitError as exc:
+            return str(exc)
+        classed["violations"] += len(report.violations)
+        return repr(report), report.to_csv()
+
+    for script in every_mode(text, sampled=False):
+        monkeypatch.setattr(harness, "_judge_classes", counted)
+        got = outcome(script)
+        monkeypatch.setattr(harness, "_judge_classes", judged_one_by_one)
+        assert got == outcome(script)
+    assert classed["windows"]
+    if kw.get("algo") == "broken-vb":
+        assert classed["violations"]
 
 
 def table_valid(reads, cuts) -> bool:
@@ -578,6 +713,19 @@ def test_a_crafted_crc32_payload_is_classed_valid_when_torn(monkeypatch):
     report = run_crash_suite(text, algo="crc32", payload_len=112, slots=4)
     assert len(report.violations) == 1
     assert runs["recoveries"] == classes[True] + 1
+
+
+@pytest.mark.parametrize("algo", ["crc32", "crc64"])
+@pytest.mark.parametrize("mode", ["exhaustive", "at-op 2"])
+def test_a_checksum_log_window_with_no_written_line(algo, mode):
+    # a trim of an empty log writes nothing, so its window has no line and
+    # one state; the checksum route, which locates its slot from the first
+    # written line, is not taken (it used to raise IndexError)
+    text = f"crash {mode}\nappend {'ab' * 24}\ntrim\ntrim"
+    report = run_crash_suite(text, algo=algo)
+    assert report.ok
+    assert (report.states_checked, report.distinct_states) == (
+        (9, 9) if mode == "exhaustive" else (1, 1))
 
 
 def window_crash_memories(target, ops):

@@ -22,7 +22,9 @@ def run_tool(*args):
                           capture_output=True, text=True, timeout=120)
 
 
-@pytest.mark.parametrize("probe", ["cso-fvb/240@0", "store_words/56",
+@pytest.mark.parametrize("probe", ["cso-fvb/240@0", "tornbit/240@0",
+                                   "two-rounds/240@0", "stps/4@2",
+                                   "crash/slowest-at-op", "store_words/56",
                                    "recover/crc64", "crash/sample-source"])
 def test_one_probe_on_one_pair(tmp_path, probe):
     out = tmp_path / "pairs.json"

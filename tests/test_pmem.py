@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import Fence, Flush, RecordingMemory, Store
+from nvlog.harness import _LogTarget, _StpsTarget, parse_script
 from nvlog.pmem import (
     CrashState,
     EnumerationLimitError,
@@ -541,6 +542,96 @@ def test_fence_free_window_is_the_whole_product(seed):
     assert m._vectors(win, at_least_durable=True) == list(
         itertools.product(*map(range, win.floors, win.stops)))
     assert cuts_of(m.enumerate_crash_states()) == brute_force_states(m)
+
+
+# ------------------------------------------------------- counted, not listed
+
+def assert_counted(m: SimMemory, win) -> None:
+    """`_count` against the enumerated vectors: all of them, and those that
+    hold one line, or two, at each pair of their cuts.  `_completion` of
+    the same held cuts is a legal vector holding them, or None where no
+    vector does."""
+    vectors = m._vectors(win)
+    assert m._count(win) == len(vectors)
+    legal = set(vectors)
+    width = len(win.lines)
+    for held in ([(i,) for i in range(width)]
+                 + list(itertools.combinations(range(width), 2))):
+        tally = Counter(tuple(map(cuts.__getitem__, held)) for cuts in vectors)
+        for picked in itertools.product(*(range(win.stops[i]) for i in held)):
+            fixed = dict(zip(held, picked))
+            assert m._count(win, fixed) == tally[picked]
+            completion = m._completion(win, fixed)
+            if tally[picked]:
+                assert completion in legal
+                assert all(completion[i] == c for i, c in fixed.items())
+            else:
+                assert completion is None
+
+
+def op_windows(target, ops):
+    """The window each op of `ops` leaves, run on `target` as the crash
+    suite runs them, checkpointing at each quiescent point."""
+    mem = target.mem
+    mem.checkpoint()
+    for op in ops:
+        target.run_op(op)
+        yield mem._window()
+        if mem.quiescent:
+            mem.checkpoint()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_trace_windows_are_counted(seed):
+    m = random_trace(seed)
+    assert_counted(m, m._window())
+
+
+@pytest.mark.parametrize("events", [24, 60])
+@pytest.mark.parametrize("seed", range(20))
+def test_long_trace_windows_are_counted(seed, events):
+    m = long_trace(seed, events)
+    assert_counted(m, m._window())
+
+
+def test_the_empty_window_counts_one_state():
+    m = SimMemory(256)
+    win = m._window()
+    assert m._count(win) == len(m._vectors(win)) == 1
+    assert m._completion(win, {}) == ()
+
+
+LOG_SCRIPT = ("append", "append", "append", "trim 1", "append", "trim")
+
+
+@pytest.mark.parametrize("algo, size", [("two-rounds", 112),
+                                        ("two-rounds", 240), ("atlas", 24),
+                                        ("cso-random", 24),
+                                        ("cso-random", 112)])
+def test_fenced_log_windows_are_counted(algo, size):
+    # two-rounds fences within an append, atlas and cso-random within a
+    # trim: each leaves windows whose vectors are not all legal
+    rng = random.Random(size)
+    ops = parse_script("\n".join(
+        f"append {rng.randbytes(size).hex()}" if op == "append" else op
+        for op in LOG_SCRIPT)).ops
+    target, fenced = _LogTarget(algo, size, 16, None), 0
+    for win in op_windows(target, ops):
+        fenced += win.fenced
+        assert_counted(target.mem, win)
+    assert fenced
+
+
+@pytest.mark.parametrize("node_lines", [1, 2])
+def test_fenced_map_windows_are_counted(node_lines):
+    # a transaction that pops two reused slots fences between the pops
+    target, fenced = _StpsTarget(node_lines, 8), 0
+    ops = parse_script("U a 1\nU b 2\nU c 3\nR a\nR b\nT d 4 e 5 f 6\n"
+                       "U c 7\nT a 8 b 9").ops
+    for win in op_windows(target, ops):
+        fenced += win.fenced
+        assert_counted(target.mem, win)
+    assert fenced
 
 
 def test_at_least_durable_respects_floor():
