@@ -54,6 +54,9 @@ rounds do:
   tornbit/240@0      the tornbit 240-B append/trim script at op 0
   two-rounds/240@0   the two-rounds 240-B append/trim script at op 0
   sampled/crc64      the crc64 sampled fill/drain/refill script
+  cso-random/112@4   the cso-random 112-B script at op 4, the round's one
+                     window that several ops wrote (a trim's unfenced
+                     refill and the next append), which is listed
   crash/slowest-at-op  the round's slowest at-op check, whichever it is:
                      nvbench's crash-check op_p99 is about the slowest
                      check type's time, since a run repeats each check
@@ -102,7 +105,7 @@ RECOVER_PROBES = ("recover/cso-vb", "recover/cso-random", "recover/cso-fvb",
                   "recover/two-rounds", "recover/atlas", "recover/broken-vb")
 CRASH_PROBES = ("crc64/240@0", "stps/4@1", "stps/4@2", "cso-fvb/240@0",
                 "tornbit/240@0", "two-rounds/240@0", "sampled/crc64",
-                "crash/slowest-at-op", "crash/per-op", "crash/sampled",
+                "cso-random/112@4", "crash/slowest-at-op", "crash/per-op", "crash/sampled",
                 "crash/round", "crash/sample-source")
 # sums over a round's calls: each call counts in its half (per-op or
 # sampled) and in the whole round

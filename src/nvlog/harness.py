@@ -9,27 +9,31 @@ states are drawn and checked once, at its end (`crash at-op I`: right after
 op I).  States travel as cut vectors, one cut per written line of the
 window in line order.
 
-A window that one op wrote, checked exhaustively or at an op, is judged
-class by class (`_ReadPaths.classes`).  A class is a set of legal states
-that provably recover the same value; its size is counted from the
-window's stamps and requirement vectors (`SimMemory._count`) with no
-state built, and its value is judged once.  Only a class whose value is
-illegal is listed, so that each of its states is reported, in product
-order.  A log's classes are the leaves of its read-path tree, walked
-eagerly: one recovery per distinct read path.  A checksum log's unfenced
-window that lies in one slot is classed first by the CRC's line terms, so
-its invalid states form one class with one recovery.  A map's unfenced
-window is classed by the decodes of the slots it wrote.  Any other window
-(one that several ops wrote, a fenced checksum or map window, a sampled
-one) is judged state by state, each distinct state once, against the
-window's owner columns (which op issued each unit), through the same
-routes: recovery runs once per read path recorded so far, invalid checksum
-states share one recovery, and map states whose written slots decode
-alike share one.  Every recovery runs on the check's one reader (a log
-attached, or a map built, once per check; the map only scans, as its
-repair writes would land on a memory that is thrown away), pointed at a
-memory over a copy of the window's one crash image buffer, patched only
-where the cuts changed.
+Every window takes one judge (`_judge`), class by class
+(`_ReadPaths.classes`): a class is a set of states that provably recover
+the same value, and its value is judged once.  Only a class whose value
+is illegal for one of its states' ops has its states reported.  A window
+that one op wrote, checked exhaustively or at an op, is counted unless it
+is a fenced map window: its classes cover every legal state, each sized
+from the window's stamps and requirement vectors (`SimMemory._count`)
+with no state built, and its violations come out in product order.  Any
+other window is listed: its distinct states (a sampled window's boundary
+and sample vectors, or the legal vectors, at op I only op I's) are
+classed, each with its op from the window's owner columns (which op
+issued each unit), and its violations come out in list order.
+
+A log window's classes are the leaves of its read-path tree, walked
+eagerly: one recovery per distinct read path.  A counted window's walk
+branches on every legal cut; a listed window's splits its group of
+states, and records loads only while the group holds more than one.  A
+checksum log's counted, unfenced window that lies in one slot is classed
+first by the CRC's line terms, so its invalid states form one class with
+one recovery.  A map's window is classed by the decodes of the slots it
+wrote.  Every recovery runs on the check's one reader (a log attached, or
+a map built, once per check; the map only scans, as its repair writes
+would land on a memory that is thrown away), pointed at a memory over a
+copy of the window's one crash image buffer, patched only where the cuts
+changed.
 
 Also houses round-trip audits, a deliberately broken log variant, and a
 checksum-collision construction that defeats 32-bit CRC validation.
@@ -42,7 +46,6 @@ import functools
 import io
 import itertools
 import math
-import operator
 import random
 from typing import NamedTuple
 
@@ -304,9 +307,11 @@ class _StpsTarget:
 
 
 class _ReadPaths:
-    """The recovered states of one window, as classes (`classes`) when one
-    op wrote it, or state by state (`recovered`).  States are cut vectors,
-    one cut per written line in the window's line order.
+    """The recovered states of one window, in classes of states that
+    provably recover alike (`classes`).  States are cut vectors, one cut
+    per written line in the window's line order.  A counted window's
+    classes cover its legal vectors, each sized with no vector built; a
+    listed window's cover the vectors it is given.
 
     Read paths.  Recovery is a deterministic function of the bytes it
     loads, and a line the window did not write reads the same in every
@@ -314,63 +319,55 @@ class _ReadPaths:
     has loaded so far make the same next load, and, by induction over the
     loads, states that agree on every written line a recovery loaded load
     the same bytes in the same order and recover the same value.  A log
-    window's classes are the leaves of the tree of these paths, walked
-    eagerly (`_walk`): one recovery per distinct read path.
-
-    States judged one by one keep the paths recovered so far on a tree,
-    and a state that follows a recorded path takes its value.  No other
-    state can share a recovery that loaded every written line.  Once one
-    has, the window records no more loads and only looks up the paths it
-    has.  This is a measured trade-off, not a bound: recording costs every
-    load of every recovery, and in the windows judged state by state
-    (sampled ones, those that several ops wrote, and a checksum window's
-    valid states) the recoveries after such a one mostly share nothing.
-    Skipping a recording changes which states run recovery, never what
-    they recover.
+    window's classes are the leaves of the tree of these paths (`_walk`):
+    one recovery per distinct read path.  A counted window's walk branches
+    on every legal cut of the line it meets.  A listed window's walk
+    splits a node's group of vectors by that line's cut, and records a
+    recovery's loads only while its group holds more than one vector.  The
+    rule is exact: the vectors that agree with a recovered one on every
+    line its path loaded are all in its group, so a group of one shares
+    its recovery with no other state, and nothing is lost by not
+    recording it.
 
     A recovery runs on the target's one reader, which `recovered_state`
     points at the state's crash memory.
 
-    The checksum route.  A window whose written lines all lie in one slot
-    of at least one line, of a log that declares its slot check
-    (`slot_check`), is judged first by the CRC's line terms: a table holds,
-    per written line and cut, that line's `crc_term` (XORed with the stored
-    checksum on the checksum's line, and with bit 64, which no CRC has,
-    where the slot's header word is one `_decode` rejects).  A state's slot
-    is valid iff its terms XOR to the CRC of zeros (with the constant
-    terms of the slot's unwritten lines), which is `_decode`'s own test:
-    a few lookups per state.  Every invalid state recovers the same value,
+    The checksum route.  A counted, unfenced window whose written lines
+    all lie in one slot of at least one line, of a log that declares its
+    slot check (`slot_check`), is classed first by the CRC's line terms: a
+    table holds, per written line and cut, that line's `crc_term` (XORed
+    with the stored checksum on the checksum's line, and with bit 64,
+    which no CRC has, where the slot's header word is one `_decode`
+    rejects).  A state's slot is valid iff its terms XOR to the CRC of
+    zeros (with the constant terms of the slot's unwritten lines), which
+    is `_decode`'s own test.  Every invalid state recovers the same value,
     taken from one real recovery of the first of them: recovery reads the
     head word and then decodes slots from the head on, stopping at the
     first one `_decode` rejects; no line outside the slot differs within
     the window, so every state reads the same bytes until it meets the
     slot, and an invalid one stops there (or never meets it).  So the
-    invalid states of an unfenced window form one class
-    (`_checksum_classes`).  A valid state takes the read paths above.
+    invalid states form one class (`_checksum_classes`), and the valid
+    ones take the walk as a listed group.  Any other checksum window takes
+    the walk.
 
     The map route.  A map's window (its target declares `slot_decodes`)
-    keeps no tree: a state is keyed by the decodes of the slots that hold
-    its written lines, and states with equal keys share one real `scan()`
-    and `items()`.  This is exact: the recovered value is a function of
-    every slot's decode (`_StpsTarget`), `_decode` is a pure function of
-    the slot's bytes and the map's geometry, and a slot with no written
-    line reads the same in every state of the window.  An unfenced
-    window's classes take one decode per written slot
-    (`_decode_classes`).  The routes are chosen once per window."""
+    takes no walk: states whose written slots decode alike share one real
+    `scan()` and `items()`.  This is exact: the recovered value is a
+    function of every slot's decode (`_StpsTarget`), `_decode` is a pure
+    function of the slot's bytes and the map's geometry, and a slot with
+    no written line reads the same in every state of the window.  A
+    counted window, which is unfenced, takes one decode per written slot
+    (`_decode_classes`); a listed one groups its vectors by their decodes
+    (`_decode_groups`)."""
 
     def __init__(self, mem: SimMemory, target, win):
         self.mem = mem
         self.target = target
         self.win = win
-        # A node is a list [i, {cut: node}]: recovery loads the written line
-        # at position i of the vector next.  Any other node is the state
-        # recovery returns there (a log's tuple or a map's dict).
-        self.root = None
-        self.recording = True
         self.at = {line: i for i, line in enumerate(win.lines)}
-        self.sums = self.goal = self.invalid = self.slots = None
+        self.sums = self.goal = self.slots = None
         check = getattr(target.reader, "slot_check", None)
-        if check is not None:
+        if check is not None and not win.fenced:
             self._slot_sums(target.reader, check)
         route = getattr(target, "slot_decodes", None)
         if route is not None:
@@ -379,7 +376,6 @@ class _ReadPaths:
             self.slots = [(lo, lo + size) for lo in dict.fromkeys(
                 line * LINE_SIZE - (line * LINE_SIZE - base) % size
                 for line in win.lines)]
-            self.outcomes = {}   # the slots' decodes -> the recovered value
 
     def _slot_sums(self, reader, check) -> None:
         """Build the checksum route's table if the window lies in one
@@ -416,128 +412,96 @@ class _ReadPaths:
                 sums.append(terms)
         self.sums, self.goal = sums, goal
 
-    def _by_decodes(self, cuts: tuple[int, ...]):
-        """The map route's value for `cuts`.  Its own method: inlined, its
-        comprehension would turn `recovered`'s locals into cells that
-        every state pays for."""
+    def _recovered(self, cuts: tuple[int, ...]):
+        """The value the state `cuts` recovers to, its loads unrecorded."""
         mem = self.mem
-        image, decode = mem._image(self.win, cuts), self.decode
-        key = tuple([decode(bytes(image[lo:hi])) for lo, hi in self.slots])
-        recovered = self.outcomes.get(key)
-        if recovered is None:
-            recovered = self.outcomes[key] = self.target.recovered_state(
-                mem._crash_memory(bytearray(image)))
-        return recovered
+        return self.target.recovered_state(mem._crash_memory(bytearray(
+            mem._image(self.win, cuts))))
 
-    def recovered(self, cuts: tuple[int, ...]):
-        """The value a state on its own recovers to."""
-        sums = self.sums
-        if (sums is not None and functools.reduce(
-                operator.xor, map(list.__getitem__, sums, cuts)) != self.goal):
-            return self._invalid(cuts)
-        if self.slots is not None:   # a map window's tree stays empty
-            return self._by_decodes(cuts)
-        return self._by_path(cuts)
+    def _decodes(self, cuts: tuple[int, ...]) -> tuple:
+        """The map route's key for `cuts`: its written slots' decodes."""
+        image, decode = self.mem._image(self.win, cuts), self.decode
+        return tuple([decode(bytes(image[lo:hi])) for lo, hi in self.slots])
 
-    def _invalid(self, cuts: tuple[int, ...]):
-        """The value of every state whose checksum slot is invalid,
-        recovered from the first of them, `cuts`."""
-        if self.invalid is None:
-            self.invalid = self.target.recovered_state(
-                self.mem._crash_memory(bytearray(
-                    self.mem._image(self.win, cuts))))
-        return self.invalid
-
-    def _by_path(self, cuts: tuple[int, ...]):
-        """The read paths' value for `cuts`."""
-        node, parent, depth = self.root, None, 0
-        while type(node) is list:
-            parent, depth = node, depth + 1
-            node = node[1].get(cuts[node[0]])
-        if node is not None:
-            return node
-        mem, target = self.mem, self.target
-        image = bytearray(mem._image(self.win, cuts))   # the buffer stays
-        if not self.recording:
-            return target.recovered_state(mem._crash_memory(image))
-        crashed = mem._crash_memory(image, record_loads=True)
-        recovered = target.recovered_state(crashed)
-        at = self.at
-        path = [at[line] for line in dict.fromkeys(crashed.loaded_lines)
-                if line in at]
-        if len(path) == len(cuts):   # no other state can share it
-            self.recording = False
-            return recovered
-        node = recovered
-        for i in reversed(path[depth:]):   # the part no earlier state took
-            node = [i, {cuts[i]: node}]
-        if parent is None:
-            self.root = node
-        else:
-            parent[1][cuts[parent[0]]] = node
-        return recovered
-
-    @property
-    def by_class(self) -> bool:
-        """Whether `classes` covers the window: a log's walk covers any
-        window, the checksum and map routes only an unfenced one, whose
-        product is all legal."""
-        return not self.win.fenced or (self.sums is None
-                                       and self.slots is None)
-
-    def classes(self):
-        """The window's legal vectors in classes that recover alike, as
+    def classes(self, listed: list | None = None):
+        """The window's classes of vectors that recover alike, as
         (recovered value, size, members): `members()` lists the class's
-        vectors in product order.  The classes partition the vectors."""
+        vectors, in product order when counted.  The classes partition the
+        window's legal vectors (counted, `listed` None) or the vectors of
+        `listed`, distinct legal vectors of the window."""
         if self.slots is not None:
-            return self._decode_classes()
-        if self.sums is not None:
+            return (self._decode_classes() if listed is None
+                    else self._decode_groups(listed))
+        if listed is None and self.sums is not None:
             return self._checksum_classes()
-        return self._walk()
+        return self._walk(listed)
 
-    def _walk(self):
-        """A log window's read-path tree, walked eagerly: recovery runs on
-        one legal completion of a node's held cuts, and the first written
-        line it loads that the node does not hold is the node's branch.
-        Each cut of it that keeps a legal completion is a child; the
-        completion's own cut is followed on by the same recovery, each
-        other child's completion runs its own.  A recovery that loads no
-        unheld written line ends at a leaf, whose class is every legal
-        vector holding its cuts: one recovery per leaf, which is one per
-        distinct read path."""
+    def _walk(self, listed: list | None = None):
+        """A log window's read-path tree, walked eagerly.  A node holds the
+        cuts of the written lines its path has loaded.  Recovery runs on
+        one vector of the node, and the first written line it loads that
+        the node does not hold is the node's branch; the vector's own cut
+        is followed on by the same recovery, and each other child runs its
+        own.  A recovery that loads no unheld written line ends at a leaf:
+        one recovery per leaf, which is one per distinct read path.
+
+        Counted, the vector is a legal completion of the held cuts, each
+        cut of the branch that keeps a legal completion is a child, and a
+        leaf's class is every legal vector holding its cuts.  Listed, a
+        node carries its group of the listed vectors, runs on the first of
+        them, and splits the group by the branch's cuts, each part a
+        child; it records loads only while the group holds more than one
+        vector, and a leaf's class is its group."""
         mem, win, at, width = self.mem, self.win, self.at, len(self.at)
-        stack = [({}, mem._completion(win, {}))]
+        if listed is None:
+            stack = [({}, mem._completion(win, {}), None)]
+        else:
+            stack = [({}, listed[0], listed)] if listed else []
         while stack:
-            held, cuts = stack.pop()
-            image = bytearray(mem._image(win, cuts))
-            if len(held) == width:   # a class of one: no load can branch
-                yield (self.target.recovered_state(mem._crash_memory(image)),
-                       1, functools.partial(list, (cuts,)))
+            held, cuts, group = stack.pop()
+            if len(held) == width or group is not None and len(group) == 1:
+                # a class of one: no load can branch
+                yield self._recovered(cuts), 1, functools.partial(list,
+                                                                  (cuts,))
                 continue
-            crashed = mem._crash_memory(image, record_loads=True)
+            crashed = mem._crash_memory(bytearray(mem._image(win, cuts)),
+                                        record_loads=True)
             recovered = self.target.recovered_state(crashed)
             for line in dict.fromkeys(crashed.loaded_lines):
                 i = at.get(line)
                 if i is None or i in held:
                     continue
-                for cut in range(win.stops[i]):
-                    if cut != cuts[i]:
-                        child = {**held, i: cut}
-                        completion = mem._completion(win, child)
-                        if completion is not None:
-                            stack.append((child, completion))
+                if group is None:
+                    for cut in range(win.stops[i]):
+                        if cut != cuts[i]:
+                            child = {**held, i: cut}
+                            completion = mem._completion(win, child)
+                            if completion is not None:
+                                stack.append((child, completion, None))
+                else:
+                    parts = {}
+                    for vector in group:
+                        parts.setdefault(vector[i], []).append(vector)
+                    group = parts.pop(cuts[i])
+                    stack += [({**held, i: cut}, part[0], part)
+                              for cut, part in parts.items()]
+                    if len(group) == 1:
+                        break
                 held[i] = cuts[i]
-            if len(held) == width:
+            if group is not None:
+                yield recovered, len(group), functools.partial(list, group)
+            elif len(held) == width:
                 yield recovered, 1, functools.partial(list, (cuts,))
             else:
                 yield (recovered, mem._count(win, held),
                        functools.partial(mem._holding, win, held))
 
     def _checksum_classes(self):
-        """An unfenced one-slot window of a checksum log: each vector's
-        line terms XORed, line by line in product order.  A vector whose
-        XOR is not the goal fails `_decode`, and all of them recover as
-        the first of them does; each valid vector is its own class."""
+        """A counted, unfenced one-slot window of a checksum log: each
+        vector's line terms XORed, line by line in product order.  A
+        vector whose XOR is not the goal fails `_decode`, and all of them
+        recover as the first of them does; the valid vectors take the walk
+        as a listed group."""
         xors = [0]
         for terms in self.sums:
             xors = [x ^ term for x in xors for term in terms]
@@ -548,17 +512,15 @@ class _ReadPaths:
         invalid = len(xors) - len(valid)
         if invalid:
             first = next(n for n, x in enumerate(xors) if x != goal)
-            yield self._invalid(_unrank(first, stops)), invalid, lambda: [
+            yield self._recovered(_unrank(first, stops)), invalid, lambda: [
                 cuts for cuts, x in zip(vectors(), xors) if x != goal]
-        for n in valid:
-            cuts = _unrank(n, stops)
-            yield self._by_path(cuts), 1, functools.partial(list, (cuts,))
+        yield from self._walk([_unrank(n, stops) for n in valid])
 
     def _decode_classes(self):
-        """An unfenced map window: each written slot's cut combinations,
-        one cut per written line in the slot, grouped by the slot's
-        decode.  A class takes one decode per slot; it holds the product
-        of those groups' combinations and recovers once."""
+        """A counted map window: each written slot's cut combinations, one
+        cut per written line in the slot, grouped by the slot's decode.  A
+        class takes one decode per slot; it holds the product of those
+        groups' combinations and recovers once."""
         mem, win = self.mem, self.win
         groups = []   # per written slot: (its window lines, {decode: combos})
         for lo, hi in self.slots:
@@ -584,8 +546,18 @@ class _ReadPaths:
             size = math.prod(len(combos) for _, combos in chosen)
             cuts = _merge(len(win.lines),
                           [(spots, combos[0]) for spots, combos in chosen])
-            yield self._by_decodes(cuts), size, functools.partial(
+            yield self._recovered(cuts), size, functools.partial(
                 _merged, len(win.lines), chosen)
+
+    def _decode_groups(self, listed: list):
+        """A listed map window's vectors grouped by their decodes, in
+        first-seen order; a group recovers once, on its first vector."""
+        groups = {}
+        for cuts in listed:
+            groups.setdefault(self._decodes(cuts), []).append(cuts)
+        for group in groups.values():
+            yield (self._recovered(group[0]), len(group),
+                   functools.partial(list, group))
 
 
 def _unrank(n: int, stops: list[int]) -> tuple[int, ...]:
@@ -614,47 +586,38 @@ def _merged(width: int, chosen: list) -> list[tuple[int, ...]]:
                                                   for _, combos in chosen)))
 
 
-def _judge_states(reads: _ReadPaths, vectors, own: list[list[int]],
-                  first: int, only: int | None, legal: list,
-                  violations: list) -> int:
-    """Judge each of a window's `vectors` on its own, in their order;
-    returns how many were judged.  Op j is the largest entry of the owner
-    columns `own` at the vector's cuts; at op `only`, a vector with
-    another j is skipped."""
-    lines = reads.win.lines
-    # columns ascend: if each ends in `first`, one op wrote the window and
-    # every state's j is `first`
-    one_op = all(column[-1] == first for column in own)
-    judged = 0
-    for cuts in vectors:
-        j = first if one_op else max(map(list.__getitem__, own, cuts))
-        if only is not None and j != only:
-            continue
-        judged += 1
-        recovered = reads.recovered(cuts)
-        if recovered not in legal[j - first:j + 2 - first]:
-            violations.append(Violation(
-                j, tuple(zip(lines, cuts)), recovered,
-                tuple(legal[j - first:j + 2 - first])))
-    return judged
-
-
-def _judge_classes(reads: _ReadPaths, first: int, legal: list,
-                   violations: list) -> int:
-    """Judge a window that op `first` alone wrote class by class: a class's
-    value once, and each vector of a class whose value is illegal, so that
-    the violations come out as `_judge_states` gives them, in product
-    order.  Returns how many vectors were judged."""
-    pair = legal[:2]
-    bad, judged = [], 0
-    for recovered, size, members in reads.classes():
+def _judge(reads: _ReadPaths, listed: dict | None, first: int, legal: list,
+           violations: list) -> int:
+    """Judge a window class by class (`_ReadPaths.classes`).  `listed` is
+    None for a counted window, whose states op `first` alone issued, or a
+    listed window's op j per vector, in list order.  A state of op j is
+    legal if it recovers to the boundary before op j or after it (op j's
+    pair).  A class's value is compared once with the pair of each op the
+    window's states have; only if it is illegal for one of them are the
+    class's members listed, each judged against its own op's pair.
+    Violations come out in product order (counted) or list order
+    (listed).  Returns how many states were judged."""
+    pairs = {j: legal[j - first:j + 2 - first]
+             for j in ({first} if listed is None else set(listed.values()))}
+    bad, judged = {}, 0
+    for recovered, size, members in reads.classes(
+            None if listed is None else list(listed)):
         judged += size
-        if recovered not in pair:
-            bad += [(cuts, recovered) for cuts in members()]
-    bad.sort(key=operator.itemgetter(0))
+        for pair in pairs.values():
+            if recovered not in pair:
+                break
+        else:   # legal for every op of the window
+            continue
+        for cuts in members():
+            j = first if listed is None else listed[cuts]
+            if recovered not in pairs[j]:
+                bad[cuts] = j, recovered
     lines = reads.win.lines
-    violations += [Violation(first, tuple(zip(lines, cuts)), recovered,
-                             tuple(pair)) for cuts, recovered in bad]
+    for cuts in (sorted(bad) if listed is None or not bad
+                 else [cuts for cuts in listed if cuts in bad]):
+        j, recovered = bad[cuts]
+        violations.append(Violation(j, tuple(zip(lines, cuts)), recovered,
+                                    tuple(pairs[j])))
     return judged
 
 
@@ -671,24 +634,20 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
     it enumerates the memory as op I left it, keeps the images with j = I,
     and counts every state it enumerated in `states_checked`.
 
-    A window's states are cut vectors in its line order: enumerated ones
-    come from the product, once each; sampled and boundary ones are
-    deduplicated in first-seen order.  Op j is the largest entry of the
-    window's owner columns at the vector's cuts, where column i holds the
-    window's first op at cut 0 and at cut c the op that issued line i's
-    c-th unit.  If every column ends at the first op, that op wrote the
-    whole window and every state's j is it, with no lookup; such a window,
-    unless sampled, is judged by classes of states that recover alike
-    (`_judge_classes`), and its states are counted, not listed, unless
-    their class's value is illegal.  Any other window is judged state by
-    state (`_judge_states`).  Either way recovery runs once per read path
-    of a log's window, or per distinct decode of a map window's written
-    slots (`_ReadPaths`), on the target's one reader and images patched
-    into one buffer per window, and `EnumerationLimitError` is raised for
-    a window whose cut tuples number more than `ENUMERATION_LIMIT`, unless
-    it is sampled.  A recovered value is judged by equality with the legal
-    pair: a log's tuple of payloads, or a map's dict, which equals the
-    model's whatever its key order."""
+    A window's states are cut vectors in its line order.  Op j is the
+    largest entry of the window's owner columns at the vector's cuts,
+    where column i holds the window's first op at cut 0 and at cut c the
+    op that issued line i's c-th unit; if every column ends at the first
+    op, that op wrote the whole window and every state's j is it.  Such a
+    window, unless sampled or a fenced map window, is counted; any other
+    is listed: its legal vectors in product order, or its sampled and
+    boundary ones deduplicated in first-seen order, at-op keeping those of
+    op I.  Both kinds take one judge (`_judge`), on the target's one
+    reader and images patched into one buffer per window.
+    `EnumerationLimitError` is raised for a window whose cut tuples number
+    more than `ENUMERATION_LIMIT`, unless it is sampled.  A recovered value
+    is judged by equality with the legal pair: a log's tuple of payloads,
+    or a map's dict, which equals the model's whatever its key order."""
     if isinstance(script, str):
         script = parse_script(script)
     if script.kind == "log":
@@ -717,24 +676,28 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
             own = [[first, *owner[line]] for line in win.lines]
             one_op = all(column[-1] == first for column in own)
             reads = _ReadPaths(mem, target, win)
-            if sampled:
-                vectors = mem._boundaries(win)
-                vectors += mem._samples(win, random.Random(script.seed),
-                                        script.mode_arg or 10000)
-                checked += len(vectors)
-                distinct += _judge_states(reads, dict.fromkeys(vectors), own,
-                                          first, only, legal, violations)
-            elif one_op and reads.by_class:
+            if one_op and not sampled and not (
+                    win.fenced and reads.slots is not None):
                 _check_limit(win, [0] * len(win.lines), ENUMERATION_LIMIT)
                 checked += mem._count(win)
-                if only in (None, first):
-                    distinct += _judge_classes(reads, first, legal,
-                                               violations)
+                # no state is op I's unless op `first` is op I
+                listed = None if only in (None, first) else {}
             else:
-                vectors = mem._vectors(win)
+                if sampled:
+                    vectors = mem._boundaries(win) + mem._samples(
+                        win, random.Random(script.seed),
+                        script.mode_arg or 10000)
+                else:
+                    vectors = mem._vectors(win)
                 checked += len(vectors)
-                distinct += _judge_states(reads, vectors, own, first, only,
-                                          legal, violations)
+                if sampled:
+                    vectors = dict.fromkeys(vectors)   # first-seen order
+                js = (itertools.repeat(first) if one_op else
+                      (max(map(list.__getitem__, own, cuts))
+                       for cuts in vectors))
+                listed = {cuts: j for cuts, j in zip(vectors, js)
+                          if only in (None, j)}
+            distinct += _judge(reads, listed, first, legal, violations)
         if quiet:
             mem.checkpoint()
             first, legal, owner = i + 1, legal[-1:], {}

@@ -16,7 +16,7 @@ from conftest import WriteRefusingMemory, widened
 from nvlog.crc import crc32c
 from nvlog import harness
 from nvlog.harness import (BrokenVbLog, EXTRA_ALGORITHMS, Script, ScriptError,
-                           _LogTarget, _ReadPaths, _StpsTarget, _judge_states,
+                           Violation, _LogTarget, _ReadPaths, _StpsTarget,
                            audit_roundtrips, checksum_vulnerability_demo,
                            crc32_collision_word, parse_script, run_appends,
                            run_crash_suite)
@@ -160,6 +160,33 @@ def test_broken_variant_caught():
     assert v.recovered not in ([], list(v.legal))
 
 
+class DropNewestLog(CsoVbLog):
+    """A cso-vb log whose recovery loses its newest entry."""
+
+    name = "drop-newest"
+
+    def recover(self):
+        return super().recover()[:-1]
+
+
+SIX_APPENDS = "\n".join(f"append {payload.hex()}" for payload
+                        in map(random.Random(0).randbytes, [48] * 6))
+
+
+@pytest.mark.parametrize("mode, want", [
+    ("exhaustive", 35), ("sampled 2000", 19), ("sampled 30", 11),
+    *((f"at-op {i}", 7 if i else 0) for i in range(6))])
+def test_a_log_that_drops_its_newest_entry_is_caught(mode, want):
+    # a state recovers one entry short: legal once op j's append persisted
+    # whole, a violation while it is torn, unless the log before op j was
+    # empty (op 0); pins the power of each mode, sampled ones included
+    report = run_crash_suite(f"crash {mode}\n{SIX_APPENDS}",
+                             algo="drop-newest", payload_len=48,
+                             registry={DropNewestLog.name: DropNewestLog})
+    assert len(report.violations) == want
+    assert all(v.recovered == v.legal[0][:-1] for v in report.violations)
+
+
 def test_sampled_suite_with_wrap():
     script = "crash sampled 1500\n" + "".join(
         f"append {bytes([i] * 24).hex()}\n" for i in range(1, 5)) + \
@@ -301,25 +328,18 @@ def test_every_shipped_script_is_pinned():
 
 def judged_states(monkeypatch, seen) -> None:
     """Call `seen(reads, cuts, recovered)` for every state a suite judges
-    from here on: one judged on its own (`_ReadPaths.recovered`), or each
-    member of a class (`_ReadPaths.classes`), whose size must be the
-    number of its members."""
-    judge, classes = _ReadPaths.recovered, _ReadPaths.classes
+    from here on: each member of a class (`_ReadPaths.classes`), whose
+    size must be the number of its members."""
+    classes = _ReadPaths.classes
 
-    def recovered(reads, cuts):
-        got = judge(reads, cuts)
-        seen(reads, cuts, got)
-        return got
-
-    def classed(reads):
-        for got, size, members in classes(reads):
+    def classed(reads, listed=None):
+        for got, size, members in classes(reads, listed):
             vectors = members()
             assert len(vectors) == size
             for cuts in vectors:
                 seen(reads, cuts, got)
             yield got, size, members
 
-    monkeypatch.setattr(_ReadPaths, "recovered", recovered)
     monkeypatch.setattr(_ReadPaths, "classes", classed)
 
 
@@ -493,7 +513,6 @@ def map_route_checked(monkeypatch) -> Counter:
         fresh = PersistentHashMap(own, 0, own.capacity, node_lines=node_lines)
         fresh.scan()
         assert list(got.items()) == list(fresh.items().items())
-        assert reads.root is None   # the read-path tree is never grown
         seen["states"] += 1
         seen["two slots"] += len(reads.slots) > 1
 
@@ -502,31 +521,42 @@ def map_route_checked(monkeypatch) -> Counter:
         seen["recoveries"] += 1
         return recovered_state(target, crashed)
 
+    walk = _ReadPaths._walk
+
+    def walked(reads, listed=None):
+        assert reads.slots is None   # a map window never walks read paths
+        return walk(reads, listed)
+
     judged_states(monkeypatch, checked)
     monkeypatch.setattr(_StpsTarget, "recovered_state", counted)
+    monkeypatch.setattr(_ReadPaths, "_walk", walked)
     return seen
 
 
-def every_mode(text: str, sampled: bool = True):
-    """`text` parsed once per crash mode: exhaustive, sampled (unless not
-    `sampled`), and at-op for each of its ops."""
-    for mode in ("exhaustive", "sampled 300")[:1 + sampled]:
-        yield parse_script(f"{text}\ncrash {mode}")
-    for i in range(len(parse_script(text).ops)):
-        yield parse_script(f"{text}\ncrash at-op {i}")
+def every_mode(text: str) -> list[Script]:
+    """`text` parsed once per crash mode: exhaustive, sampled, and at-op
+    for each of its ops."""
+    modes = ["exhaustive", "sampled 300",
+             *(f"at-op {i}" for i in range(len(parse_script(text).ops)))]
+    return [parse_script(f"{text}\ncrash {mode}") for mode in modes]
 
 
-def nvbench_scripts(seed: int):
-    """nvbench crash-check's scripts of one round that it checks at each
-    op, as (suite kwargs, text), their payloads and values drawn from
-    `seed`."""
+def nvbench_workloads():
+    """nvbench's workload generators (`nvbench/workloads.py`)."""
     spec = importlib.util.spec_from_file_location(
         "workloads", ROOT / "nvbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def nvbench_scripts(seed: int, per_op: bool = True):
+    """nvbench crash-check's scripts of one round that it checks at each
+    op (or, not `per_op`, those it samples), as (suite kwargs, text),
+    their payloads and values drawn from `seed`."""
     return [(s["kw"], "\n".join(s["body"]))
-            for s in workloads.crash_scripts(random.Random(seed))
-            if s["per_op"]]
+            for s in nvbench_workloads().crash_scripts(random.Random(seed))
+            if s["per_op"] == per_op]
 
 
 def nvbench_map_scripts(seed: int):
@@ -570,71 +600,114 @@ def test_slot_images_that_decode_alike_share_one_recovery(monkeypatch):
     mem.sfence()
     win = mem._window()
     reads = _ReadPaths(mem, target, win)
-    images = set()
-    for cuts in mem._vectors(win):
-        assert reads.recovered(cuts) == {b"a": b"1"}
-        images.add(bytes(mem._image(win, cuts)))
-    [decodes] = reads.outcomes
+    vectors = mem._vectors(win)
+    for recovered, _, _ in reads.classes(vectors):
+        assert recovered == {b"a": b"1"}
+    images = {bytes(mem._image(win, cuts)) for cuts in vectors}
+    [decodes] = {reads._decodes(cuts) for cuts in vectors}
     assert len(images) == 2 and decodes[0] is not None
     assert seen == Counter(states=2, recoveries=1)
 
 
-def judged_one_by_one(reads, first, legal, violations) -> int:
-    """`_judge_classes` as the per-state loop judges the same window: each
-    vector of its product on its own."""
-    own = [[first]] * len(reads.win.lines)   # op `first` wrote every line
-    return _judge_states(reads, reads.mem._vectors(reads.win), own, first,
-                         None, legal, violations)
+def recovered_alone(target, crashed):
+    """What a freshly attached reader recovers from the crash memory
+    `crashed`: a log's payloads or a map's items."""
+    if isinstance(target, _StpsTarget):
+        return PersistentHashMap(crashed, 0, crashed.capacity,
+                                 node_lines=target.reader.node_lines
+                                 ).recover().items()
+    log = target.log
+    fresh = type(log).attach(crashed, 0, log.size, log.payload_len)
+    try:
+        return tuple(e.payload for e in fresh.recover())
+    except UnrecoverableLogError:
+        return ("<unrecoverable>",)
+
+
+def judged_one_by_one(reads, listed, first, legal, violations) -> int:
+    """A plain reference for `harness._judge`: each state of the window
+    (every legal vector of a counted window, op `first`'s, in product
+    order, or each listed one in list order) recovered on its own crash
+    memory, replayed line by line, by a freshly attached reader, with no
+    shared recovery and no class."""
+    mem, win = reads.mem, reads.win
+    if listed is None:
+        listed = dict.fromkeys(mem._vectors(win), first)
+    for cuts, j in listed.items():
+        image = bytearray(mem.cached)
+        for line, cut in zip(win.lines, cuts):
+            image[line * 64:(line + 1) * 64] = mem._line_image(line, cut)
+        recovered = recovered_alone(reads.target, mem._crash_memory(image))
+        pair = tuple(legal[j - first:j + 2 - first])
+        if recovered not in pair:
+            violations.append(Violation(j, tuple(zip(win.lines, cuts)),
+                                        recovered, pair))
+    return len(listed)
 
 
 def differential_runs():
-    """(id, suite kwargs, text) of every differential run: the shipped log
-    scripts under every log at 24/56/112 B (atlas at 24 B), the map script
-    at 1/2/4-line nodes, and two rounds of nvbench's per-op scripts."""
+    """(id, suite kwargs, scripts) of every differential run: in every
+    mode, the shipped log scripts under every log at 24/56/112 B (atlas at
+    24 B), the map script at 1/2/4-line nodes, two rounds of nvbench's
+    per-op scripts and a one-append crc32/crc64 script; and one round of
+    nvbench's sampled scripts as nvbench samples them."""
     for name in ("three_appends", "wraparound"):
         text = (WORKLOADS / f"{name}.txt").read_text()
         for algo in sorted(EXTRA_ALGORITHMS):
             for size in (24, 56, 112) if algo != "atlas" else (24,):
                 yield (f"{name}-{algo}-{size}",
-                       dict(algo=algo, payload_len=size), widened(text, size))
+                       dict(algo=algo, payload_len=size),
+                       every_mode(widened(text, size)))
     for lines in (1, 2, 4):
         yield (f"map_smoke-{lines}", dict(node_lines=lines),
-               (WORKLOADS / "map_smoke.txt").read_text())
+               every_mode((WORKLOADS / "map_smoke.txt").read_text()))
     for seed in (3, 8):
         for n, (kw, text) in enumerate(nvbench_scripts(seed)):
-            yield f"nvbench-{seed}-{n}", kw, text
+            yield f"nvbench-{seed}-{n}", kw, every_mode(text)
+    samples = nvbench_workloads().CC_SAMPLES
+    for n, (kw, text) in enumerate(nvbench_scripts(3, per_op=False)):
+        yield (f"nvbench-sampled-3-{n}", kw,
+               [parse_script(f"seed 3\ncrash sampled {samples}\n{text}")])
+    # sampled, the append's window lies in one slot and is listed
+    payload = random.Random(7).randbytes(112)
+    for algo in ("crc32", "crc64"):
+        yield (f"one-append-{algo}", dict(algo=algo, payload_len=112),
+               every_mode(f"append {payload.hex()}"))
 
 
-@pytest.mark.parametrize("case, kw, text", [
+@pytest.mark.parametrize("case, kw, scripts", [
     pytest.param(*run, id=run[0]) for run in differential_runs()])
-def test_class_judge_reports_as_the_per_state_loop(case, kw, text,
+def test_class_judge_reports_as_the_per_state_loop(case, kw, scripts,
                                                    monkeypatch):
-    # exhaustively and at each op: equal reports, the order of their
-    # violations and each recovered value's repr included, or the same
-    # enumeration limit error
-    classed = Counter()
-    judge = harness._judge_classes
+    # in every mode: equal reports, the order of their violations and each
+    # recovered value's repr included, or the same enumeration limit error
+    judged = Counter()
+    judge = harness._judge
 
-    def counted(reads, first, legal, violations):
-        classed["windows"] += 1
-        return judge(reads, first, legal, violations)
+    def counted(reads, listed, first, legal, violations):
+        judged["listed" if listed else "counted"] += 1
+        judged["fenced map"] += bool(reads.win.fenced and reads.slots)
+        return judge(reads, listed, first, legal, violations)
 
     def outcome(script):
         try:
             report = run_crash_suite(script, registry=EXTRA_ALGORITHMS, **kw)
         except EnumerationLimitError as exc:
             return str(exc)
-        classed["violations"] += len(report.violations)
+        judged["violations"] += len(report.violations)
         return repr(report), report.to_csv()
 
-    for script in every_mode(text, sampled=False):
-        monkeypatch.setattr(harness, "_judge_classes", counted)
+    for script in scripts:
+        monkeypatch.setattr(harness, "_judge", counted)
         got = outcome(script)
-        monkeypatch.setattr(harness, "_judge_classes", judged_one_by_one)
+        monkeypatch.setattr(harness, "_judge", judged_one_by_one)
         assert got == outcome(script)
-    assert classed["windows"]
+    assert judged["listed"]
+    assert judged["counted"] or "sampled" in case
     if kw.get("algo") == "broken-vb":
-        assert classed["violations"]
+        assert judged["violations"]
+    if case.startswith("nvbench-") and kw.get("node_lines") == 1:
+        assert judged["fenced map"]   # its transaction at op 8
 
 
 def table_valid(reads, cuts) -> bool:

@@ -24,6 +24,7 @@ def run_tool(*args):
 
 @pytest.mark.parametrize("probe", ["cso-fvb/240@0", "tornbit/240@0",
                                    "two-rounds/240@0", "stps/4@2",
+                                   "cso-random/112@4",
                                    "crash/slowest-at-op", "store_words/56",
                                    "recover/crc64", "crash/sample-source"])
 def test_one_probe_on_one_pair(tmp_path, probe):
