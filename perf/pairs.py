@@ -65,9 +65,10 @@ rounds do:
   crash/sampled      the round's eight sampled checks, summed
   crash/round        every check of the round, summed
   crash/sample-source  the public sampler on the round's eight sampled
-                     windows, summed: `boundary_crash_states()` and
-                     `sample_crash_states(CC_SAMPLES, seed)` on each
-                     script's one window (running its ops is not timed)
+                     windows, summed: CC_SAMPLES calls of
+                     `sample_crash_state(rng)`, rng `Random(seed)`, on
+                     each script's one window (running its ops and
+                     building the window are not timed)
 
 Prints per probe each tree's min and median over its processes (each
 process's value being its least round), the change's median over the
@@ -265,8 +266,8 @@ def _calls(round_scripts, seed, harness, samples):
 
 
 def _sample_source(harness, script, kw, samples) -> float:
-    """CPU seconds of the public sampler's states of a sampled script's
-    one window; the window is built untimed."""
+    """CPU seconds of `samples` calls of the public sampler on a
+    sampled script's one window; the window is built untimed."""
     target = harness._LogTarget(kw["algo"], kw["payload_len"], 16,
                                 harness.EXTRA_ALGORITHMS)
     mem = target.mem
@@ -274,9 +275,10 @@ def _sample_source(harness, script, kw, samples) -> float:
     for op in script.ops:
         target.run_op(op)
     mem._window()
+    sample, rng = mem.sample_crash_state, random.Random(script.seed)
     t0 = time.process_time()
-    states = mem.boundary_crash_states()
-    states += mem.sample_crash_states(samples, seed=script.seed)
+    for _ in range(samples):
+        sample(rng)
     return time.process_time() - t0
 
 

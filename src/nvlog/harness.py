@@ -15,7 +15,7 @@ the same value, and its value is judged once.  Only a class whose value
 is illegal for one of its states' ops has its states reported.  A window
 that one op wrote, checked exhaustively or at an op, is counted unless it
 is a fenced map window: its classes cover every legal state, each sized
-from the window's stamps and requirement vectors (`SimMemory._count`)
+from the window's stamps and requirement vectors (`CsoWindow.count`)
 with no state built, and its violations come out in product order.  Any
 other window is listed: its distinct states (a sampled window's boundary
 and sample vectors, or the legal vectors, at op I only op I's) are
@@ -54,8 +54,7 @@ from .logalg import ALGORITHMS
 from .logalg.base import (HEAD_WORD_OFF, CircularLog, TrimError,
                           UnrecoverableLogError)
 from .logalg.csovb import CsoVbLog
-from .pmem import (ENUMERATION_LIMIT, LINE_SIZE, SimMemory, WORD_SIZE,
-                   _check_limit)
+from .pmem import LINE_SIZE, SimMemory, WORD_SIZE
 from .stps import PersistentHashMap
 
 
@@ -332,13 +331,14 @@ class _ReadPaths:
     A recovery runs on the target's one reader, which `recovered_state`
     points at the state's crash memory.
 
-    The checksum route.  A counted, unfenced window whose written lines
-    all lie in one slot of at least one line, of a log that declares its
-    slot check (`slot_check`), is classed first by the CRC's line terms: a
+    The checksum route.  A counted, unfenced window whose written lines all
+    lie in one slot of at least one line, of a log that declares its slot
+    check (`slot_check`), is classed first by the CRC's line terms: a
     table holds, per written line and cut, that line's `crc_term` (XORed
     with the stored checksum on the checksum's line, and with bit 64,
     which no CRC has, where the slot's header word is one `_decode`
-    rejects).  A state's slot is valid iff its terms XOR to the CRC of
+    rejects); it is built (`_slot_sums`) only when such a window's classes
+    are asked for.  A state's slot is valid iff its terms XOR to the CRC of
     zeros (with the constant terms of the slot's unwritten lines), which
     is `_decode`'s own test.  Every invalid state recovers the same value,
     taken from one real recovery of the first of them: recovery reads the
@@ -365,10 +365,7 @@ class _ReadPaths:
         self.target = target
         self.win = win
         self.at = {line: i for i, line in enumerate(win.lines)}
-        self.sums = self.goal = self.slots = None
-        check = getattr(target.reader, "slot_check", None)
-        if check is not None and not win.fenced:
-            self._slot_sums(target.reader, check)
+        self.slots = None
         route = getattr(target, "slot_decodes", None)
         if route is not None:
             base, size, self.decode = route()
@@ -377,17 +374,20 @@ class _ReadPaths:
                 line * LINE_SIZE - (line * LINE_SIZE - base) % size
                 for line in win.lines)]
 
-    def _slot_sums(self, reader, check) -> None:
-        """Build the checksum route's table if the window lies in one
-        slot of at least one line."""
-        mem, lines, size = self.mem, self.win.lines, reader.slot_size
-        if not lines:
-            return
+    def _slot_sums(self) -> bool:
+        """Build the checksum route's table, and say whether it did: only
+        for an unfenced window of a log that declares its slot check, if
+        the window lies in one slot of at least one line."""
+        mem, win, reader = self.mem, self.win, self.target.reader
+        check, lines = getattr(reader, "slot_check", None), win.lines
+        if check is None or win.fenced or not lines:
+            return False
+        size = reader.slot_size
         slot = (lines[0] * LINE_SIZE - reader.slot_addr(0)) // size
         addr = reader.slot_addr(slot)
         if (size < LINE_SIZE or not 0 <= slot < reader.nslots
                 or lines[-1] * LINE_SIZE >= addr + size):
-            return
+            return False
         reader.mem = mem   # the head word's line is outside the window
         reader._load_header(mem.load_word(reader.base + HEAD_WORD_OFF))
         n, crc_off, fn, header = check(slot)
@@ -396,8 +396,8 @@ class _ReadPaths:
             line = (addr + off) // LINE_SIZE
             i = self.at.get(line)   # None: unwritten, one image
             terms = []
-            for cut in range(1 if i is None else self.win.stops[i]):
-                image = mem._line_image(line, cut)
+            for cut in range(1 if i is None else win.stops[i]):
+                image = win.line_image(line, cut)
                 term = crc_term(fn, n, off, image[:n - off]) if off < n else 0
                 if off <= crc_off < off + LINE_SIZE:
                     term ^= int.from_bytes(
@@ -411,16 +411,15 @@ class _ReadPaths:
             else:
                 sums.append(terms)
         self.sums, self.goal = sums, goal
+        return True
 
     def _recovered(self, cuts: tuple[int, ...]):
         """The value the state `cuts` recovers to, its loads unrecorded."""
-        mem = self.mem
-        return self.target.recovered_state(mem._crash_memory(bytearray(
-            mem._image(self.win, cuts))))
+        return self.target.recovered_state(self.win.crash_memory(cuts))
 
     def _decodes(self, cuts: tuple[int, ...]) -> tuple:
         """The map route's key for `cuts`: its written slots' decodes."""
-        image, decode = self.mem._image(self.win, cuts), self.decode
+        image, decode = self.win.image(cuts), self.decode
         return tuple([decode(bytes(image[lo:hi])) for lo, hi in self.slots])
 
     def classes(self, listed: list | None = None):
@@ -432,7 +431,7 @@ class _ReadPaths:
         if self.slots is not None:
             return (self._decode_classes() if listed is None
                     else self._decode_groups(listed))
-        if listed is None and self.sums is not None:
+        if listed is None and self._slot_sums():
             return self._checksum_classes()
         return self._walk(listed)
 
@@ -452,9 +451,9 @@ class _ReadPaths:
         them, and splits the group by the branch's cuts, each part a
         child; it records loads only while the group holds more than one
         vector, and a leaf's class is its group."""
-        mem, win, at, width = self.mem, self.win, self.at, len(self.at)
+        win, at, width = self.win, self.at, len(self.at)
         if listed is None:
-            stack = [({}, mem._completion(win, {}), None)]
+            stack = [({}, win.completion({}), None)]
         else:
             stack = [({}, listed[0], listed)] if listed else []
         while stack:
@@ -464,8 +463,7 @@ class _ReadPaths:
                 yield self._recovered(cuts), 1, functools.partial(list,
                                                                   (cuts,))
                 continue
-            crashed = mem._crash_memory(bytearray(mem._image(win, cuts)),
-                                        record_loads=True)
+            crashed = win.crash_memory(cuts, record_loads=True)
             recovered = self.target.recovered_state(crashed)
             for line in dict.fromkeys(crashed.loaded_lines):
                 i = at.get(line)
@@ -475,7 +473,7 @@ class _ReadPaths:
                     for cut in range(win.stops[i]):
                         if cut != cuts[i]:
                             child = {**held, i: cut}
-                            completion = mem._completion(win, child)
+                            completion = win.completion(child)
                             if completion is not None:
                                 stack.append((child, completion, None))
                 else:
@@ -493,8 +491,8 @@ class _ReadPaths:
             elif len(held) == width:
                 yield recovered, 1, functools.partial(list, (cuts,))
             else:
-                yield (recovered, mem._count(win, held),
-                       functools.partial(mem._holding, win, held))
+                yield (recovered, win.count(held),
+                       functools.partial(win.holding, held))
 
     def _checksum_classes(self):
         """A counted, unfenced one-slot window of a checksum log: each
@@ -532,7 +530,7 @@ class _ReadPaths:
                                              (line + 1) * LINE_SIZE],))
                 else:
                     spots.append(i)
-                    parts.append(mem._line_images(win, i))
+                    parts.append(win.line_images(i))
             by_decode = {}
             for combo, images in zip(
                     itertools.product(*(range(win.stops[i]) for i in spots)),
@@ -678,17 +676,16 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
             reads = _ReadPaths(mem, target, win)
             if one_op and not sampled and not (
                     win.fenced and reads.slots is not None):
-                _check_limit(win, [0] * len(win.lines), ENUMERATION_LIMIT)
-                checked += mem._count(win)
+                win.check_limit()
+                checked += win.count()
                 # no state is op I's unless op `first` is op I
                 listed = None if only in (None, first) else {}
             else:
                 if sampled:
-                    vectors = mem._boundaries(win) + mem._samples(
-                        win, random.Random(script.seed),
-                        script.mode_arg or 10000)
+                    vectors = win.boundaries() + win.samples(
+                        random.Random(script.seed), script.mode_arg or 10000)
                 else:
-                    vectors = mem._vectors(win)
+                    vectors = win.vectors()
                 checked += len(vectors)
                 if sampled:
                     vectors = dict.fromkeys(vectors)   # first-seen order

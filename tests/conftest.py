@@ -7,12 +7,18 @@ that trace without reading the bookkeeping of the engine they check.  It
 records a `store_words` run as one store per 8-byte chunk, splits stores at
 line boundaries and counts each line's writes itself.
 `WriteRefusingMemory` fails every store, flush and fence.
+`enumerated_states`, `sampled_states` and `boundary_states` give a
+memory's crash window's enumerated, sampled and boundary vectors as
+`CrashState`s, in the window's order; `cut_of` reads one line's cut.
 """
 
+import itertools
+import random
 import re
 from typing import NamedTuple
 
-from nvlog.pmem import RELAXED, SimMemory, WORD_SIZE
+from nvlog.pmem import (CrashState, ENUMERATION_LIMIT, RELAXED, SimMemory,
+                        WORD_SIZE)
 
 
 class Store(NamedTuple):
@@ -91,3 +97,41 @@ class WriteRefusingMemory(SimMemory):
 
     store = store_word = store_words = clflushopt = flush_range = sfence = \
         _refuse
+
+
+def crash_states(mem: SimMemory, vectors) -> list[CrashState]:
+    """The cut vectors `vectors` of `mem`'s window as `CrashState`s."""
+    lines = mem._window().lines
+    return [CrashState(tuple(zip(lines, cuts)), mem._epoch)
+            for cuts in vectors]
+
+
+def enumerated_states(mem: SimMemory, limit: int = ENUMERATION_LIMIT,
+                      at_least_durable: bool = False) -> list[CrashState]:
+    """Every legal state of `mem`'s window, in product order; with
+    `at_least_durable` only those at or above the durable floors, from
+    the product of those cuts alone: a vector is legal iff the window's
+    fix-up leaves it as it is."""
+    win = mem._window()
+    if not at_least_durable:
+        return crash_states(mem, win.vectors(limit))
+    return crash_states(mem, [
+        cuts for cuts in itertools.product(*map(range, win.floors, win.stops))
+        if win.fix_up(cuts) == cuts])
+
+
+def sampled_states(mem: SimMemory, count: int, seed: int = 0,
+                   at_least_durable: bool = False) -> list[CrashState]:
+    """`count` states of `mem`'s window, drawn from `Random(seed)`."""
+    return crash_states(mem, mem._window().samples(
+        random.Random(seed), count, at_least_durable))
+
+
+def boundary_states(mem: SimMemory) -> list[CrashState]:
+    """The states cut around each of the window's RELEASE stores."""
+    return crash_states(mem, mem._window().boundaries())
+
+
+def cut_of(state: CrashState, line: int) -> int:
+    """`state`'s cut of `line`, 0 if it leaves the line out."""
+    return dict(state.cuts).get(line, 0)

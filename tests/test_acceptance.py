@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import enumerated_states
 from nvlog.cli import _bench_one, _run_kv
 from nvlog.harness import (audit_roundtrips, checksum_vulnerability_demo,
                            run_crash_suite)
@@ -87,7 +88,7 @@ def _interrupted_append_states(node_lines, old_kv, new_kv):
     mem.checkpoint()
     m.append_entry(0, new_kv[0], new_kv[1], 2, 1)
     outcomes = []
-    for st in mem.enumerate_crash_states():
+    for st in enumerated_states(mem):
         clone = mem.apply_crash(st)
         r = PersistentHashMap(clone, 0, region, node_lines=node_lines)
         outcomes.append((st.cuts, r.parse_entry(0)))
@@ -133,7 +134,7 @@ def test_transaction_atomicity():
     m.txn_update([(b"a", b"1"), (b"b", b"2"), (b"c", b"3")])
     want_all = {b"a": b"1", b"b": b"2", b"c": b"3"}
     bad = []
-    states = mem.enumerate_crash_states()
+    states = enumerated_states(mem)
     for st in states:
         clone = mem.apply_crash(st)
         r = PersistentHashMap(clone, 0, region)
@@ -190,7 +191,7 @@ def test_flexible_bit_oracle_equivalence():
         mem.sfence()
         mem.checkpoint()   # so line 0's events are the writer's alone
         off, bit = write_cacheline(mem, 0, new)
-        stored = mem.events(0)
+        stored = [at for _, at, _, _ in mem._window().units(0)]
         diff = int.from_bytes(old, "little") ^ int.from_bytes(new, "little")
         if not diff:
             if stored:
@@ -203,7 +204,7 @@ def test_flexible_bit_oracle_equivalence():
                     >> (ref % 8)) & 1
         if (off, bit) != (ref, want_bit):
             mismatches += 1
-        if any(e.offset_in_line // 8 > word for e in stored):
+        if any(at // 8 > word for at in stored):
             overshoots += 1
     _verdict("flexible-bit-oracle", mismatches == 0 and overshoots == 0,
              f"mismatches {mismatches}, overshoots {overshoots}")

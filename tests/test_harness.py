@@ -404,9 +404,8 @@ def read_paths(target, ops) -> int:
     win = mem._window()
     at = {line: i for i, line in enumerate(win.lines)}
     paths = set()
-    for cuts in mem._vectors(win):
-        crashed = mem._crash_memory(bytearray(mem._image(win, cuts)),
-                                    record_loads=True)
+    for cuts in win.vectors():
+        crashed = win.crash_memory(cuts, record_loads=True)
         target.recovered_state(crashed)
         paths.add(tuple((line, cuts[at[line]]) for line in dict.fromkeys(
             crashed.loaded_lines) if line in at))
@@ -477,7 +476,7 @@ def test_map_check_recoveries_write_nothing(monkeypatch):
         return recovered_state(target, crashed)
 
     def judged(reads, cuts, recovered):
-        images.append(bytes(reads.mem._image(reads.win, cuts)))
+        images.append(bytes(reads.win.image(cuts)))
 
     monkeypatch.setattr(_StpsTarget, "recovered_state", kept)
     judged_states(monkeypatch, judged)
@@ -508,8 +507,8 @@ def map_route_checked(monkeypatch) -> Counter:
     recovered_state = _StpsTarget.recovered_state
 
     def checked(reads, cuts, got):
-        mem, node_lines = reads.mem, reads.target.reader.node_lines
-        own = mem._crash_memory(bytearray(mem._image(reads.win, cuts)))
+        node_lines = reads.target.reader.node_lines
+        own = reads.win.crash_memory(cuts)
         fresh = PersistentHashMap(own, 0, own.capacity, node_lines=node_lines)
         fresh.scan()
         assert list(got.items()) == list(fresh.items().items())
@@ -600,10 +599,10 @@ def test_slot_images_that_decode_alike_share_one_recovery(monkeypatch):
     mem.sfence()
     win = mem._window()
     reads = _ReadPaths(mem, target, win)
-    vectors = mem._vectors(win)
+    vectors = win.vectors()
     for recovered, _, _ in reads.classes(vectors):
         assert recovered == {b"a": b"1"}
-    images = {bytes(mem._image(win, cuts)) for cuts in vectors}
+    images = {bytes(win.image(cuts)) for cuts in vectors}
     [decodes] = {reads._decodes(cuts) for cuts in vectors}
     assert len(images) == 2 and decodes[0] is not None
     assert seen == Counter(states=2, recoveries=1)
@@ -632,12 +631,12 @@ def judged_one_by_one(reads, listed, first, legal, violations) -> int:
     shared recovery and no class."""
     mem, win = reads.mem, reads.win
     if listed is None:
-        listed = dict.fromkeys(mem._vectors(win), first)
+        listed = dict.fromkeys(win.vectors(), first)
     for cuts, j in listed.items():
         image = bytearray(mem.cached)
         for line, cut in zip(win.lines, cuts):
-            image[line * 64:(line + 1) * 64] = mem._line_image(line, cut)
-        recovered = recovered_alone(reads.target, mem._crash_memory(image))
+            image[line * 64:(line + 1) * 64] = win.line_image(line, cut)
+        recovered = recovered_alone(reads.target, SimMemory._from_image(image))
         pair = tuple(legal[j - first:j + 2 - first])
         if recovered not in pair:
             violations.append(Violation(j, tuple(zip(win.lines, cuts)),
@@ -731,10 +730,9 @@ def checksum_classes(algo: str, size: int, text: str, slots: int):
         if quiet or i == len(ops) - 1:
             win = mem._window()
             reads = _ReadPaths(mem, target, win)
-            if reads.sums is not None:
-                for cuts in mem._vectors(win):
-                    crashed = mem._crash_memory(bytearray(
-                        mem._image(win, cuts)))
+            if reads._slot_sums():
+                for cuts in win.vectors():
+                    crashed = win.crash_memory(cuts)
                     log = cls.attach(crashed, 0, target.log.size, size)
                     log._load_header(crashed.load_word(0))
                     slot = ((win.lines[0] * 64 - log.slot_addr(0))
@@ -801,6 +799,30 @@ def test_a_checksum_log_window_with_no_written_line(algo, mode):
         (9, 9) if mode == "exhaustive" else (1, 1))
 
 
+@pytest.mark.parametrize("mode, built, checked, distinct", [
+    pytest.param("sampled 300", [], 302, 79, id="sampled"),
+    pytest.param("exhaustive", [True], 81, 81, id="exhaustive")])
+def test_only_a_counted_checksum_window_builds_the_table(
+        mode, built, checked, distinct, monkeypatch):
+    # one crc64 append lies in one slot: sampled, its window is listed and
+    # builds no table, with the report it had when it built one unused;
+    # exhaustive, it is counted and classed by the table
+    calls = []
+    slot_sums = _ReadPaths._slot_sums
+
+    def hooked(reads):
+        calls.append(slot_sums(reads))
+        return calls[-1]
+
+    monkeypatch.setattr(_ReadPaths, "_slot_sums", hooked)
+    payload = random.Random(7).randbytes(112)
+    report = run_crash_suite(f"crash {mode}\nappend {payload.hex()}",
+                             algo="crc64", payload_len=112)
+    assert calls == built
+    assert report == harness.Report("crc64", mode.split()[0], 1, checked,
+                                    distinct, [])
+
+
 def window_crash_memories(target, ops):
     """Run `ops` on `target` and, at the end of each window (a quiescent
     point or the last op), yield two crash memories of each of the window's
@@ -814,10 +836,8 @@ def window_crash_memories(target, ops):
         quiet = mem.quiescent
         if quiet or i == len(ops) - 1:
             win = mem._window()
-            for cuts in reversed(mem._vectors(win)):
-                image = mem._image(win, cuts)
-                yield (mem._crash_memory(bytearray(image)),
-                       mem._crash_memory(bytearray(image)))
+            for cuts in reversed(win.vectors()):
+                yield win.crash_memory(cuts), win.crash_memory(cuts)
         if quiet:
             mem.checkpoint()
 

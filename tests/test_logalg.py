@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import cut_of, enumerated_states
 from nvlog.harness import run_crash_suite
 from nvlog.logalg import ALGORITHMS
 from nvlog.logalg.base import (HEADER_BYTES, LogFullError, PayloadError,
@@ -255,7 +256,7 @@ def test_csorandom_trim_of_recovered_full_log(trim_all):
     handles = [e.slot for e in recovered.recover()]
     recovered.trim(handles[-1] if trim_all else handles[0])
     legal = {tuple(data), tuple(data[4 if trim_all else 1:])}
-    for state in image.enumerate_crash_states():
+    for state in enumerated_states(image):
         got = cls.attach(image.apply_crash(state), 0, region, 56).recover()
         assert tuple(e.payload for e in got) in legal
 
@@ -362,12 +363,13 @@ def test_torn_first_slot_line_ends_recovery_reads(algo, size, loaded):
     mem.checkpoint()
     log.append(bytes(range(1, size + 1)))
     count = mem.write_counts()[1]
-    torn = [s for s in mem.enumerate_crash_states()
-            if 0 < s.cut(1) < count and all(
+    torn = [s for s in enumerated_states(mem)
+            if 0 < cut_of(s, 1) < count and all(
                 c == mem.write_counts()[ln] for ln, c in s.cuts if ln != 1)]
     assert len(torn) == count - 1
     for state in torn:
-        crashed = mem.apply_crash(state, record_loads=True)
+        crashed = mem._window().crash_memory(
+            tuple(cut for _, cut in state.cuts), record_loads=True)
         assert ALGORITHMS[algo].attach(crashed, 0, region, size).recover() == []
         assert list(dict.fromkeys(crashed.loaded_lines)) == loaded
 

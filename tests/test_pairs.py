@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from nvlog import harness
 from nvlog.harness import EXTRA_ALGORITHMS
+from nvlog.pmem import SimMemory
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "perf" / "pairs.py"
@@ -61,6 +63,25 @@ def pairs_module():
     pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(pairs)
     return pairs
+
+
+def test_the_sample_source_probe_draws_only_the_public_sampler(monkeypatch):
+    # a pair runs the probe on both trees, so it may call only a sampler
+    # both have: `SimMemory.sample_crash_state`, once per timed sample
+    drawn = []
+    sample = SimMemory.sample_crash_state
+
+    def counted(mem, rng, at_least_durable=False):
+        drawn.append(sample(mem, rng, at_least_durable))
+        return drawn[-1]
+
+    monkeypatch.setattr(SimMemory, "sample_crash_state", counted)
+    script = harness.parse_script(f"seed 3\ncrash sampled 200\n"
+                                  f"append {'ab' * 24}\ntrim")
+    seconds = pairs_module()._sample_source(
+        harness, script, dict(algo="crc64", payload_len=24), 200)
+    assert seconds > 0 and len(drawn) == 200
+    assert len({state.cuts for state in drawn}) > 1
 
 
 def child_runs(values):

@@ -12,7 +12,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Fence, Flush, RecordingMemory, Store
+from conftest import (Fence, Flush, RecordingMemory, Store, boundary_states,
+                      cut_of, enumerated_states, sampled_states)
 from nvlog.harness import _LogTarget, _StpsTarget, parse_script
 from nvlog.pmem import (
     CrashState,
@@ -40,8 +41,8 @@ def vector(state: CrashState) -> tuple[int, ...]:
 def test_store_splits_at_line_boundaries():
     m = SimMemory(256)
     m.store(60, b"abcdefgh")
-    lines = [(line, e.offset_in_line, e.data)
-             for line in sorted(m.write_counts()) for e in m.events(line)]
+    lines = [(line, off, data) for line in sorted(m.write_counts())
+             for _, off, data, _ in m._window().units(line)]
     assert lines == [(0, 60, b"abcd"), (1, 0, b"efgh")]
     assert m.load(60, 8) == b"abcdefgh"
 
@@ -70,7 +71,8 @@ def test_store_words_logs_one_store_per_chunk(addr, data, fenced):
         chunks.store(addr + pos, data[pos:pos + 8])
     assert run.write_counts() == chunks.write_counts()
     for line in chunks.write_counts():
-        assert run.events(line) == chunks.events(line)
+        assert (list(run._window().units(line))
+                == list(chunks._window().units(line)))
     assert run.cached == chunks.cached
 
 
@@ -122,7 +124,7 @@ def test_same_line_pair_yields_three_states():
     m = SimMemory(64)
     m.store(0, b"A" * 8)
     m.store(8, b"B" * 8, RELEASE)
-    states = m.enumerate_crash_states()
+    states = enumerated_states(m)
     assert cuts_of(states) == {((0, 0),), ((0, 1),), ((0, 2),)}
     # never the second store without the first
     for s in states:
@@ -135,12 +137,12 @@ def test_k_writes_one_line_k_plus_one_states():
     m = SimMemory(64)
     for i in range(5):
         m.store(0, bytes([i]))
-    assert len(m.enumerate_crash_states()) == 6
+    assert len(enumerated_states(m)) == 6
 
 
 def test_empty_trace_single_state():
     m = SimMemory(64)
-    states = m.enumerate_crash_states()
+    states = enumerated_states(m)
     assert len(states) == 1 and states[0].cuts == ()
 
 
@@ -151,7 +153,7 @@ def test_flush_fence_write_ordering():
     m.clflushopt(0)
     m.sfence()
     m.store(64, b"2" * 8)
-    assert cuts_of(m.enumerate_crash_states()) == {
+    assert cuts_of(enumerated_states(m)) == {
         ((0, 0), (1, 0)), ((0, 1), (1, 0)), ((0, 1), (1, 1))}
 
 
@@ -159,7 +161,7 @@ def test_unflushed_lines_independent():
     m = SimMemory(256)
     m.store(0, b"x" * 8)
     m.store(64, b"y" * 8)
-    assert len(m.enumerate_crash_states()) == 4
+    assert len(enumerated_states(m)) == 4
 
 
 def test_enumeration_limit():
@@ -168,7 +170,7 @@ def test_enumeration_limit():
         for _ in range(4):
             m.store(line * 64, b"w" * 8)
     with pytest.raises(EnumerationLimitError):
-        m.enumerate_crash_states(limit=1000)
+        enumerated_states(m, limit=1000)
 
 
 # --------------------------------------------------- brute-force oracle check
@@ -225,7 +227,7 @@ def random_trace(seed: int) -> RecordingMemory:
 @pytest.mark.parametrize("seed", range(40))
 def test_enumeration_matches_brute_force(seed):
     m = random_trace(seed)
-    assert cuts_of(m.enumerate_crash_states()) == brute_force_states(m)
+    assert cuts_of(enumerated_states(m)) == brute_force_states(m)
 
 
 def long_trace(seed: int, events: int = 24,
@@ -297,9 +299,9 @@ def test_long_traces_cross_lines_and_refence():
 def test_long_trace_enumeration_matches_brute_force(seed):
     m = long_trace(seed)
     legal = brute_force_states(m)
-    assert cuts_of(m.enumerate_crash_states()) == legal
+    assert cuts_of(enumerated_states(m)) == legal
     floors = durable_floors(m)
-    assert cuts_of(m.enumerate_crash_states(at_least_durable=True)) == {
+    assert cuts_of(enumerated_states(m, at_least_durable=True)) == {
         cuts for cuts in legal
         if all(c >= floors.get(line, 0) for line, c in cuts)}
 
@@ -309,9 +311,9 @@ def test_long_trace_samples_legal_and_above_floor(seed):
     m = long_trace(seed)
     legal = brute_force_states(m)
     floors = durable_floors(m)
-    for s in m.sample_crash_states(100, seed=seed):
+    for s in sampled_states(m, 100, seed=seed):
         assert s.cuts in legal
-    for s in m.sample_crash_states(100, seed=seed, at_least_durable=True):
+    for s in sampled_states(m, 100, seed=seed, at_least_durable=True):
         assert s.cuts in legal
         assert all(c >= floors.get(line, 0) for line, c in s.cuts)
 
@@ -326,13 +328,13 @@ def test_queries_across_checkpoints_stay_exact(seed):
     for step in range(4):
         base = m.load(0, m.capacity)
         long_trace(seed * 10 + step, events=10, m=m)
-        states = m.enumerate_crash_states()
+        states = enumerated_states(m)
         assert cuts_of(states) == brute_force_states(m)
         for state in states:
             assert crashed_image(m, state) == replay(m, base, state.cuts)
         m.flush_range(0, 256)
         m.sfence()
-        assert cuts_of(m.enumerate_crash_states()) == brute_force_states(m)
+        assert cuts_of(enumerated_states(m)) == brute_force_states(m)
         m.checkpoint()
 
 
@@ -352,16 +354,16 @@ def test_requirement_entries_bounded_by_flushes():
 
 def test_sampling_deterministic():
     m = random_trace(7)
-    a = [s.cuts for s in m.sample_crash_states(50, seed=3)]
-    b = [s.cuts for s in m.sample_crash_states(50, seed=3)]
+    a = [s.cuts for s in sampled_states(m, 50, seed=3)]
+    b = [s.cuts for s in sampled_states(m, 50, seed=3)]
     assert a == b
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_samples_are_always_legal(seed):
     m = random_trace(seed)
-    legal = cuts_of(m.enumerate_crash_states())
-    for s in m.sample_crash_states(200, seed=seed):
+    legal = cuts_of(enumerated_states(m))
+    for s in sampled_states(m, 200, seed=seed):
         assert s.cuts in legal
 
 
@@ -369,7 +371,7 @@ def test_sampling_covers_two_line_unfenced_trace():
     m = SimMemory(256)
     m.store(0, b"a" * 8)
     m.store(64, b"b" * 8)
-    seen = {s.cuts for s in m.sample_crash_states(10000, seed=0)}
+    seen = {s.cuts for s in sampled_states(m, 10000, seed=0)}
     assert len(seen) == 4
 
 
@@ -454,7 +456,7 @@ def test_sampler_draws_as_randrange_does(durable):
     win = m._window()
     los = win.floors if durable else [0] * len(win.lines)
     for _ in range(2000):
-        want = m._fix_up(win, list(map(slow.randrange, los, win.stops)))
+        want = win.fix_up(list(map(slow.randrange, los, win.stops)))
         assert vector(m.sample_crash_state(fast,
                                            at_least_durable=durable)) == want
     assert fast.getstate() == slow.getstate()
@@ -464,25 +466,21 @@ def test_sampler_draws_as_randrange_does(durable):
 @pytest.mark.parametrize("durable", [False, True])
 @pytest.mark.parametrize("seed", range(15))
 def test_the_vector_source_draws_the_public_samplers_states(seed, durable):
-    # `_samples` and `_boundaries` are what the crash checker draws: they
-    # must give the public samplers' states as vectors, and leave the
-    # generator where drawing those states leaves it
+    # the window's `samples` and `boundaries` are what the crash checker
+    # draws: a draw of 120 must give the public sampler's 120 states as
+    # vectors, and leave the generator where drawing those states leaves it
     for m in (random_trace(seed), long_trace(seed),
               long_trace(seed, events=60)):
         for line in range(0, 4, 1 + seed % 2):
             m.store(64 * line + 8 * (seed % 8), b"r", RELEASE)
         win = m._window()
         rng = random.Random(seed)
-        got = m._samples(win, rng, 120, at_least_durable=durable)
-        assert got == list(map(vector, m.sample_crash_states(
-            120, seed=seed, at_least_durable=durable)))
+        got = win.samples(rng, 120, at_least_durable=durable)
         public = random.Random(seed)
-        for _ in range(120):
-            m.sample_crash_state(public, at_least_durable=durable)
+        assert got == [vector(m.sample_crash_state(
+            public, at_least_durable=durable)) for _ in range(120)]
         assert rng.getstate() == public.getstate()
-        assert m._boundaries(win) == list(map(vector,
-                                              m.boundary_crash_states()))
-        assert all(type(cuts) is tuple for cuts in got + m._boundaries(win))
+        assert all(type(cuts) is tuple for cuts in got + win.boundaries())
 
 
 def iterative_fix_up(m: SimMemory, win, cuts: list[int]) -> tuple[int, ...]:
@@ -491,7 +489,7 @@ def iterative_fix_up(m: SimMemory, win, cuts: list[int]) -> tuple[int, ...]:
     stamps = win.stamps
     k = max(map(list.__getitem__, stamps, cuts), default=0)
     while k:
-        req = m._reqs(win, k)
+        req = win.reqs(k)
         if all(map(operator.ge, cuts, req)):
             break
         cuts = [max(c, r) for c, r in zip(cuts, req)]
@@ -510,14 +508,14 @@ def test_one_pass_fix_up_matches_the_iterative_raise(seed):
         win = m._window()
         # why one raise suffices: reqs(k) persists no unit stamped k or later
         for k in range(1, m._fences + 1):
-            assert max(map(list.__getitem__, win.stamps, m._reqs(win, k)),
+            assert max(map(list.__getitem__, win.stamps, win.reqs(k)),
                        default=0) < k
         draws = [[rng.randrange(lo, stop) for lo, stop in zip(los, win.stops)]
                  for los in ([0] * len(win.lines), win.floors)
                  for _ in range(150)]
         for cuts in draws + [list(win.floors)]:
             want = iterative_fix_up(m, win, cuts)
-            assert m._fix_up(win, cuts) == want
+            assert win.fix_up(cuts) == want
             raised += want != tuple(cuts)
     assert raised
 
@@ -538,21 +536,21 @@ def test_fence_free_window_is_the_whole_product(seed):
         m.sfence()
     win = m._window()
     assert not win.fenced
-    assert m._vectors(win) == list(itertools.product(*map(range, win.stops)))
-    assert m._vectors(win, at_least_durable=True) == list(
-        itertools.product(*map(range, win.floors, win.stops)))
-    assert cuts_of(m.enumerate_crash_states()) == brute_force_states(m)
+    assert win.vectors() == list(itertools.product(*map(range, win.stops)))
+    assert list(map(vector, enumerated_states(m, at_least_durable=True))) \
+        == list(itertools.product(*map(range, win.floors, win.stops)))
+    assert cuts_of(enumerated_states(m)) == brute_force_states(m)
 
 
 # ------------------------------------------------------- counted, not listed
 
-def assert_counted(m: SimMemory, win) -> None:
-    """`_count` against the enumerated vectors: all of them, and those that
-    hold one line, or two, at each pair of their cuts.  `_completion` of
+def assert_counted(win) -> None:
+    """`count` against the enumerated vectors: all of them, and those that
+    hold one line, or two, at each pair of their cuts.  `completion` of
     the same held cuts is a legal vector holding them, or None where no
     vector does."""
-    vectors = m._vectors(win)
-    assert m._count(win) == len(vectors)
+    vectors = win.vectors()
+    assert win.count() == len(vectors)
     legal = set(vectors)
     width = len(win.lines)
     for held in ([(i,) for i in range(width)]
@@ -560,8 +558,8 @@ def assert_counted(m: SimMemory, win) -> None:
         tally = Counter(tuple(map(cuts.__getitem__, held)) for cuts in vectors)
         for picked in itertools.product(*(range(win.stops[i]) for i in held)):
             fixed = dict(zip(held, picked))
-            assert m._count(win, fixed) == tally[picked]
-            completion = m._completion(win, fixed)
+            assert win.count(fixed) == tally[picked]
+            completion = win.completion(fixed)
             if tally[picked]:
                 assert completion in legal
                 assert all(completion[i] == c for i, c in fixed.items())
@@ -584,21 +582,21 @@ def op_windows(target, ops):
 @pytest.mark.parametrize("seed", range(40))
 def test_random_trace_windows_are_counted(seed):
     m = random_trace(seed)
-    assert_counted(m, m._window())
+    assert_counted(m._window())
 
 
 @pytest.mark.parametrize("events", [24, 60])
 @pytest.mark.parametrize("seed", range(20))
 def test_long_trace_windows_are_counted(seed, events):
     m = long_trace(seed, events)
-    assert_counted(m, m._window())
+    assert_counted(m._window())
 
 
 def test_the_empty_window_counts_one_state():
     m = SimMemory(256)
     win = m._window()
-    assert m._count(win) == len(m._vectors(win)) == 1
-    assert m._completion(win, {}) == ()
+    assert win.count() == len(win.vectors()) == 1
+    assert win.completion({}) == ()
 
 
 LOG_SCRIPT = ("append", "append", "append", "trim 1", "append", "trim")
@@ -618,7 +616,7 @@ def test_fenced_log_windows_are_counted(algo, size):
     target, fenced = _LogTarget(algo, size, 16, None), 0
     for win in op_windows(target, ops):
         fenced += win.fenced
-        assert_counted(target.mem, win)
+        assert_counted(win)
     assert fenced
 
 
@@ -630,7 +628,7 @@ def test_fenced_map_windows_are_counted(node_lines):
                        "U c 7\nT a 8 b 9").ops
     for win in op_windows(target, ops):
         fenced += win.fenced
-        assert_counted(target.mem, win)
+        assert_counted(win)
     assert fenced
 
 
@@ -640,8 +638,8 @@ def test_at_least_durable_respects_floor():
     m.clflushopt(0)
     m.sfence()
     m.store(0, b"2" * 8)
-    for s in m.enumerate_crash_states(at_least_durable=True):
-        assert s.cut(0) >= 1
+    for s in enumerated_states(m, at_least_durable=True):
+        assert cut_of(s, 0) >= 1
 
 
 # ------------------------------------------------------------ boundary states
@@ -662,8 +660,8 @@ def release_trace() -> SimMemory:
 
 def test_boundary_states_are_legal_cuts_at_release_stores():
     m = release_trace()
-    states = m.boundary_crash_states()
-    assert {s.cuts for s in states} <= cuts_of(m.enumerate_crash_states())
+    states = boundary_states(m)
+    assert {s.cuts for s in states} <= cuts_of(enumerated_states(m))
     full = {0: 3, 1: 2}
     floor = {0: 2}    # line 0's writes made durable by the fence
     # two states per RELEASE store, in (line, write) order
@@ -688,23 +686,23 @@ def test_boundary_states_of_random_traces_are_legal(seed):
         if rng.random() < 0.5:
             m.clflushopt(line)
             m.sfence()
-    states = m.boundary_crash_states()
+    states = boundary_states(m)
     assert len(states) == 8
     assert {s.cuts for s in states} <= brute_force_states(m)
 
 
 def unit_walk_boundary_states(m: SimMemory) -> list[tuple[int, ...]]:
     """The reference boundary walk: split each line's records into units
-    with `_units` and cut before and after every RELEASE unit."""
+    with `units` and cut before and after every RELEASE unit."""
     win = m._window()
     states = []
     for i, line in enumerate(win.lines):
-        for pos, (_, _, _, ordering) in enumerate(m._units(line)):
+        for pos, (_, _, _, ordering) in enumerate(win.units(line)):
             if ordering == RELEASE:
                 for cut in (pos, pos + 1):
                     cuts = list(win.his)
                     cuts[i] = cut
-                    states.append(m._fix_up(win, cuts))
+                    states.append(win.fix_up(cuts))
     return states
 
 
@@ -727,10 +725,11 @@ def test_boundary_states_from_records_match_the_unit_walk(seed):
                 m.clflushopt(line)
                 m.sfence()
         want = unit_walk_boundary_states(m)
-        assert list(map(vector, m.boundary_crash_states())) == want
+        assert list(map(vector, boundary_states(m))) == want
         assert len(want) == 2 * sum(ordering == RELEASE
                                     for line in m.write_counts()
-                                    for *_, ordering in m._units(line))
+                                    for *_, ordering
+                                    in m._window().units(line))
         shifted += any(rec[4] > 1 for recs in m._writes.values()
                        for rec in recs)
     assert shifted
@@ -750,11 +749,11 @@ def test_crash_state_order_is_pinned():
                 m.clflushopt(line)
                 m.sfence()
         for durable in (False, True):
-            for states in (m.enumerate_crash_states(at_least_durable=durable),
-                           m.sample_crash_states(50, seed=seed,
+            for states in (enumerated_states(m, at_least_durable=durable),
+                           sampled_states(m, 50, seed=seed,
                                                  at_least_durable=durable)):
                 digest.update(repr([s.cuts for s in states]).encode())
-        boundary = m.boundary_crash_states()
+        boundary = boundary_states(m)
         digest.update(repr([s.cuts for s in boundary]).encode())
     assert digest.hexdigest() == (
         "db1e82144d96f233f34ba6ac35199588a8e65a6cf3b1fc7f38033b5ca2f266c8")
@@ -766,7 +765,7 @@ def test_no_release_store_no_boundary_states():
     m.clflushopt(0)
     m.sfence()
     m.store(64, b"b" * 72)
-    assert m.boundary_crash_states() == []
+    assert boundary_states(m) == []
 
 
 # ------------------------------------------------------------- crash applying
@@ -774,18 +773,20 @@ def test_no_release_store_no_boundary_states():
 def test_apply_crash_empty_and_full():
     m = SimMemory(128)
     m.store(0, b"new line 0 data!")
-    empty = next(s for s in m.enumerate_crash_states() if s.cut(0) == 0)
-    full = next(s for s in m.enumerate_crash_states() if s.cut(0) == 1)
+    empty = next(s for s in enumerated_states(m) if cut_of(s, 0) == 0)
+    full = next(s for s in enumerated_states(m) if cut_of(s, 0) == 1)
     assert m.apply_crash(empty).load(0, 16) == bytes(16)
     assert m.apply_crash(full).load(0, 16) == b"new line 0 data!"
 
 
-def test_apply_crash_records_loaded_lines_on_request():
+def test_crash_memory_records_loaded_lines_on_request():
     m = SimMemory(256)
     m.store(0, b"x" * 8)
-    state = m.enumerate_crash_states()[-1]
+    state = enumerated_states(m)[-1]
     assert not hasattr(m.apply_crash(state), "loaded_lines")
-    crashed = m.apply_crash(state, record_loads=True)
+    win = m._window()
+    assert not hasattr(win.crash_memory(vector(state)), "loaded_lines")
+    crashed = win.crash_memory(vector(state), record_loads=True)
     assert crashed.load(0, 8) == b"x" * 8
     crashed.load_word(136)
     crashed.load(60, 72)
@@ -798,9 +799,9 @@ def test_apply_crash_partial_matches_manual_replay():
     writes = [(0, b"11111111"), (4, b"2222"), (8, b"33333333")]
     for addr, data in writes:
         m.store(addr, data)
-    for s in m.enumerate_crash_states():
+    for s in enumerated_states(m):
         manual = bytearray(64)
-        for addr, data in writes[:s.cut(0)]:
+        for addr, data in writes[:cut_of(s, 0)]:
             manual[addr:addr + len(data)] = data
         assert m.apply_crash(s).load(0, 64) == bytes(manual)
 
@@ -809,8 +810,8 @@ def test_apply_crash_partial_matches_manual_replay():
 def test_apply_crash_matches_replay(seed):
     m = long_trace(seed)
     base = bytes(m.capacity)
-    states = m.enumerate_crash_states()
-    states += m.sample_crash_states(50, seed=seed)
+    states = enumerated_states(m)
+    states += sampled_states(m, 50, seed=seed)
     kinds = set()
     for state in states:
         assert crashed_image(m, state) == replay(m, base, state.cuts)
@@ -875,13 +876,13 @@ def test_torn_runs_match_replay(seed):
     # enumerated, sampled and boundary image must equal the recorder's
     # replay of each line's first `cut` store pieces
     m, inside = run_trace(seed)
-    states = m.enumerate_crash_states()
+    states = enumerated_states(m)
     if math.prod(c + 1 for c in m.write_counts().values()) <= 3000:
         assert cuts_of(states) == brute_force_states(m)
     assert inside <= {cut for state in states for cut in state.cuts}
-    states += m.boundary_crash_states()
+    states += boundary_states(m)
     for durable in (False, True):
-        states += m.sample_crash_states(50, seed=seed,
+        states += sampled_states(m, 50, seed=seed,
                                         at_least_durable=durable)
     for state in states:
         assert crashed_image(m, state) == replay(m, bytes(m.capacity),
@@ -896,8 +897,10 @@ def test_torn_line_memo_cleared_by_checkpoint():
     assert crashed_image(m, first)[:16] == b"a" * 8 + bytes(8)
     m.clflushopt(0)
     m.sfence()
+    # the fence rebuilds the window, which keeps the epoch's memo
+    assert list(m._window()._torn) == [(0, 1)]
     m.checkpoint()
-    assert m._torn == {}
+    assert m._window()._torn == {}
     m.store(0, b"c" * 8)
     m.store(8, b"d" * 8)
     again = CrashState(((0, 1),), 1)
@@ -908,7 +911,7 @@ def test_full_cuts_memoise_nothing():
     m = long_trace(3)
     full = CrashState(tuple(sorted(m.write_counts().items())))
     assert crashed_image(m, full) == m.load(0, m.capacity)
-    assert m._torn == {}
+    assert m._window()._torn == {}
 
 
 def test_cut_beyond_history_rejected():
@@ -918,12 +921,24 @@ def test_cut_beyond_history_rejected():
         m.apply_crash(CrashState(((0, 2),)))
     with pytest.raises(StaleCrashStateError):
         m.apply_crash(CrashState(((1, 1),)))
+    # a negative cut, of a written line or of another, is rejected before
+    # any line is pasted, so the next image is still right
+    m = SimMemory(256)
+    m.store(0, b"abcdefgh")
+    m.store(64, b"x" * 8)
+    m.store(64, b"y" * 8)
+    full = CrashState(((0, 1), (1, 2)))
+    for cuts in (((0, 0), (1, -1)), ((0, 0), (1, 2), (3, -1))):
+        with pytest.raises(StaleCrashStateError):
+            m.apply_crash(CrashState(cuts))
+        image = m.apply_crash(full).load(0, 72)
+        assert image == b"abcdefgh" + bytes(56) + b"y" * 8
 
 
 def test_stale_crash_state_rejected():
     m = SimMemory(64)
     m.store(0, b"x" * 8)
-    state = m.enumerate_crash_states()[-1]
+    state = enumerated_states(m)[-1]
     m.clflushopt(0)
     m.sfence()
     m.checkpoint()

@@ -10,7 +10,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  rule)
 
 from conftest import (Fence, Flush, RecordingMemory, Store,
-                      WriteRefusingMemory)
+                      WriteRefusingMemory, sampled_states)
 from nvlog.pmem import RELAXED, SimMemory, WORD_SIZE
 from nvlog.stps import (CapacityError, InvariantError, PersistentHashMap,
                         StpsError, pack_meta)
@@ -417,7 +417,7 @@ def crash_images(node_lines: int, seed: int):
                               for k in rng.sample(keys[:3], 2)])
         except CapacityError:
             pass
-        for state in mem.sample_crash_states(6, seed=rng.randrange(1 << 30)):
+        for state in sampled_states(mem, 6, seed=rng.randrange(1 << 30)):
             yield bytes(mem.apply_crash(state).cached)
         yield mem.persisted_image()
 

@@ -11,7 +11,8 @@ import hashlib
 import random
 from collections import Counter
 
-from conftest import Fence, Flush, RecordingMemory, Store
+from conftest import (Fence, Flush, RecordingMemory, Store, boundary_states,
+                      enumerated_states, sampled_states)
 from nvlog.harness import EXTRA_ALGORITHMS
 from nvlog.logalg.base import PayloadError
 from nvlog.logalg.csorandom import RANDOM_VALUE
@@ -115,9 +116,8 @@ def test_write_trace_is_pinned():
     for case, mem in scripted_memories(SimMemory):
         digest.update(case.encode())
         for line in sorted(mem.write_counts()):
-            for ev in mem.events(line):
-                digest.update(repr((line, ev.fence, ev.offset_in_line,
-                                    ev.data, ev.ordering)).encode())
+            for unit in mem._window().units(line):
+                digest.update(repr((line, *unit)).encode())
         digest.update(repr(mem.stats).encode())
     assert digest.hexdigest() == (
         "01f9146be805b21e1c3be027c78b7b755a659aa70e0f2696d7c38a0085070fb4")
@@ -132,9 +132,9 @@ def test_crash_images_are_pinned():
     digest = hashlib.sha256()
     for case, mem in scripted_memories(SimMemory):
         digest.update(case.encode())
-        states = mem.enumerate_crash_states(at_least_durable=True)
-        states += mem.boundary_crash_states()
-        states += mem.sample_crash_states(20, seed=0)
+        states = enumerated_states(mem, at_least_durable=True)
+        states += boundary_states(mem)
+        states += sampled_states(mem, 20, seed=0)
         for state in states:
             digest.update(repr(state.cuts).encode())
             digest.update(mem.apply_crash(state).load(0, mem.capacity))
