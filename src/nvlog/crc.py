@@ -19,8 +19,8 @@ then only XORs.  The sum is exact, by the linearity above, not an estimate.
 A call that finds no term cached runs the CRC over about 2.5 times the
 message and costs about three direct checksums; one that finds every term
 cached costs about a tenth of one.  Appends checksum directly and never pay
-the cold cost.  At 8-line entries a slot's torn images are too many to
-enumerate at all, so crc32 and crc64 are checked by sampling there.
+the cold cost.  The crash checker sums these terms itself, so it judges all
+9**8 torn images of an 8-line slot without building one.
 """
 
 import functools

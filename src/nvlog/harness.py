@@ -26,17 +26,17 @@ A log window's classes are the leaves of its read-path tree, walked
 eagerly: one recovery per distinct read path.  A counted window's walk
 branches on every legal cut; a listed window's splits its group of
 states, and records loads only while the group holds more than one.  A
-checksum log's counted, unfenced window that lies in one slot is classed
-first by the CRC's line terms, so its invalid states form one class with
-one recovery.  A map's window is classed by the decodes of the slots it
+checksum log's unfenced window that lies in one slot is classed first by
+the CRC's line terms, so its invalid states form one class with one
+recovery, at any size: a counted one finds its valid states by meeting in
+the middle.  A map's window is classed by the decodes of the slots it
 wrote.  Every recovery runs on the check's one reader (a log attached, or
 a map built, once per check; the map only scans, as its repair writes
 would land on a memory that is thrown away), pointed at a memory over a
 copy of the window's one crash image buffer, patched only where the cuts
 changed.
 
-Also houses round-trip audits, a deliberately broken log variant, and a
-checksum-collision construction that defeats 32-bit CRC validation.
+Also houses round-trip audits and a deliberately broken log variant.
 """
 
 from __future__ import annotations
@@ -46,15 +46,17 @@ import functools
 import io
 import itertools
 import math
+import operator
 import random
 from typing import NamedTuple
 
-from .crc import _zeros_crc, crc32c, crc_term
+from .crc import _zeros_crc, crc_term
 from .logalg import ALGORITHMS
 from .logalg.base import (HEAD_WORD_OFF, CircularLog, TrimError,
                           UnrecoverableLogError)
 from .logalg.csovb import CsoVbLog
-from .pmem import LINE_SIZE, SimMemory, WORD_SIZE
+from .pmem import (ENUMERATION_LIMIT, LINE_SIZE, WORD_SIZE,
+                   EnumerationLimitError, SimMemory)
 from .stps import PersistentHashMap
 
 
@@ -331,24 +333,28 @@ class _ReadPaths:
     A recovery runs on the target's one reader, which `recovered_state`
     points at the state's crash memory.
 
-    The checksum route.  A counted, unfenced window whose written lines all
-    lie in one slot of at least one line, of a log that declares its slot
+    The checksum route.  An unfenced window whose written lines all lie
+    in one slot of at least one line, of a log that declares its slot
     check (`slot_check`), is classed first by the CRC's line terms: a
     table holds, per written line and cut, that line's `crc_term` (XORed
     with the stored checksum on the checksum's line, and with bit 64,
     which no CRC has, where the slot's header word is one `_decode`
-    rejects); it is built (`_slot_sums`) only when such a window's classes
-    are asked for.  A state's slot is valid iff its terms XOR to the CRC of
+    rejects); it is built (`_slot_sums`) when such a window's classes are
+    asked for.  A state's slot is valid iff its terms XOR to the CRC of
     zeros (with the constant terms of the slot's unwritten lines), which
     is `_decode`'s own test.  Every invalid state recovers the same value,
-    taken from one real recovery of the first of them: recovery reads the
-    head word and then decodes slots from the head on, stopping at the
-    first one `_decode` rejects; no line outside the slot differs within
-    the window, so every state reads the same bytes until it meets the
-    slot, and an invalid one stops there (or never meets it).  So the
+    so one real recovery of the first of them stands for all: recovery
+    reads the head word and then decodes slots from the head on, stopping
+    at the first one `_decode` rejects; no line outside the slot differs
+    within the window, so every state reads the same bytes until it meets
+    the slot, and an invalid one stops there (or never meets it).  So the
     invalid states form one class (`_checksum_classes`), and the valid
-    ones take the walk as a listed group.  Any other checksum window takes
-    the walk.
+    ones take the walk as a listed group.  A listed window XORs each
+    vector's terms.  A counted one never builds the product: it meets in
+    the middle (Horowitz and Sahni), indexing the XORs of the first half
+    of its lines by their complement to the goal and looking up each XOR
+    of the second half, so an 8-line slot's 9**8 states cost two tables
+    of 9**4.  Any other checksum window takes the walk.
 
     The map route.  A map's window (its target declares `slot_decodes`)
     takes no walk: states whose written slots decode alike share one real
@@ -431,8 +437,8 @@ class _ReadPaths:
         if self.slots is not None:
             return (self._decode_classes() if listed is None
                     else self._decode_groups(listed))
-        if listed is None and self._slot_sums():
-            return self._checksum_classes()
+        if self._slot_sums():
+            return self._checksum_classes(listed)
         return self._walk(listed)
 
     def _walk(self, listed: list | None = None):
@@ -453,6 +459,7 @@ class _ReadPaths:
         vector, and a leaf's class is its group."""
         win, at, width = self.win, self.at, len(self.at)
         if listed is None:
+            win.check_limit()
             stack = [({}, win.completion({}), None)]
         else:
             stack = [({}, listed[0], listed)] if listed else []
@@ -494,25 +501,41 @@ class _ReadPaths:
                 yield (recovered, win.count(held),
                        functools.partial(win.holding, held))
 
-    def _checksum_classes(self):
-        """A counted, unfenced one-slot window of a checksum log: each
-        vector's line terms XORed, line by line in product order.  A
-        vector whose XOR is not the goal fails `_decode`, and all of them
-        recover as the first of them does; the valid vectors take the walk
-        as a listed group."""
-        xors = [0]
-        for terms in self.sums:
-            xors = [x ^ term for x in xors for term in terms]
-        goal, stops = self.goal, self.win.stops
-        vectors = functools.partial(itertools.product, *map(range, stops))
-        n = -1
-        valid = [n := xors.index(goal, n + 1) for _ in range(xors.count(goal))]
-        invalid = len(xors) - len(valid)
-        if invalid:
-            first = next(n for n, x in enumerate(xors) if x != goal)
-            yield self._recovered(_unrank(first, stops)), invalid, lambda: [
-                cuts for cuts, x in zip(vectors(), xors) if x != goal]
-        yield from self._walk([_unrank(n, stops) for n in valid])
+    def _checksum_classes(self, listed: list | None = None):
+        """A one-slot, unfenced window of a checksum log: its invalid
+        vectors are one class, which recovers as the first of them does,
+        and its valid ones take the walk as a listed group.  A listed
+        vector is valid if its line terms XOR to the goal.  Counted, the
+        valid vectors are found by meeting in the middle: the XORs of the
+        first half of the lines are indexed by their complement to the
+        goal, and each XOR of the second half is looked up there."""
+        sums, goal, stops = self.sums, self.goal, self.win.stops
+        if listed is None:
+            half = len(sums) // 2
+            index = {}
+            for head, x in zip(_product(stops[:half]), _xors(sums[:half])):
+                index.setdefault(x ^ goal, []).append(head)
+            valid = sorted(head + tail for tail, x in zip(
+                _product(stops[half:]), _xors(sums[half:]))
+                for head in index.get(x, ()))
+            others = functools.partial(itertools.filterfalse,
+                                       set(valid).__contains__)
+            size = math.prod(stops) - len(valid)
+            first = next(others(_product(stops)), None)
+
+            def members():
+                return list(others(_product(stops)))
+        else:
+            valid, bad = [], []
+            for cuts in listed:
+                xor = functools.reduce(operator.xor,
+                                       map(list.__getitem__, sums, cuts))
+                (valid if xor == goal else bad).append(cuts)
+            size, first = len(bad), next(iter(bad), None)
+            members = functools.partial(list, bad)
+        if size:
+            yield self._recovered(first), size, members
+        yield from self._walk(valid)
 
     def _decode_classes(self):
         """A counted map window: each written slot's cut combinations, one
@@ -520,6 +543,7 @@ class _ReadPaths:
         class takes one decode per slot; it holds the product of those
         groups' combinations and recovers once."""
         mem, win = self.mem, self.win
+        win.check_limit()
         groups = []   # per written slot: (its window lines, {decode: combos})
         for lo, hi in self.slots:
             spots, parts = [], []   # each line of the slot: its images
@@ -558,13 +582,19 @@ class _ReadPaths:
                    functools.partial(list, group))
 
 
-def _unrank(n: int, stops: list[int]) -> tuple[int, ...]:
-    """The `n`-th vector of the product of `range(stop)` over `stops`."""
-    cuts = []
-    for stop in reversed(stops):
-        n, cut = divmod(n, stop)
-        cuts.append(cut)
-    return tuple(reversed(cuts))
+def _xors(sums: list[list[int]]) -> list[int]:
+    """The XOR of one term per line of `sums`, for every choice of terms,
+    in product order."""
+    xors = [0]
+    for terms in sums:
+        xors = [x ^ term for x in xors for term in terms]
+    return xors
+
+
+def _product(stops: list[int]):
+    """Every vector of the product of `range(stop)` over `stops`, in
+    product order."""
+    return itertools.product(*map(range, stops))
 
 
 def _merge(width: int, parts) -> tuple[int, ...]:
@@ -592,9 +622,11 @@ def _judge(reads: _ReadPaths, listed: dict | None, first: int, legal: list,
     legal if it recovers to the boundary before op j or after it (op j's
     pair).  A class's value is compared once with the pair of each op the
     window's states have; only if it is illegal for one of them are the
-    class's members listed, each judged against its own op's pair.
-    Violations come out in product order (counted) or list order
-    (listed).  Returns how many states were judged."""
+    class's members listed, each judged against its own op's pair; an
+    illegal class of more states than `ENUMERATION_LIMIT` raises
+    `EnumerationLimitError` instead.  Violations come out in product order
+    (counted) or list order (listed).  Returns how many states were
+    judged."""
     pairs = {j: legal[j - first:j + 2 - first]
              for j in ({first} if listed is None else set(listed.values()))}
     bad, judged = {}, 0
@@ -606,6 +638,9 @@ def _judge(reads: _ReadPaths, listed: dict | None, first: int, legal: list,
                 break
         else:   # legal for every op of the window
             continue
+        if size > ENUMERATION_LIMIT:
+            raise EnumerationLimitError(f"an illegal class of {size} states "
+                                        f"exceeds limit {ENUMERATION_LIMIT}")
         for cuts in members():
             j = first if listed is None else listed[cuts]
             if recovered not in pairs[j]:
@@ -642,10 +677,14 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
     boundary ones deduplicated in first-seen order, at-op keeping those of
     op I.  Both kinds take one judge (`_judge`), on the target's one
     reader and images patched into one buffer per window.
-    `EnumerationLimitError` is raised for a window whose cut tuples number
-    more than `ENUMERATION_LIMIT`, unless it is sampled.  A recovered value
-    is judged by equality with the legal pair: a log's tuple of payloads,
-    or a map's dict, which equals the model's whatever its key order."""
+    `EnumerationLimitError` is raised where a route would enumerate more
+    than `ENUMERATION_LIMIT` cut tuples: a listed window's legal vectors,
+    a counted log window's read-path walk and a counted map window's
+    decodes.  The checksum route enumerates none, so its windows are
+    judged at any size; only an illegal class larger than the limit raises
+    rather than list its states.  A recovered value is judged by equality
+    with the legal pair: a log's tuple of payloads, or a map's dict, which
+    equals the model's whatever its key order."""
     if isinstance(script, str):
         script = parse_script(script)
     if script.kind == "log":
@@ -676,7 +715,6 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
             reads = _ReadPaths(mem, target, win)
             if one_op and not sampled and not (
                     win.fenced and reads.slots is not None):
-                win.check_limit()
                 checked += win.count()
                 # no state is op I's unless op `first` is op I
                 listed = None if only in (None, first) else {}
@@ -771,56 +809,3 @@ class BrokenVbLog(CsoVbLog):
 
 EXTRA_ALGORITHMS = dict(ALGORITHMS)
 EXTRA_ALGORITHMS[BrokenVbLog.name] = BrokenVbLog
-
-
-# --------------------------------------------------- checksum collision demo
-
-def crc32_collision_word(buf: bytes, word_off: int) -> int:
-    """A nonzero 64-bit value v such that XORing it into buf at word_off
-    leaves the CRC32C unchanged.  XOR deltas map to CRC deltas by a GF(2)-
-    linear function, the word's `crc_term`, which depends only on len(buf)
-    and word_off; its kernel for a 64-bit word under a 32-bit checksum is
-    nontrivial."""
-    n = len(buf)
-    basis = [crc_term(crc32c, n, word_off, (1 << i).to_bytes(8, "little"))
-             for i in range(64)]
-    pivots: dict[int, tuple[int, int]] = {}   # bit -> (vector, combination)
-    for i, vec in enumerate(basis):
-        combo = 1 << i
-        while vec:
-            top = vec.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = (vec, combo)
-                break
-            pv, pc = pivots[top]
-            vec ^= pv
-            combo ^= pc
-        else:
-            return combo   # nonzero combination mapping to zero delta
-    raise AssertionError("64->32 bit linear map had a trivial kernel")
-
-
-class ChecksumDemo(NamedTuple):
-    algorithm: str
-    payload: bytes
-    states_checked: int   # distinct cut tuples after deduplication
-    false_valids: int
-
-
-def checksum_vulnerability_demo(algo: str) -> ChecksumDemo:
-    """Append one crafted 112-byte payload and hunt for crash states that
-    validate with the wrong contents.  The payload's word 6 is chosen so the
-    32-bit checksum cannot see it torn; 64-bit checksums and validity bits
-    are expected to reject every torn state.  The append runs through
-    `run_crash_suite`, exhaustively."""
-    payload_len = 112
-    # craft against the 32-bit checksum's own framing: seq 1, len, payload
-    hdr = (0).to_bytes(4, "little") + payload_len.to_bytes(4, "little")
-    base_payload = bytes(range(1, 113))
-    buf = hdr + base_payload
-    v = crc32_collision_word(buf, 8 + 48)     # payload word 6
-    payload = base_payload[:48] + v.to_bytes(8, "little") + base_payload[56:]
-    report = run_crash_suite(f"crash exhaustive\nappend {payload.hex()}",
-                             algo=algo, payload_len=payload_len, slots=4)
-    return ChecksumDemo(algo, payload, report.distinct_states,
-                        len(report.violations))

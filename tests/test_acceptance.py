@@ -7,8 +7,7 @@ import pytest
 
 from conftest import enumerated_states
 from nvlog.cli import _bench_one, _run_kv
-from nvlog.harness import (audit_roundtrips, checksum_vulnerability_demo,
-                           run_crash_suite)
+from nvlog.harness import audit_roundtrips, run_crash_suite
 from nvlog.logalg import ALGORITHMS
 from nvlog.logalg.fvb import write_cacheline
 from nvlog.pmem import SimMemory
@@ -210,19 +209,30 @@ def test_flexible_bit_oracle_equivalence():
              f"mismatches {mismatches}, overshoots {overshoots}")
 
 
+# the torn states of a 496-byte append that crc32 accepts, by payload seed
+CRC32_FALSE_VALIDS = {127: "1:4 2:0 3:5 4:4 5:7 6:1 7:2 8:5",
+                      163: "1:5 2:2 3:3 4:3 5:5 6:4 7:2 8:2"}
+
+
 def test_crc32_weakness_demonstration():
-    """One crafted torn state passes 32-bit checksum validation; the same
-    construction under the 64-bit checksum and the validity-bit scheme shows
-    zero false valids of the 81 crash states the append can leave."""
-    planted = checksum_vulnerability_demo("crc32")
-    clean = [checksum_vulnerability_demo(algo) for algo in ("crc64", "cso-vb")]
-    ok = planted.false_valids == 1 and all(
-        d.false_valids == 0 for d in clean)
-    _verdict("crc32-weakness", ok,
-             f"crc32 planted {planted.false_valids} of "
-             f"{planted.states_checked} states; "
-             + "; ".join(f"{d.algorithm} {d.false_valids} of "
-                         f"{d.states_checked} states" for d in clean))
+    """An 8-line append of random bytes, checked over every one of its
+    9**8 crash states: for two payload seeds the 32-bit checksum accepts
+    exactly one torn state, and the 64-bit checksum accepts none."""
+    details, ok = [], True
+    for seed, cuts in CRC32_FALSE_VALIDS.items():
+        rng = random.Random(seed)
+        text = ("crash exhaustive\nappend "
+                + bytes(rng.getrandbits(8) for _ in range(496)).hex())
+        for algo in ("crc32", "crc64"):
+            report = run_crash_suite(text, algo=algo, payload_len=496,
+                                     slots=4)
+            found = [" ".join(f"{line}:{cut}" for line, cut in v.cuts)
+                     for v in report.violations]
+            ok &= report.states_checked == 9 ** 8 and found == (
+                [cuts] if algo == "crc32" else [])
+            details.append(f"seed {seed} {algo} {len(found)} of "
+                           f"{report.states_checked} states")
+    _verdict("crc32-weakness", ok, "; ".join(details))
 
 
 def test_snapshot_round_trip_equivalence():

@@ -3,6 +3,7 @@
 import csv
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -313,16 +314,34 @@ def test_crashtest_stdin_not_utf8(monkeypatch, capsys):
 
 
 def test_crashtest_window_past_the_enumeration_limit(tmp_path, capsys):
-    # one 496-byte crc64 append has too many crash states to enumerate
+    # one 496-byte tornbit append has too many crash states to walk
     p = tmp_path / "big.txt"
     p.write_text(f"crash exhaustive\nappend {'01' * 496}\n")
-    code = main(["crashtest", str(p), "--algo", "crc64",
+    code = main(["crashtest", str(p), "--algo", "tornbit",
                  "--payload-bytes", "496"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.splitlines() == [err.strip()]
-    assert err.startswith("crc64: ") and "exceed limit" in err
+    assert err.startswith("tornbit: ")
+    assert "4782969+ candidate cut tuples exceed limit 1048576" in err
     assert "`crash sampled K`" in err
+
+
+def test_crashtest_finds_the_torn_state_crc32_accepts(tmp_path, capsys):
+    # every crash state of an 8-line crc32 append is checked: for this
+    # payload the checksum accepts one torn state
+    rng = random.Random(127)
+    payload = bytes(rng.getrandbits(8) for _ in range(496))
+    p = tmp_path / "crc.txt"
+    p.write_text(f"crash exhaustive\nappend {payload.hex()}\n")
+    code = main(["crashtest", str(p), "--algo", "crc32",
+                 "--payload-bytes", "496"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert out.splitlines()[0] == ("crc32: 1 ops, 43046721 distinct crash "
+                                   "states, 1 violations")
+    assert out.splitlines()[1].startswith(
+        "  op 0 cuts [1:4 2:0 3:5 4:4 5:7 6:1 7:2 8:5] recovered ")
 
 
 def test_crashtest_parse_error_exits_two(tmp_path, capsys):

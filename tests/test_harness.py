@@ -1,9 +1,10 @@
 """Harness tests: script parsing, crash suites catching real bugs, round-trip
-audits, the append loop's history bound, and the checksum collision
-construction."""
+audits, the append loop's history bound, and the checksum route's verdicts
+on torn payloads that a 32-bit CRC cannot see."""
 
 import functools
 import importlib.util
+import itertools
 import operator
 import random
 from collections import Counter
@@ -13,15 +14,15 @@ import pytest
 
 import nvlog
 from conftest import WriteRefusingMemory, widened
-from nvlog.crc import crc32c
 from nvlog import harness
+from nvlog.crc import crc32c, crc_term
 from nvlog.harness import (BrokenVbLog, EXTRA_ALGORITHMS, Script, ScriptError,
                            Violation, _LogTarget, _ReadPaths, _StpsTarget,
-                           audit_roundtrips, checksum_vulnerability_demo,
-                           crc32_collision_word, parse_script, run_appends,
+                           audit_roundtrips, parse_script, run_appends,
                            run_crash_suite)
 from nvlog.logalg import ALGORITHMS
 from nvlog.logalg.base import TrimError, UnrecoverableLogError
+from nvlog.logalg.crclog import Crc64Log
 from nvlog.logalg.csorandom import CsoRandomLog
 from nvlog.logalg.csovb import CsoVbLog
 from nvlog.pmem import EnumerationLimitError, SimMemory
@@ -38,6 +39,12 @@ append 202122232425262728292a2b2c2d2e2f3031323334353637
 append 303132333435363738393a3b3c3d3e3f4041424344454647
 trim
 """
+
+# bytes 1..112 with word 6 set to a value whose crc32c term, at that word of
+# the crc32 log's framing (seq 0, length 112), is zero: the slot's checksum
+# cannot see the word torn, so one torn state of its append is valid
+CRAFTED_112 = (bytes(range(1, 49)) + (0x105EC76F1).to_bytes(8, "little")
+               + bytes(range(57, 113)))
 
 MAP_SCRIPT = """
 crash exhaustive
@@ -764,23 +771,16 @@ def test_checksum_classes_agree_with_decode(algo, size):
 
 
 def test_a_crafted_crc32_payload_is_classed_valid_when_torn(monkeypatch):
-    # the demo's payload, whose word 6 the 32-bit checksum cannot see torn:
-    # the table classes that torn state valid, as `_decode` does, and it is
-    # recovered on its own, so the check reports it
-    payload = checksum_vulnerability_demo("crc32").payload
-    text = f"crash exhaustive\nappend {payload.hex()}"
+    # the crafted payload's word 6 is one the 32-bit checksum cannot see
+    # torn: the table classes that torn state valid, as `_decode` does, and
+    # it is recovered on its own, so the check reports it
+    assert crc_term(crc32c, 120, 56, CRAFTED_112[48:56]) == 0
+    text = f"crash exhaustive\nappend {CRAFTED_112.hex()}"
     classes = Counter(table for table, decoded
                       in checksum_classes("crc32", 112, text, 4)
                       if table == decoded)
     assert classes[True] == 2 and sum(classes.values()) == 81
-    runs = Counter()
-    recovered_state = _LogTarget.recovered_state
-
-    def counted(target, crashed):
-        runs["recoveries"] += 1
-        return recovered_state(target, crashed)
-
-    monkeypatch.setattr(_LogTarget, "recovered_state", counted)
+    runs = counted_recoveries(monkeypatch)
     report = run_crash_suite(text, algo="crc32", payload_len=112, slots=4)
     assert len(report.violations) == 1
     assert runs["recoveries"] == classes[True] + 1
@@ -799,14 +799,15 @@ def test_a_checksum_log_window_with_no_written_line(algo, mode):
         (9, 9) if mode == "exhaustive" else (1, 1))
 
 
-@pytest.mark.parametrize("mode, built, checked, distinct", [
-    pytest.param("sampled 300", [], 302, 79, id="sampled"),
-    pytest.param("exhaustive", [True], 81, 81, id="exhaustive")])
-def test_only_a_counted_checksum_window_builds_the_table(
-        mode, built, checked, distinct, monkeypatch):
-    # one crc64 append lies in one slot: sampled, its window is listed and
-    # builds no table, with the report it had when it built one unused;
-    # exhaustive, it is counted and classed by the table
+@pytest.mark.parametrize("mode, checked, distinct", [
+    pytest.param("sampled 300", 302, 79, id="sampled"),
+    pytest.param("exhaustive", 81, 81, id="exhaustive")])
+def test_a_one_slot_checksum_window_builds_the_table(mode, checked, distinct,
+                                                     monkeypatch):
+    # one crc64 append lies in one slot: sampled, its window is listed,
+    # exhaustive, it is counted, and either way it is classed by the table,
+    # its invalid states one class with one recovery and its one valid
+    # state another, with the report the read-path walk gave
     calls = []
     slot_sums = _ReadPaths._slot_sums
 
@@ -815,12 +816,138 @@ def test_only_a_counted_checksum_window_builds_the_table(
         return calls[-1]
 
     monkeypatch.setattr(_ReadPaths, "_slot_sums", hooked)
+    runs = counted_recoveries(monkeypatch)
     payload = random.Random(7).randbytes(112)
     report = run_crash_suite(f"crash {mode}\nappend {payload.hex()}",
                              algo="crc64", payload_len=112)
-    assert calls == built
+    assert calls == [True]
+    assert runs["recoveries"] == 2
     assert report == harness.Report("crc64", mode.split()[0], 1, checked,
                                     distinct, [])
+
+
+def product_of_xors(reads):
+    """A plain reference for the checksum route's counted classes: every
+    vector's line terms XORed over the whole product of cuts, in product
+    order; the invalid vectors one class recovered on the first of them,
+    the valid ones walked as a listed group."""
+    xors = [0]
+    for terms in reads.sums:
+        xors = [x ^ term for x in xors for term in terms]
+    vectors = itertools.product(*map(range, reads.win.stops))
+    parts = {True: [], False: []}
+    for cuts, x in zip(vectors, xors):
+        parts[x == reads.goal].append(cuts)
+    if parts[False]:
+        yield (reads._recovered(parts[False][0]), len(parts[False]),
+               parts[False])
+    for recovered, size, members in reads._walk(parts[True]):
+        yield recovered, size, members()
+
+
+def crc_digest_and_nvbench_runs():
+    """(suite kwargs, script) of every crc run of the pinned digests and of
+    two rounds of nvbench's per-op scripts, in every mode, of the shipped
+    log scripts at a 168-B entry, which spans three lines, and of a 168-B
+    append with four valid states."""
+    for name in ("three_appends", "wraparound"):
+        text = (WORKLOADS / f"{name}.txt").read_text()
+        for size in (24, 56, 112, 168):
+            for algo in ("crc32", "crc64"):
+                for script in every_mode(widened(text, size)):
+                    yield dict(algo=algo, payload_len=size), script
+    rng = random.Random(20)
+    text = f"append {rng.randbytes(240).hex()}\ntrim"
+    yield dict(algo="crc64", payload_len=240), parse_script(
+        f"seed 5\ncrash at-op 0\n{text}")
+    # zero payload words 6 and 14 end lines 1 and 2 of a 168-B slot, so
+    # either line torn before them is valid: four valid states, which the
+    # second half's lookups find out of product order
+    words = [random.Random(21).randbytes(8) for _ in range(21)]
+    words[6] = words[14] = bytes(8)
+    for algo in ("crc32", "crc64"):
+        yield dict(algo=algo, payload_len=168), parse_script(
+            f"crash exhaustive\nappend {b''.join(words).hex()}")
+    for seed in (3, 8):
+        for kw, text in nvbench_scripts(seed):
+            if "crc" in kw.get("algo", ""):
+                for script in every_mode(text):
+                    yield kw, script
+
+
+def test_meet_in_the_middle_classes_as_the_product_of_xors(monkeypatch):
+    # every counted checksum-route window of those runs: the same classes,
+    # values, sizes and members, in the same order, as the product of XORs
+    route = _ReadPaths._checksum_classes
+    widths, valid = Counter(), Counter()
+
+    def compared(reads, listed=None):
+        got = [(recovered, size, members())
+               for recovered, size, members in route(reads, listed)]
+        if listed is None:
+            assert got == list(product_of_xors(reads))
+            widths[len(reads.win.lines)] += 1
+            valid[sum(size for _, size, _ in got[1:])] += 1
+        for recovered, size, members in got:
+            yield recovered, size, functools.partial(list, members)
+
+    monkeypatch.setattr(_ReadPaths, "_checksum_classes", compared)
+    for kw, script in crc_digest_and_nvbench_runs():
+        run_crash_suite(script, **kw)
+    assert set(widths) == {1, 2, 3, 4} and max(valid) == 4
+
+
+class ForgetfulCrc64Log(Crc64Log):
+    """A crc64 log whose recovery drops its newest entry."""
+
+    name = "forgetful-crc64"
+
+    def recover(self):
+        return super().recover()[:-1]
+
+
+@pytest.mark.parametrize("limit, violations", [(80, 80), (79, None)])
+def test_an_illegal_class_past_the_limit_lists_no_member(limit, violations,
+                                                         monkeypatch):
+    # the second append's 80 invalid states recover the first entry, which
+    # the mutant drops: one illegal class, its members listed only while it
+    # holds no more states than the limit
+    monkeypatch.setattr(harness, "ENUMERATION_LIMIT", limit)
+    listed = Counter()
+    classes = _ReadPaths.classes
+
+    def watched(reads, listed_vectors=None):
+        for recovered, size, members in classes(reads, listed_vectors):
+            def counted(members=members, size=size):
+                listed[size] += 1
+                return members()
+            yield recovered, size, counted
+
+    monkeypatch.setattr(_ReadPaths, "classes", watched)
+    rng = random.Random(9)
+    text = "\n".join(["crash exhaustive", *(
+        f"append {rng.randbytes(112).hex()}" for _ in range(2))])
+    kw = dict(algo=ForgetfulCrc64Log.name, payload_len=112,
+              registry={ForgetfulCrc64Log.name: ForgetfulCrc64Log})
+    if violations is None:
+        with pytest.raises(EnumerationLimitError,
+                           match="illegal class of 80 states exceeds limit 79"):
+            run_crash_suite(text, **kw)
+        assert not listed[80]
+    else:
+        report = run_crash_suite(text, **kw)
+        assert len(report.violations) == violations and listed[80] == 1
+
+
+@pytest.mark.parametrize("algo", ["cso-fvb", "tornbit", "two-rounds"])
+def test_an_eight_line_append_is_past_the_walks_limit(algo):
+    # a 496-byte append writes 8 lines of 9 cuts each, and the read-path
+    # walk counts their whole product first; the checksum route, which
+    # judges all 9**8, is pinned in `test_crc32_weakness_demonstration`
+    payload = random.Random(0).randbytes(496)
+    with pytest.raises(EnumerationLimitError, match="exceed limit"):
+        run_crash_suite(f"crash exhaustive\nappend {payload.hex()}",
+                        algo=algo, payload_len=496)
 
 
 def window_crash_memories(target, ops):
@@ -1055,32 +1182,23 @@ def test_run_appends_history_does_not_grow(algo):
     assert retained_writes(algo, 512) <= retained_writes(algo, 64)
 
 
-# ---------------------------------------------------------- checksum collision
-
-def test_collision_word_is_in_kernel():
-    buf = bytes(range(120))
-    v = crc32_collision_word(buf, 56)
-    assert v != 0
-    patched = bytearray(buf)
-    patched[56:64] = (int.from_bytes(buf[56:64], "little") ^ v).to_bytes(8, "little")
-    assert crc32c(bytes(patched)) == crc32c(buf)
-
-
-def test_collision_word_for_demo_buffer_is_pinned():
-    # the demo's framing (seq 0, len 112) and payload bytes 1..112, word 6
-    buf = (0).to_bytes(4, "little") + (112).to_bytes(4, "little") \
-        + bytes(range(1, 113))
-    assert crc32_collision_word(buf, 8 + 48) == 0x105EC76F1
-
+# ------------------------------------------------------ crafted crc32 payload
 
 def test_crc32_demo_finds_planted_false_valid():
-    demo = checksum_vulnerability_demo("crc32")
-    assert demo.false_valids == 1
+    # the crafted payload torn before its word 6: crc32 takes the slot as
+    # valid and recovers an entry that was never appended
+    report = run_crash_suite(f"crash exhaustive\nappend {CRAFTED_112.hex()}",
+                             algo="crc32", payload_len=112, slots=4)
+    [violation] = report.violations
+    torn = CRAFTED_112[:48] + bytes(8) + CRAFTED_112[56:]
+    assert violation.cuts == ((1, 7), (2, 8))
+    assert violation.recovered == (torn,)
 
 
-# every log that holds the demo's 112-byte payload (atlas takes 24 only)
+# every log that holds the crafted 112-byte payload (atlas takes 24 only)
 @pytest.mark.parametrize("algo", sorted(set(ALGORITHMS) - {"atlas"}))
 def test_checksum_demo_exhaustive(algo):
-    demo = checksum_vulnerability_demo(algo)
-    assert demo.states_checked > 1
-    assert demo.false_valids == (1 if algo == "crc32" else 0)
+    report = run_crash_suite(f"crash exhaustive\nappend {CRAFTED_112.hex()}",
+                             algo=algo, payload_len=112, slots=4)
+    assert report.distinct_states > 1
+    assert len(report.violations) == (1 if algo == "crc32" else 0)
