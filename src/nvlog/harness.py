@@ -29,7 +29,8 @@ states, and records loads only while the group holds more than one.  A
 checksum log's unfenced window that lies in one slot is classed first by
 the CRC's line terms, so its invalid states form one class with one
 recovery, at any size: a counted one finds its valid states by meeting in
-the middle.  A map's window is classed by the decodes of the slots it
+the middle, and counts them against the enumeration limit before it
+builds them.  A map's window is classed by the decodes of the slots it
 wrote.  Every recovery runs on the check's one reader (a log attached, or
 a map built, once per check; the map only scans, as its repair writes
 would land on a memory that is thrown away), pointed at a memory over a
@@ -508,16 +509,22 @@ class _ReadPaths:
         vector is valid if its line terms XOR to the goal.  Counted, the
         valid vectors are found by meeting in the middle: the XORs of the
         first half of the lines are indexed by their complement to the
-        goal, and each XOR of the second half is looked up there."""
+        goal, and each XOR of the second half is looked up there; the
+        matches are counted before any is built, as each valid vector may
+        need its own recovery."""
         sums, goal, stops = self.sums, self.goal, self.win.stops
         if listed is None:
             half = len(sums) // 2
-            index = {}
+            index, tails = {}, _xors(sums[half:])
             for head, x in zip(_product(stops[:half]), _xors(sums[:half])):
                 index.setdefault(x ^ goal, []).append(head)
+            count = sum(len(index.get(x, ())) for x in tails)
+            if count > ENUMERATION_LIMIT:
+                raise EnumerationLimitError(
+                    f"{count} valid cut tuples exceed limit "
+                    f"{ENUMERATION_LIMIT}")
             valid = sorted(head + tail for tail, x in zip(
-                _product(stops[half:]), _xors(sums[half:]))
-                for head in index.get(x, ()))
+                _product(stops[half:]), tails) for head in index.get(x, ()))
             others = functools.partial(itertools.filterfalse,
                                        set(valid).__contains__)
             size = math.prod(stops) - len(valid)
@@ -622,9 +629,9 @@ def _judge(reads: _ReadPaths, listed: dict | None, first: int, legal: list,
     legal if it recovers to the boundary before op j or after it (op j's
     pair).  A class's value is compared once with the pair of each op the
     window's states have; only if it is illegal for one of them are the
-    class's members listed, each judged against its own op's pair; an
-    illegal class of more states than `ENUMERATION_LIMIT` raises
-    `EnumerationLimitError` instead.  Violations come out in product order
+    class's members listed, each judged against its own op's pair; a
+    counted window's illegal class of more states than `ENUMERATION_LIMIT`
+    raises `EnumerationLimitError` instead.  Violations come out in product order
     (counted) or list order (listed).  Returns how many states were
     judged."""
     pairs = {j: legal[j - first:j + 2 - first]
@@ -638,7 +645,7 @@ def _judge(reads: _ReadPaths, listed: dict | None, first: int, legal: list,
                 break
         else:   # legal for every op of the window
             continue
-        if size > ENUMERATION_LIMIT:
+        if listed is None and size > ENUMERATION_LIMIT:
             raise EnumerationLimitError(f"an illegal class of {size} states "
                                         f"exceeds limit {ENUMERATION_LIMIT}")
         for cuts in members():
@@ -680,11 +687,12 @@ def run_crash_suite(script: Script | str, *, algo: str = "cso-vb",
     `EnumerationLimitError` is raised where a route would enumerate more
     than `ENUMERATION_LIMIT` cut tuples: a listed window's legal vectors,
     a counted log window's read-path walk and a counted map window's
-    decodes.  The checksum route enumerates none, so its windows are
-    judged at any size; only an illegal class larger than the limit raises
-    rather than list its states.  A recovered value is judged by equality
-    with the legal pair: a log's tuple of payloads, or a map's dict, which
-    equals the model's whatever its key order."""
+    decodes.  The checksum route enumerates only the valid vectors of a
+    counted window, so its windows are judged at any size unless those, or
+    an illegal class it would list, number more than the limit.  A
+    recovered value is judged by equality with the legal pair: a log's
+    tuple of payloads, or a map's dict, which equals the model's whatever
+    its key order."""
     if isinstance(script, str):
         script = parse_script(script)
     if script.kind == "log":

@@ -939,6 +939,47 @@ def test_an_illegal_class_past_the_limit_lists_no_member(limit, violations,
         assert len(report.violations) == violations and listed[80] == 1
 
 
+def test_a_listed_illegal_class_is_reported_past_the_limit(monkeypatch):
+    # a sampled window's members are already listed, so its illegal class
+    # of 79 states is judged whatever the limit
+    monkeypatch.setattr(harness, "ENUMERATION_LIMIT", 1)
+    rng = random.Random(9)
+    text = "\n".join(["crash sampled 300", *(
+        f"append {rng.randbytes(112).hex()}" for _ in range(2))])
+    report = run_crash_suite(
+        text, algo=ForgetfulCrc64Log.name, payload_len=112,
+        registry={ForgetfulCrc64Log.name: ForgetfulCrc64Log})
+    assert len(report.violations) == 79
+
+
+@pytest.mark.parametrize("limit", [648, 647])
+def test_valid_vectors_past_the_limit_are_counted_not_built(limit,
+                                                             monkeypatch):
+    # an all-zero 240-byte append writes 4 lines whose two middle lines
+    # read the same at every cut: 8 valid end pairs times 81 middles give
+    # 648 valid vectors, each its own read path; past the limit they are
+    # counted and never listed
+    monkeypatch.setattr(harness, "ENUMERATION_LIMIT", limit)
+    walked = []
+    walk = _ReadPaths._walk
+
+    def watched(reads, listed=None):
+        walked.append(None if listed is None else len(listed))
+        return walk(reads, listed)
+
+    monkeypatch.setattr(_ReadPaths, "_walk", watched)
+    text = f"crash exhaustive\nappend {bytes(240).hex()}"
+    if limit < 648:
+        with pytest.raises(EnumerationLimitError,
+                           match="648 valid cut tuples exceed limit 647"):
+            run_crash_suite(text, algo="crc64", payload_len=240)
+        assert walked == []
+    else:
+        report = run_crash_suite(text, algo="crc64", payload_len=240)
+        assert report.states_checked == 9 ** 4 and not report.violations
+        assert walked == [648]
+
+
 @pytest.mark.parametrize("algo", ["cso-fvb", "tornbit", "two-rounds"])
 def test_an_eight_line_append_is_past_the_walks_limit(algo):
     # a 496-byte append writes 8 lines of 9 cuts each, and the read-path
